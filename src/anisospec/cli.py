@@ -225,7 +225,8 @@ def _cmd_eigen(args) -> int:
     poly, gauge, h = _build_case(args)
     res = solve_eigen(poly, gauge, args.p, h, tol=args.tol)
     print(f"lambda = {res.lambda_:.10g}")
-    print(f"iterations = {res.iterations}  residual = {res.residual:.3e}")
+    print(f"iterations = {res.iterations}  residual = {res.residual:.3e}  "
+          f"stop = {res.stop}")
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
@@ -239,7 +240,8 @@ def _cmd_torsion(args) -> int:
     res = solve_torsion(poly, gauge, args.p, h, tol=args.tol)
     print(f"T = {res.T:.10g}")
     print(f"Mv = {res.Mv:.10g}")
-    print(f"iterations = {res.iterations}  residual = {res.residual:.3e}")
+    print(f"iterations = {res.iterations}  residual = {res.residual:.3e}  "
+          f"stop = {res.stop}")
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)

@@ -6,7 +6,8 @@ Every tunable default lives here:
 name                 default    meaning
 ===================  =========  ==================================================
 h_over_diameter      1/128      grid spacing = diameter(domain) / 128 when unset
-tol                  1e-8       solver window tolerance (relative, 25 iterations)
+tol                  1e-8       solver tolerance: dual residual (p = 2, quadratic
+                                gauge) or relative decrease over 25 iterations
 max_iter             50000      total iteration budget per solve
 sweep_m              64         coarse samples of the Cheeger radius sweep
 wulff_vertices       256        default polygon resolution of Wulff domains

@@ -15,11 +15,20 @@ null field that would let the quotient collapse.
 Minimization is a monotone projected descent on the quotient: nonlinear
 conjugate-gradient directions preconditioned by the inverse grid
 Laplacian of the bounding box (applied by fast sine transforms), a
-backtracking line search (exact rational step on the quadratic p = 2
-path), nonnegativity clamping for eigenfields, and coarse-to-fine
-seeding across a grid hierarchy.  Convergence is declared when the
-relative quotient decrease over a 25-iteration window drops below the
-requested tolerance.
+backtracking line search (on the quadratic path, p = 2 with a quadratic
+gauge, the exact minimizer along the ray and no backtracking),
+nonnegativity clamping for eigenfields, and coarse-to-fine seeding
+across a grid hierarchy.  Each solve reports which rule stopped it:
+
+* ``"dual"`` - quadratic path only: the preconditioned dual residual,
+  the relative energy-norm error of the iterate, is below ``tol``;
+* ``"window"`` - the relative value decrease over a 25-iteration window
+  is below ``tol`` (the stopping rule of the nonlinear path, whose
+  Hessian the Laplacian preconditioner does not match in scale);
+* ``"line_search"`` - no step decreases the value; converged only when
+  the dual residual is below sqrt(tol), i.e. when the value gap the
+  quadratic model predicts is below ``tol``;
+* ``"budget"`` - the iteration budget ran out; never converged.
 
 Non-differentiability of F at a vanishing gradient is removed by the
 subtracted regularization F_eps = sqrt(F^2 + eps^2) - eps, which keeps
@@ -401,27 +410,42 @@ def _rational_minimizers(a, b, c, dd, e, f) -> list[float]:
 
 def _descend(problem: _DescentProblem, psi0: np.ndarray, tol: float,
              max_iter: int):
-    """Monotone preconditioned CG descent; returns (psi, value, iters, residual, converged)."""
+    """Monotone preconditioned CG descent on one grid.
+
+    Returns (psi, iterations, residual, converged, stop), where ``stop``
+    names the rule that ended the descent (see the module docstring) and
+    ``residual`` is the quantity that rule measures: the dual residual for
+    "dual" and "line_search", the window decrease for "window"; "budget"
+    reports the dual residual on the quadratic path, else the window one.
+    """
     psi = problem.prepare(psi0)
     f, g = problem.value_grad(psi)
     hist = [f]
     z = problem.precond(g)
     d = -z
     gz = float((g * z).sum())
+    # the quadratic path's step is already the exact minimizer on the ray:
+    # it is not halved, and a value tie there is float rounding, not a stall
+    max_halvings = 0 if problem.quadratic else 60
+
+    def improved(cand, fc):
+        return cand is not None and (fc < f or problem.quadratic and fc == f)
+
     alpha_prev = None
     it = 0
-    converged = False
-    residual = math.inf
-    while it < max_iter:
+    while True:
+        dual = _dual_residual(f, gz, problem.grid.cell_area)
+        if problem.quadratic and dual < tol:
+            return psi, it, dual, True, "dual"
+        window = _window_residual(hist)
+        if len(hist) > WINDOW and window < tol:
+            return psi, it, window, True, "window"
+        if it >= max_iter:
+            return (psi, it, dual if problem.quadratic else window, False,
+                    "budget")
         it += 1
-        if gz <= 0.0:  # zero projected gradient: stationary
-            residual = _window_residual(hist)
-            converged = True
-            break
-        slope = float((g * d).sum())
-        if slope >= 0.0:
+        if float((g * d).sum()) >= 0.0:
             d = -z
-            slope = -gz
         accepted = False
         a = math.nan
         cand = fc = None
@@ -432,11 +456,11 @@ def _descend(problem: _DescentProblem, psi0: np.ndarray, tol: float,
                 a = alpha
                 cand, fc = problem.accept(psi, direction, a)
                 halvings = 0
-                while (cand is None or not fc < f) and halvings < 60:
+                while not improved(cand, fc) and halvings < max_halvings:
                     a *= 0.5
                     halvings += 1
                     cand, fc = problem.accept(psi, direction, a)
-                if cand is None or not fc < f:
+                if not improved(cand, fc):
                     continue
                 if halvings == 0 and not problem.quadratic:
                     for _ in range(40):  # a bad scale guess: probe growth
@@ -451,11 +475,8 @@ def _descend(problem: _DescentProblem, psi0: np.ndarray, tol: float,
                 d = direction
                 break
         if not accepted:
-            # not even the preconditioned gradient improves the value at
-            # float scale: the iterate is a numerical stationary point
-            residual = float(np.finfo(float).eps)
-            converged = True
-            break
+            # converged only if the predicted value gap dual^2 is below tol
+            return psi, it, dual, dual < math.sqrt(tol), "line_search"
         alpha_prev = a
         psi = cand
         hist.append(fc)
@@ -468,14 +489,17 @@ def _descend(problem: _DescentProblem, psi0: np.ndarray, tol: float,
         d = -zn + beta * d
         g, z = gn, zn
         gz = float((g * z).sum())
-        if len(hist) > WINDOW:
-            residual = _window_residual(hist)
-            if residual < tol:
-                converged = True
-                break
-    else:
-        residual = _window_residual(hist)
-    return psi, hist[-1], it, residual, converged
+
+
+def _dual_residual(f: float, gz: float, cell_area: float) -> float:
+    """Relative energy-norm error sqrt(gz / (2 w |f0|)) of an iterate.
+
+    f0 = f - gz / (2 w) is the minimum the quadratic model with Hessian
+    w P^-1 predicts; measuring against f0 rather than f keeps the ratio
+    finite at the torsion solve's v = 0 start, where J = 0.
+    """
+    f0 = f - gz / (2.0 * cell_area)
+    return math.sqrt(gz / (2.0 * cell_area * max(abs(f0), 1e-300)))
 
 
 def _window_residual(hist) -> float:
@@ -501,7 +525,11 @@ def _grid_hierarchy(poly: ConvexPolygon, h: float, max_levels: int = 6):
 
 @dataclass(frozen=True, eq=False)
 class EigenResult:
-    """First Dirichlet eigenvalue and eigenfield, normalized to max u = 1."""
+    """First Dirichlet eigenvalue and eigenfield, normalized to max u = 1.
+
+    ``stop`` names the rule that ended the finest-level descent ("dual",
+    "window", "line_search" or "budget"); ``residual`` is what it measured.
+    """
 
     lambda_: float
     u: GridField
@@ -511,11 +539,15 @@ class EigenResult:
     norm_id: str
     domain_id: str
     converged: bool
+    stop: str
 
 
 @dataclass(frozen=True, eq=False)
 class TorsionResult:
-    """Torsion field v, its integral T, maximum Mv, and the dual energy."""
+    """Torsion field v, its integral T, maximum Mv, and the dual energy.
+
+    ``stop`` and ``residual`` are as for ``EigenResult``.
+    """
 
     v: GridField
     T: float
@@ -527,6 +559,7 @@ class TorsionResult:
     norm_id: str
     domain_id: str
     converged: bool
+    stop: str
 
 
 def _eps_for(poly: ConvexPolygon, norm: MinkowskiNorm, p: float) -> float:
@@ -535,33 +568,53 @@ def _eps_for(poly: ConvexPolygon, norm: MinkowskiNorm, p: float) -> float:
     return EPS_FACTOR * poly.diameter
 
 
+def _coarse_to_fine(problem_cls, poly: ConvexPolygon, norm: MinkowskiNorm,
+                    p: float, h: float, tol: float, max_iter: int):
+    """Descend on every grid level from the coarsest, prolonging upwards.
+
+    The coarsest level starts from zero, which ``prepare`` turns into a
+    feasible start.  Returns (finest grid, iterate, total iterations, and
+    the finest level's residual, converged and stop).
+    """
+    if not (p > 1.0):
+        raise ValueError("p must exceed 1")
+    grids = _grid_hierarchy(poly, h)
+    eps = _eps_for(poly, norm, p)
+    psi = np.zeros((grids[-1].nx, grids[-1].ny))
+    total_it = 0
+    for lvl in range(len(grids) - 1, -1, -1):
+        grid = grids[lvl]
+        budget = 3000 if lvl > 0 else max(max_iter - total_it, WINDOW + 5)
+        psi, it, residual, converged, stop = _descend(
+            problem_cls(grid, norm, p, eps), psi, tol, budget)
+        total_it += it
+        if lvl > 0:
+            psi = _prolong(psi, grid, grids[lvl - 1])
+    return grids[0], psi, total_it, residual, converged, stop
+
+
+def _not_converged(kind: str, poly: ConvexPolygon, result) -> ConvergenceError:
+    return ConvergenceError(
+        f"{kind} solve on {poly.provenance} did not converge (stop "
+        f"{result.stop}, residual {result.residual:.2e} after "
+        f"{result.iterations} iterations)", result)
+
+
 def solve_eigen(poly: ConvexPolygon, norm: MinkowskiNorm, p: float, h: float,
                 tol: float = 1e-8, max_iter: int = 50_000,
                 raise_on_fail: bool = True) -> EigenResult:
     """Minimize the discrete Rayleigh quotient; returns max-normalized u.
 
     The reported eigenvalue re-evaluates the quotient of the minimizer at
-    eps = 0.  Raises ConvergenceError (carrying the partial result) when
-    the windowed tolerance is not met within ``max_iter`` total iterations,
-    unless ``raise_on_fail`` is false.
+    eps = 0.  ``tol`` bounds the dual residual on the quadratic path and
+    the 25-iteration relative quotient decrease on the nonlinear path (see
+    the module docstring).  Raises ConvergenceError (carrying the partial
+    result) when neither rule is met within ``max_iter`` total iterations
+    or the line search fails short of sqrt(tol), unless ``raise_on_fail``
+    is false.
     """
-    if not (p > 1.0):
-        raise ValueError("p must exceed 1")
-    grids = _grid_hierarchy(poly, h)
-    eps = _eps_for(poly, norm, p)
-    psi = _bbox_seed(grids[-1])
-    total_it = 0
-    residual = math.inf
-    converged = False
-    for lvl in range(len(grids) - 1, -1, -1):
-        grid = grids[lvl]
-        budget = 3000 if lvl > 0 else max(max_iter - total_it, WINDOW + 5)
-        prob = _EigenProblem(grid, norm, p, eps)
-        psi, _, it, residual, converged = _descend(prob, psi, tol, budget)
-        total_it += it
-        if lvl > 0:
-            psi = _prolong(psi, grid, grids[lvl - 1])
-    grid = grids[0]
+    grid, psi, total_it, residual, converged, stop = _coarse_to_fine(
+        _EigenProblem, poly, norm, p, h, tol, max_iter)
     umax = float(psi.max())
     if umax <= 0.0:
         raise ConvergenceError("eigen iteration produced a null field")
@@ -571,35 +624,22 @@ def solve_eigen(poly: ConvexPolygon, norm: MinkowskiNorm, p: float, h: float,
     lam = num / den
     result = EigenResult(lambda_=lam, u=GridField(grid, u), iterations=total_it,
                          residual=residual, p=p, norm_id=norm.spec_string(),
-                         domain_id=poly.provenance, converged=converged)
+                         domain_id=poly.provenance, converged=converged,
+                         stop=stop)
     if not converged and raise_on_fail:
-        raise ConvergenceError(
-            f"eigen solve on {poly.provenance} did not converge "
-            f"(residual {residual:.2e} after {total_it} iterations)", result)
+        raise _not_converged("eigen", poly, result)
     return result
 
 
 def solve_torsion(poly: ConvexPolygon, norm: MinkowskiNorm, p: float, h: float,
                   tol: float = 1e-8, max_iter: int = 50_000,
                   raise_on_fail: bool = True) -> TorsionResult:
-    """Minimize J(v) = (1/p) sum F_eps(grad v)^p - sum v over zero-boundary fields."""
-    if not (p > 1.0):
-        raise ValueError("p must exceed 1")
-    grids = _grid_hierarchy(poly, h)
-    eps = _eps_for(poly, norm, p)
-    psi = np.zeros((grids[-1].nx, grids[-1].ny))
-    total_it = 0
-    residual = math.inf
-    converged = False
-    for lvl in range(len(grids) - 1, -1, -1):
-        grid = grids[lvl]
-        budget = 3000 if lvl > 0 else max(max_iter - total_it, WINDOW + 5)
-        prob = _TorsionProblem(grid, norm, p, eps)
-        psi, _, it, residual, converged = _descend(prob, psi, tol, budget)
-        total_it += it
-        if lvl > 0:
-            psi = _prolong(psi, grid, grids[lvl - 1])
-    grid = grids[0]
+    """Minimize J(v) = (1/p) sum F_eps(grad v)^p - sum v over zero-boundary fields.
+
+    ``tol``, ``max_iter`` and ``raise_on_fail`` act as in ``solve_eigen``.
+    """
+    grid, psi, total_it, residual, converged, stop = _coarse_to_fine(
+        _TorsionProblem, poly, norm, p, h, tol, max_iter)
     mv = float(psi.max())
     # clip pure float noise; genuine sign defects are left visible
     noise = psi < 0.0
@@ -611,11 +651,10 @@ def solve_torsion(poly: ConvexPolygon, norm: MinkowskiNorm, p: float, h: float,
     result = TorsionResult(v=GridField(grid, psi), T=t_int, Mv=mv,
                            T_dual=t_dual, iterations=total_it, residual=residual,
                            p=p, norm_id=norm.spec_string(),
-                           domain_id=poly.provenance, converged=converged)
+                           domain_id=poly.provenance, converged=converged,
+                           stop=stop)
     if not converged and raise_on_fail:
-        raise ConvergenceError(
-            f"torsion solve on {poly.provenance} did not converge "
-            f"(residual {residual:.2e} after {total_it} iterations)", result)
+        raise _not_converged("torsion", poly, result)
     return result
 
 

@@ -36,6 +36,7 @@ class TestSolverCommands:
         assert code == EXIT_OK
         lam = float(out.splitlines()[0].split("=")[1])
         assert lam == pytest.approx(4.9348, abs=0.05)
+        assert out.splitlines()[1].endswith("stop = dual")
         field = (tmp_path / "eigen_field.csv").read_text().splitlines()
         assert field[0] == "x,y,value"
 
@@ -46,6 +47,7 @@ class TestSolverCommands:
         assert code == EXIT_OK
         mv = float(out.splitlines()[1].split("=")[1])
         assert mv == pytest.approx(0.25, abs=0.01)
+        assert out.splitlines()[2].endswith("stop = dual")
         assert (tmp_path / "torsion_field.csv").exists()
 
     def test_cheeger(self, capsys, tmp_path):

@@ -11,7 +11,7 @@ from anisospec.norms import MinkowskiNorm, pi_p
 from anisospec.pde import (ConvergenceError, build_grid, efficiency_ratio,
                            grad_energy, mass_bound_check, p_function,
                            phi_check, phi_profile, solve_eigen, solve_torsion,
-                           _tri_gradients)
+                           _tri_gradients, _TorsionProblem)
 
 LQ2 = MinkowskiNorm.lq(2)
 LQ4 = MinkowskiNorm.lq(4)
@@ -95,6 +95,7 @@ class TestEigenOracles:
         lam_h = 8.0 / h**2 * math.sin(math.pi * h / 4.0) ** 2
         assert res.lambda_ == pytest.approx(lam_h, rel=1e-8)
         assert res.converged
+        assert res.stop == "dual"
 
     def test_square_value(self):
         res = solve_eigen(SQUARE, LQ2, 2.0, 1.0 / 64.0)
@@ -199,9 +200,27 @@ class TestTorsionOracles:
             expect = 1.0 / (q * 2.0 ** (q - 1.0))
             assert res.Mv == pytest.approx(expect, rel=2.5e-2)
 
-    def test_dual_consistency(self):
-        res = solve_torsion(SQUARE, LQ4, 3.0, 1.0 / 24.0, tol=1e-8)
+    @pytest.mark.parametrize("norm,p,h", [(LQ4, 3.0, 1.0 / 24.0),
+                                          (ELL, 2.0, 1.0 / 64.0)],
+                             ids=["lq4-p3", "ellipse-p2"])
+    def test_dual_consistency(self, norm, p, h):
+        # T_dual = T holds at the exact discrete minimizer; its defect
+        # measures how far the stopping rule leaves the field from it
+        res = solve_torsion(SQUARE, norm, p, h, tol=1e-8)
         assert abs(res.T_dual - res.T) / res.T <= 10 * 1e-8
+
+    def test_failed_line_search_not_converged(self, monkeypatch):
+        # a line search that finds no decrease reports the measured dual
+        # residual, and converges only when it is below sqrt(tol)
+        monkeypatch.setattr(_TorsionProblem, "accept",
+                            lambda self, psi, d, alpha: (None, math.inf))
+        with pytest.raises(ConvergenceError) as err:
+            solve_torsion(SQUARE, LQ2, 2.0, 1.0 / 32.0)
+        res = err.value.result
+        assert res.converged is False
+        assert res.stop == "line_search"
+        assert math.isfinite(res.residual) and res.residual > 1e-8
+        assert res.residual != np.finfo(float).eps
 
     def test_nonnegative(self):
         res = solve_torsion(ConvexPolygon.regular(6, 1.0), LQ4, 1.5,

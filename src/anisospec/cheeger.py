@@ -1,30 +1,33 @@
-"""Anisotropic Cheeger constant: inradius bounds and a rolling-Wulff estimate.
+"""Exact anisotropic Cheeger constant of a convex polygon, with inradius bounds.
 
-For a convex planar domain the Cheeger set is convex and unique, and the
-classical planar characterization suggests the candidate family
+For a convex planar domain the Cheeger set is convex and unique.  Kawohl
+& Lachand-Robert (Pacific J. Math. 225, 2006) characterize it in the
+Euclidean case, and Kawohl & Novaga (J. Convex Anal. 15, 2008) extend the
+characterization to Finsler norms: the Cheeger set is the rolling body
 
-    K_r = (domain eroded by r * Wulff) ⊕ r * Wulff,   0 <= r <= inradius,
+    K_r = (domain eroded by r * Wulff) ⊕ r * Wulff,
 
-whose perimeter/area ratio is evaluated in closed form by the rolling-body
-identities.  The estimator minimizes that ratio over r (coarse sweep, then
-golden-section refinement) and reports the minimum as ``h_est`` together
-with the rigorous inradius bounds
+and h_F = 1/r, where r is the unique root of
 
-    1 / R_F  <=  h_F  <=  min(N / R_F, P_F / area).
+    |domain eroded by r * Wulff| = kappa_F r^2,   0 < r < R_F,
 
-``h_est`` is an upper estimate of the true constant by construction (every
-K_r is an admissible competitor); only inequalities that stay valid under
-that one-sided error are asserted elsewhere.
+with kappa_F the area of the Wulff shape.  The eroded area decreases
+continuously from |domain| to 0 on [0, R_F] while kappa_F r^2 grows, so a
+single bracketed root solve gives ``h_est``, the exact constant of the
+polygon (up to the root solver's rounding).  The rigorous inradius bounds
+
+    1 / R_F  <=  h_F  <=  min(N / R_F, P_F / area)
+
+are reported alongside it.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
-import numpy as np
+from scipy.optimize import brentq
 
-from .geometry import ConvexPolygon, GeometryError
+from .geometry import ConvexPolygon, _chebyshev_cached
 from .norms import MinkowskiNorm
 
 N_DIM = 2
@@ -32,79 +35,40 @@ N_DIM = 2
 
 @dataclass(frozen=True, eq=False)
 class CheegerResult:
-    """Estimate, optimal rolling radius, rigorous bounds, and the sweep trace."""
+    """Cheeger constant, the radius r* = 1/h_est, and the rigorous bounds."""
 
     h_est: float
     r_star: float
     lower: float
     upper: float
-    trace: tuple[tuple[float, float], ...]
     inradius: float
-    degenerate: bool = False
-
-    def trace_csv(self, path) -> None:
-        rows = np.asarray(self.trace, dtype=float)
-        np.savetxt(path, rows, fmt="%.12g", delimiter=",",
-                   header="r,ratio", comments="")
 
 
 def cheeger_bounds(poly: ConvexPolygon,
                    norm: MinkowskiNorm) -> tuple[float, float]:
     """(1/R_F, min(N/R_F, P_F/|area|)); the second upper term uses K = domain."""
-    r_f, _ = poly.inradius_F(norm)
+    r_f, _ = _chebyshev_cached(poly, norm)
     upper = min(N_DIM / r_f, poly.perimeter_F(norm) / poly.area)
     return 1.0 / r_f, upper
 
 
-def _ratio(poly: ConvexPolygon, norm: MinkowskiNorm, r: float) -> float:
-    try:
-        area, per = poly.rolling_body(norm, r)
-    except GeometryError:
-        return math.inf
-    if area <= 0.0:
-        return math.inf
-    return per / area
+def cheeger_estimate(poly: ConvexPolygon,
+                     norm: MinkowskiNorm) -> CheegerResult:
+    """Solve |erode(r)| = kappa_F r^2 on [0, R_F]; h_F = 1/r.
 
-
-def cheeger_estimate(poly: ConvexPolygon, norm: MinkowskiNorm,
-                     m: int = 64, r_tol: float = 1e-6) -> CheegerResult:
-    """Minimize the rolling-body ratio over the radius sweep.
-
-    ``m`` coarse samples over [0, R_F) bracket the minimizer of the
-    quasi-convex ratio; golden-section then refines the radius to
-    ``r_tol`` (absolute).  If every sampled body degenerates the upper
-    bound is returned with the ``degenerate`` flag set.
+    An empty erosion counts as area 0, so the gap is |domain| > 0 at r = 0
+    and -kappa_F R_F^2 < 0 at r = R_F, and the bracket always holds.
     """
-    if m < 3:
-        raise GeometryError("sweep needs at least 3 samples")
-    r_f, _ = poly.inradius_F(norm)
+    r_f, _ = _chebyshev_cached(poly, norm)
     lower, upper = cheeger_bounds(poly, norm)
+    kappa = norm.wulff_area()
 
-    rs = r_f * np.arange(m) / m  # r = R_F itself is degenerate
-    vals = [_ratio(poly, norm, float(r)) for r in rs]
-    trace = tuple((float(r), float(v)) for r, v in zip(rs, vals))
-    finite = [i for i, v in enumerate(vals) if math.isfinite(v)]
-    if not finite:
-        return CheegerResult(h_est=upper, r_star=0.0, lower=lower, upper=upper,
-                             trace=trace, inradius=r_f, degenerate=True)
+    def gap(r: float) -> float:
+        eroded = poly.erode(norm, r)
+        area = eroded.area if eroded is not None else 0.0
+        return area - kappa * r * r
 
-    i_best = min(finite, key=lambda i: vals[i])
-    lo = rs[max(i_best - 1, 0)]
-    hi = rs[i_best + 1] if i_best + 1 < m else r_f * (1.0 - 1e-12)
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    t1 = hi - invphi * (hi - lo)
-    t2 = lo + invphi * (hi - lo)
-    f1, f2 = _ratio(poly, norm, t1), _ratio(poly, norm, t2)
-    while hi - lo > r_tol:
-        if f1 < f2:
-            hi, t2, f2 = t2, t1, f1
-            t1 = hi - invphi * (hi - lo)
-            f1 = _ratio(poly, norm, t1)
-        else:
-            lo, t1, f1 = t1, t2, f2
-            t2 = lo + invphi * (hi - lo)
-            f2 = _ratio(poly, norm, t2)
-    r_star = 0.5 * (lo + hi)
-    h_best = min(_ratio(poly, norm, r_star), vals[i_best], f1, f2)
-    return CheegerResult(h_est=float(h_best), r_star=float(r_star), lower=lower,
-                         upper=upper, trace=trace, inradius=r_f)
+    # brentq's default xtol is absolute (2e-12); scale it with the domain
+    r_star = brentq(gap, 0.0, r_f, xtol=1e-15 * r_f)
+    return CheegerResult(h_est=1.0 / r_star, r_star=float(r_star), lower=lower,
+                         upper=upper, inradius=r_f)

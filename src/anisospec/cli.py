@@ -3,8 +3,9 @@
 Subcommands
 -----------
 eigen / torsion / cheeger
-    Solve one case given ``--domain``/``--norm``/``--p`` flags, print the
-    headline numbers, and (with ``--out``) write the field or trace CSV.
+    Solve one case given ``--domain``/``--norm``/``--p`` flags and print
+    the headline numbers; eigen and torsion write the field CSV under
+    ``--out``.
 verify
     Run a case catalog (default or from ``--config``), write one JSON
     report per case plus an aggregate CSV, and exit 0 only if every
@@ -17,8 +18,9 @@ error, 3 solver non-convergence (or inconclusive cases under
 ``--strict``).
 
 Config files are either JSON or a flat key-value text with ``[case]``
-sections; ``--dump-config`` prints the canonical text form, which parses
-back to the identical run configuration.
+sections; an unknown section or key is a config error (exit 2).
+``--dump-config`` prints the canonical text form, which parses back to
+the identical run configuration.
 """
 
 from __future__ import annotations
@@ -76,20 +78,25 @@ class RunConfig:
                 lines.append(f"h = {case.h:.12g}")
             if case.tol != DEFAULTS["tol"]:
                 lines.append(f"tol = {case.tol:.12g}")
-            if case.sweep_m != DEFAULTS["sweep_m"]:
-                lines.append(f"sweep_m = {case.sweep_m}")
         return "\n".join(lines) + "\n"
+
+
+CASE_KEYS = ("domain", "norm", "p", "h", "tol")
+RUN_KEYS = ("jobs", "strict", "out")
+JSON_KEYS = ("run", "tolerances", "cases")
 
 
 def _case_from_mapping(entry: dict) -> CaseSpec:
     try:
+        unknown = sorted(set(entry) - set(CASE_KEYS))
+        if unknown:
+            raise ValueError(f"unknown key(s) {', '.join(unknown)}")
         return CaseSpec(
             domain=str(entry["domain"]),
             norm=str(entry["norm"]),
             p=float(entry["p"]),
             h=float(entry["h"]) if entry.get("h") is not None else None,
             tol=float(entry.get("tol", DEFAULTS["tol"])),
-            sweep_m=int(entry.get("sweep_m", DEFAULTS["sweep_m"])),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad case entry {entry!r}: {exc}") from None
@@ -157,7 +164,13 @@ def parse_config_json(text: str) -> RunConfig:
     except json.JSONDecodeError as exc:
         raise ConfigError(f"invalid JSON config: {exc}") from None
     cfg = RunConfig()
+    unknown = sorted(set(data) - set(JSON_KEYS))
+    if unknown:
+        raise ConfigError(f"unknown key(s) {', '.join(unknown)}")
     run = data.get("run", {})
+    unknown = sorted(set(run) - set(RUN_KEYS))
+    if unknown:
+        raise ConfigError(f"unknown run key(s) {', '.join(unknown)}")
     cfg.jobs = int(run.get("jobs", 1))
     cfg.strict = bool(run.get("strict", False))
     cfg.out_dir = run.get("out")
@@ -178,7 +191,6 @@ def _add_case_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--h", type=float, default=None,
                      help="grid spacing (default: diameter/128)")
     sub.add_argument("--tol", type=float, default=DEFAULTS["tol"])
-    sub.add_argument("--out", default=None, help="output directory")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -188,9 +200,12 @@ def build_parser() -> argparse.ArgumentParser:
                     "and inequality audits on convex planar domains")
     subs = ap.add_subparsers(dest="command", required=True)
 
-    for name in ("eigen", "torsion", "cheeger"):
+    for name in ("eigen", "torsion"):
         sub = subs.add_parser(name)
         _add_case_flags(sub)
+        sub.add_argument("--out", default=None,
+                         help="output directory for the field CSV")
+    _add_case_flags(subs.add_parser("cheeger"))
 
     ver = subs.add_parser("verify")
     ver.add_argument("--config", default=None, help="config file (text or JSON)")
@@ -255,13 +270,6 @@ def _cmd_cheeger(args) -> int:
     res = cheeger_estimate(poly, gauge)
     print(f"h_est = {res.h_est:.10g}  (r* = {res.r_star:.6g})")
     print(f"bounds: {res.lower:.10g} <= h <= {res.upper:.10g}")
-    if res.degenerate:
-        print("warning: every rolling body degenerated; upper bound reported")
-    if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        res.trace_csv(out / "cheeger_trace.csv")
-        print(f"trace written to {out / 'cheeger_trace.csv'}")
     return EXIT_OK
 
 

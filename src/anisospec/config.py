@@ -9,7 +9,6 @@ h_over_diameter      1/128      grid spacing = diameter(domain) / 128 when unset
 tol                  1e-8       solver tolerance: dual residual (p = 2, quadratic
                                 gauge) or relative decrease over 25 iterations
 max_iter             50000      total iteration budget per solve
-sweep_m              64         coarse samples of the Cheeger radius sweep
 wulff_vertices       256        default polygon resolution of Wulff domains
 distance_axis_nodes  36         distance fields refine h until >= this per axis
 slab_h_fraction      1/128      slab sweeps: h = (short side) * this
@@ -30,7 +29,6 @@ DEFAULTS = {
     "h_over_diameter": 1.0 / 128.0,
     "tol": 1e-8,
     "max_iter": 50_000,
-    "sweep_m": 64,
     "wulff_vertices": 256,
     "distance_axis_nodes": 36,
     "slab_h_fraction": 1.0 / 128.0,

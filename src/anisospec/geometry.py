@@ -12,9 +12,9 @@ perimeter, erosion and inradius computations exact polygon arithmetic:
 * rolling bodies         K_r = (erode r) ⊕ r*Wulff via the planar
   mixed-area identities
 
-The gridded anisotropic distance field uses exact per-segment 1-D convex
-minimization (vectorized golden section), not fast marching, so its error
-is set by the grid alone.
+The gridded anisotropic distance field evaluates the exact formula
+d_F(x) = min over edges of (c_e - x.n_e) / F(n_e) at each interior node,
+not fast marching, so its error is set by the grid alone.
 """
 
 from __future__ import annotations
@@ -376,10 +376,10 @@ def rect_ratio_limit(a: float, norm: MinkowskiNorm) -> float:
 class DistanceField:
     """Anisotropic distance to the boundary sampled on a uniform grid.
 
-    ``values`` is zero outside ``mask``.  ``nearest_edge`` holds the index
-    of the closest boundary segment per node and ``ridge`` marks nodes
-    whose two best segment distances are within 2h (where the gradient of
-    the distance is discontinuous).
+    ``values`` is zero outside ``mask``; ``h`` is the larger of the two
+    axis spacings.  ``ridge`` marks nodes whose two best edge-line
+    distances are within 2h (where the gradient of the distance is
+    discontinuous); it over-flags, never under-flags.
     """
 
     h: float
@@ -387,122 +387,42 @@ class DistanceField:
     y: np.ndarray
     mask: np.ndarray
     values: np.ndarray
-    nearest_edge: np.ndarray
     ridge: np.ndarray
     inradius: float
     argmax: np.ndarray
-
-    @property
-    def bounding_box(self) -> tuple[float, float, float, float]:
-        return float(self.x[0]), float(self.x[-1]), float(self.y[0]), float(self.y[-1])
-
-
-def _grid_axes(poly: ConvexPolygon, h: float) -> tuple[np.ndarray, np.ndarray]:
-    xmin, xmax, ymin, ymax = poly.bounding_box
-    nx = int(math.floor((xmax - xmin) / h + 1e-9)) + 2
-    ny = int(math.floor((ymax - ymin) / h + 1e-9)) + 2
-    return xmin + h * np.arange(nx), ymin + h * np.arange(ny)
-
-
-def _segment_distance_batch(points: np.ndarray, a: np.ndarray, b: np.ndarray,
-                            polar: MinkowskiNorm, iters: int = 48) -> np.ndarray:
-    """min_t F°(x - (a + t (b-a))) over t in [0,1], one row at a time.
-
-    ``a``/``b`` may be single endpoints or per-row endpoint arrays.  The
-    restriction is convex in t, so golden-section search brackets the
-    minimum; 48 shrinks push the bracket below 1e-8 of the segment length.
-    """
-    lo = np.zeros(len(points))
-    hi = np.ones(len(points))
-    seg = b - a
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-
-    def val(t):
-        return np.asarray(polar(points - (a + t[:, None] * seg)))
-
-    for _ in range(iters):
-        t1 = hi - invphi * (hi - lo)
-        t2 = lo + invphi * (hi - lo)
-        keep_lo = val(t1) < val(t2)
-        hi = np.where(keep_lo, t2, hi)
-        lo = np.where(keep_lo, lo, t1)
-    tm = 0.5 * (lo + hi)
-    return np.minimum(val(tm), np.minimum(val(lo), val(hi)))
 
 
 def distance_field(poly: ConvexPolygon, norm: MinkowskiNorm,
                    h: float) -> DistanceField:
     """Sample d_F(x) = inf over boundary points y of F°(x - y) on a grid.
 
-    Every interior node is minimized exactly against every boundary
-    segment (convex 1-D search), then reduced over segments.  Requires the
-    grid to resolve the domain with at least 32 interior nodes per axis.
+    For an interior point of a convex polygon the infimum over an edge's
+    whole line is (c_e - x.n_e) / F(n_e), and the least of these over the
+    edges is attained on the boundary, so d_F is that minimum exactly.
+    The grid is ``pde.build_grid``'s, with at least 32 free nodes per axis.
     """
-    if not (h > 0):
-        raise GeometryError("grid spacing must be positive")
-    x, y = _grid_axes(poly, h)
-    pts = np.stack(np.meshgrid(x, y, indexing="ij"), axis=-1)
-    flat = pts.reshape(-1, 2)
-    mask = poly.contains(flat).reshape(len(x), len(y))
-    if mask.any(axis=1).sum() < 32 or mask.any(axis=0).sum() < 32:
-        raise CoarseGridError(
-            f"h={h:g} leaves fewer than 32 interior nodes per axis")
+    from .pde import build_grid
 
-    polar = norm.polar()
-    p_in = flat[mask.ravel()]
-    verts = poly.vertices
-    nv = len(verts)
+    grid = build_grid(poly, h, min_axis=32)
+    pts = np.stack(np.meshgrid(grid.x, grid.y, indexing="ij"),
+                   axis=-1)[grid.mask]
     normals, offsets, _ = poly._edges
     fn = np.asarray(norm(normals))
+    # one edge at a time: a points x edges matrix takes 26 MB on the
+    # 256-gon Wulff domain at the catalog's spacing
+    best = np.full(len(pts), np.inf)
+    second = np.full(len(pts), np.inf)
+    for n, c, f in zip(normals, offsets, fn):
+        d = (c - pts @ n) / f
+        np.minimum(second, np.maximum(best, d), out=second)
+        np.minimum(best, d, out=best)
 
-    # for an interior point of a convex polygon the nearest boundary point
-    # in the polar gauge lies on the edge whose line distance
-    # (c - x.n)/F(n) is minimal (the tangency point of the grown Wulff
-    # ball stays on that edge), so the exact 1-D searches only need to
-    # confirm the argmin ties; the ridge rule compares the two smallest
-    # line distances, which over-flags (never under-flags) discontinuities
-    best_lb = np.full(len(p_in), np.inf)
-    second_lb = np.full(len(p_in), np.inf)
-    arg_lb = np.zeros(len(p_in), dtype=np.int64)
-    for e in range(nv):
-        lb = (offsets[e] - p_in @ normals[e]) / fn[e]
-        closer = lb < best_lb
-        np.minimum(second_lb, np.where(closer, best_lb, lb), out=second_lb)
-        arg_lb = np.where(closer, e, arg_lb)
-        best_lb = np.where(closer, lb, best_lb)
-
-    scale = max(poly.diameter, 1.0)
-    cutoff = best_lb + 1e-9 * scale
-    pt_idx_parts, seg_idx_parts = [], []
-    for e in range(nv):
-        lb = (offsets[e] - p_in @ normals[e]) / fn[e]
-        cand = np.nonzero(lb <= cutoff)[0]
-        if len(cand):
-            pt_idx_parts.append(cand)
-            seg_idx_parts.append(np.full(len(cand), e, dtype=np.int64))
-    pt_idx = np.concatenate(pt_idx_parts)
-    seg_idx = np.concatenate(seg_idx_parts)
-    d_pairs = _segment_distance_batch(p_in[pt_idx], verts[seg_idx],
-                                      verts[(seg_idx + 1) % nv], polar)
-
-    order = np.lexsort((d_pairs, pt_idx))
-    ps, ds, ss = pt_idx[order], d_pairs[order], seg_idx[order]
-    head = np.r_[True, ps[1:] != ps[:-1]]
-    best = np.full(len(p_in), np.inf)
-    idx = arg_lb
-    best[ps[head]] = ds[head]
-    idx[ps[head]] = ss[head]
-    second = second_lb
-
-    values = np.zeros(mask.shape)
-    values[mask] = best
-    nearest = np.full(mask.shape, -1, dtype=np.int64)
-    nearest[mask] = idx
-    ridge = np.zeros(mask.shape, dtype=bool)
-    ridge[mask] = (second - best) <= 2.0 * h
-
-    imax = int(np.argmax(values))
-    argmax = flat[imax]
-    return DistanceField(h=h, x=x, y=y, mask=mask, values=values,
-                         nearest_edge=nearest, ridge=ridge,
-                         inradius=float(values.ravel()[imax]), argmax=argmax)
+    values = np.zeros(grid.mask.shape)
+    values[grid.mask] = best
+    ridge = np.zeros(grid.mask.shape, dtype=bool)
+    ridge[grid.mask] = (second - best) <= 2.0 * grid.h
+    i, j = np.unravel_index(int(np.argmax(values)), values.shape)
+    return DistanceField(h=grid.h, x=grid.x, y=grid.y, mask=grid.mask,
+                         values=values, ridge=ridge,
+                         inradius=float(values[i, j]),
+                         argmax=np.array([grid.x[i], grid.y[j]]))

@@ -1,7 +1,7 @@
 """Case harness: inequality audits, slab-limit sweeps, convergence studies.
 
 ``run_case`` solves one (domain, gauge, p) case end to end - eigenvalue,
-torsion, distance field, Cheeger estimate - then scores the full set of
+torsion, distance field, Cheeger constant - then scores the full set of
 sixteen geometric/spectral inequalities with explicit slack against the
 per-id tolerance budget.  Solver non-convergence marks the case
 ``inconclusive`` instead of failed, so numerical trouble never
@@ -40,7 +40,6 @@ class CaseSpec:
     p: float
     h: float | None = None
     tol: float = DEFAULTS["tol"]
-    sweep_m: int = DEFAULTS["sweep_m"]
 
     def __post_init__(self):
         if not (self.p > 1.0):
@@ -144,7 +143,7 @@ def evaluate_inequalities(poly: ConvexPolygon, gauge: MinkowskiNorm, p: float,
     recs = [
         _record("hersch", half_pi**p / r_f**p, lam, tols, h),
         _record("cheeger", (h_est / p) ** p, lam, tols, h,
-                note="left side uses the upper Cheeger estimate"),
+                note="left side uses the exact Cheeger constant of the polygon"),
         _record("better_cheeger", (half_pi * h_est / N_DIM) ** p, lam, tols, h,
                 note="better than the classic constant iff p*pi_p >= 2N; "
                      f"here p*pi_p = {p * pi_p(p):.6g} vs 2N = {2 * N_DIM}"),
@@ -211,7 +210,7 @@ def run_case(spec: CaseSpec,
     h_dist = min(h, min(xmax - xmin, ymax - ymin)
                  / DEFAULTS["distance_axis_nodes"])
     field = distance_field(poly, gauge, h_dist)
-    ch = cheeger_estimate(poly, gauge, m=spec.sweep_m)
+    ch = cheeger_estimate(poly, gauge)
 
     records = evaluate_inequalities(poly, gauge, spec.p, eigen, torsion, ch, h,
                                     tols)
@@ -284,7 +283,7 @@ def aggregate_csv_rows(reports: list[InequalityReport]) -> list[str]:
 
 
 def slab_sweep(a: float, gauge: MinkowskiNorm, p: float, ks: list[float],
-               h: float | None = None, sweep_m: int = DEFAULTS["sweep_m"],
+               h: float | None = None,
                tol: float = DEFAULTS["tol"]) -> list[dict]:
     """Optimality ratios of the rectangle family ]-a,a[ x ]-k,k[ per k.
 
@@ -316,7 +315,7 @@ def slab_sweep(a: float, gauge: MinkowskiNorm, p: float, ks: list[float],
                           "the short direction dominates", stacklevel=2)
         eigen = solve_eigen(poly, gauge, p, h_eff, tol=tol)
         torsion = solve_torsion(poly, gauge, p, h_eff, tol=tol)
-        ch = cheeger_estimate(poly, gauge, m=sweep_m)
+        ch = cheeger_estimate(poly, gauge)
         rows.append({
             "k": float(k),
             "r1": eigen.lambda_ * r_f**p / half_pi**p,

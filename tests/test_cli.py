@@ -51,13 +51,14 @@ class TestSolverCommands:
         assert (tmp_path / "torsion_field.csv").exists()
 
     def test_cheeger(self, capsys, tmp_path):
-        code = main(["cheeger", "--domain", "rect:0.5,0.5", "--norm", "lq:2",
-                     "--out", str(tmp_path)])
+        code = main(["cheeger", "--domain", "rect:0.5,0.5", "--norm", "lq:2"])
         out = capsys.readouterr().out
         assert code == EXIT_OK
-        assert "3.77245" in out
-        trace = (tmp_path / "cheeger_trace.csv").read_text().splitlines()
-        assert trace[0] == "r,ratio"
+        assert out.startswith("h_est = 3.772453851 ")
+        # nothing is left to write: the flag is gone
+        assert main(["cheeger", "--domain", "rect:0.5,0.5", "--norm", "lq:2",
+                     "--out", str(tmp_path)]) == EXIT_USAGE
+        capsys.readouterr()
 
     def test_parse_error_exit_2(self, capsys):
         assert main(["eigen", "--domain", "rect:oops", "--norm", "lq:2"]) \
@@ -188,6 +189,34 @@ class TestConfig:
     def test_unknown_inequality_rejected(self):
         with pytest.raises(cli.ConfigError):
             parse_config_text("[tolerances]\nbogus = 1e-6, 1\n")
+
+    @pytest.mark.parametrize("key,value", [("tolerance", "1e-3"),
+                                           ("sweep_m", "64")])
+    def test_unknown_case_key_rejected(self, capsys, tmp_path, key, value):
+        text = f"[case]\ndomain = rect:1,1\nnorm = lq:2\np = 2\n{key} = {value}\n"
+        with pytest.raises(cli.ConfigError, match=key):
+            parse_config_text(text)
+        cfg = tmp_path / "typo.cfg"
+        cfg.write_text(text)
+        assert main(["verify", "--config", str(cfg)]) == EXIT_USAGE
+        assert key in capsys.readouterr().err
+
+    @pytest.mark.parametrize("payload,key", [
+        ({"cases": [{"domain": "rect:1,1", "norm": "lq:2", "p": 2,
+                     "tolerance": 1e-3}]}, "tolerance"),
+        ({"run": {"jobz": 4},
+          "cases": [{"domain": "rect:1,1", "norm": "lq:2", "p": 2}]}, "jobz"),
+        ({"tolerance": {"payne": [1e-6, 1.5]},
+          "cases": [{"domain": "rect:1,1", "norm": "lq:2", "p": 2}]},
+         "tolerance"),
+    ], ids=["case", "run", "top"])
+    def test_unknown_json_key_rejected(self, capsys, tmp_path, payload, key):
+        with pytest.raises(cli.ConfigError, match=key):
+            parse_config_text(json.dumps(payload))
+        cfg = tmp_path / "typo.json"
+        cfg.write_text(json.dumps(payload))
+        assert main(["verify", "--config", str(cfg)]) == EXIT_USAGE
+        assert key in capsys.readouterr().err
 
     def test_default_catalog_when_no_config(self, capsys):
         code = main(["verify", "--dump-config"])

@@ -13,8 +13,8 @@ from .geometry import (ConvexPolygon, DistanceField, GeometryError,
                        rect_ratio_limit, wulff_domain)
 from .harness import (CaseSpec, InequalityReport, convergence_study,
                       default_catalog, run_case, slab_sweep)
-from .norms import (GaugeError, MinkowskiNorm, WulffPolygon, pi_p,
-                    pi_p_quadrature, wulff_polygon)
+from .norms import (GaugeError, MinkowskiNorm, pi_p, pi_p_quadrature,
+                    wulff_polygon)
 from .pde import (ConvergenceError, EigenResult, Grid, GridField,
                   PFunctionResult, TorsionResult, build_grid,
                   efficiency_ratio, mass_bound_check, p_function, phi_check,
@@ -27,7 +27,7 @@ __all__ = [
     "ConvexPolygon", "DEFAULTS", "DistanceField", "EigenResult", "GaugeError",
     "GeometryError", "Grid", "GridField", "INEQUALITY_IDS",
     "InequalityReport", "MinkowskiNorm", "PFunctionResult", "ToleranceTable",
-    "TorsionResult", "WulffPolygon", "build_grid", "cheeger_bounds",
+    "TorsionResult", "build_grid", "cheeger_bounds",
     "cheeger_estimate", "convergence_study", "default_catalog",
     "distance_field", "efficiency_ratio", "mass_bound_check", "p_function",
     "parse_domain", "phi_check", "phi_profile", "pi_p", "pi_p_quadrature",

@@ -2,14 +2,17 @@
 
 Subcommands
 -----------
-eigen / torsion / cheeger
-    Solve one case given ``--domain``/``--norm``/``--p`` flags and print
-    the headline numbers; eigen and torsion write the field CSV under
-    ``--out``.
+eigen / torsion
+    Solve one case given ``--domain``/``--norm``/``--p`` flags, print the
+    headline numbers and write the field CSV under ``--out``.
+cheeger
+    Print the exact Cheeger constant of ``--domain`` under ``--norm`` and
+    its inradius bounds.
 verify
     Run a case catalog (default or from ``--config``), write one JSON
-    report per case plus an aggregate CSV, and exit 0 only if every
-    converged case passes every inequality.
+    report per case plus an aggregate CSV (a file whose bytes would not
+    change is left as it is), and exit 0 only if every converged case
+    passes every inequality.
 sweep
     Slab-family optimality ratios; emits ``k,r1,r2,r3,r4`` CSV.
 
@@ -17,16 +20,20 @@ Exit codes: 0 success, 1 inequality failure (verify), 2 argument/config
 error, 3 solver non-convergence (or inconclusive cases under
 ``--strict``).
 
-Config files are either JSON or a flat key-value text with ``[case]``
-sections; an unknown section or key is a config error (exit 2).
-``--dump-config`` prints the canonical text form, which parses back to
-the identical run configuration.
+Config files are either JSON or a flat key-value text with ``[run]``,
+``[tolerances]`` and ``[case]`` sections.  The text form is read into the
+JSON layout (``{"run": {...}, "tolerances": {...}, "cases": [...]}``),
+and one validator type-checks both: an unknown section or key, or a
+value of the wrong type, is a config error (exit 2).  ``--dump-config``
+prints the canonical text form, which parses back to the identical run
+configuration; ``verify`` flags override the config's values.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -86,111 +93,125 @@ RUN_KEYS = ("jobs", "strict", "out")
 JSON_KEYS = ("run", "tolerances", "cases")
 
 
-def _case_from_mapping(entry: dict) -> CaseSpec:
-    try:
-        unknown = sorted(set(entry) - set(CASE_KEYS))
-        if unknown:
-            raise ValueError(f"unknown key(s) {', '.join(unknown)}")
-        return CaseSpec(
-            domain=str(entry["domain"]),
-            norm=str(entry["norm"]),
-            p=float(entry["p"]),
-            h=float(entry["h"]) if entry.get("h") is not None else None,
-            tol=float(entry.get("tol", DEFAULTS["tol"])),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"bad case entry {entry!r}: {exc}") from None
-
-
 def parse_config_text(text: str) -> RunConfig:
-    """Parse the flat key-value format (JSON is detected and delegated)."""
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
-        return parse_config_json(text)
-    cfg = RunConfig()
+    """Parse a config file, JSON or the key-value text form."""
+    if text.lstrip().startswith("{"):
+        try:
+            data = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"invalid JSON config: {exc}") from None
+    else:
+        data = _text_layout(text)
+    return _config_from_data(data)
+
+
+def _text_layout(text: str) -> dict:
+    """The key-value text form in the JSON layout, every value a string.
+
+    A ``[tolerances]`` value ``rel, c`` becomes the list of its two parts.
+    """
+    data: dict = {"run": {}, "tolerances": {}, "cases": []}
     section = None
-    current: dict | None = None
-
-    def flush():
-        nonlocal current
-        if current is not None:
-            cfg.cases.append(_case_from_mapping(current))
-            current = None
-
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if line.startswith("[") and line.endswith("]"):
-            flush()
             section = line[1:-1].strip().lower()
             if section == "case":
-                current = {}
+                data["cases"].append({})
             elif section not in ("run", "tolerances"):
                 raise ConfigError(f"line {lineno}: unknown section [{section}]")
             continue
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected key = value")
+        if section is None:
+            raise ConfigError(f"line {lineno}: key outside of a section")
         key, val = (part.strip() for part in line.split("=", 1))
         if section == "case":
-            current[key] = val
+            data["cases"][-1][key] = val
         elif section == "tolerances":
-            try:
-                rel, c = (float(tok) for tok in val.split(","))
-            except ValueError:
-                raise ConfigError(
-                    f"line {lineno}: tolerance needs 'rel, c'") from None
-            if key not in INEQUALITY_TOLERANCES:
-                raise ConfigError(f"line {lineno}: unknown inequality {key!r}")
-            cfg.tolerances[key] = (rel, c)
-        elif section == "run":
-            if key == "jobs":
-                cfg.jobs = int(val)
-            elif key == "strict":
-                cfg.strict = bool(int(val))
-            elif key == "out":
-                cfg.out_dir = val
-            else:
-                raise ConfigError(f"line {lineno}: unknown run key {key!r}")
+            data["tolerances"][key] = [tok.strip() for tok in val.split(",")]
         else:
-            raise ConfigError(f"line {lineno}: key outside of a section")
-    flush()
-    return cfg
+            data["run"][key] = val
+    return data
 
 
-def parse_config_json(text: str) -> RunConfig:
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"invalid JSON config: {exc}") from None
+def _mapping(value, what: str, keys) -> dict:
+    if not isinstance(value, dict):
+        raise ConfigError(f"{what} must be an object, got {value!r}")
+    unknown = sorted(set(value) - set(keys))
+    if unknown:
+        raise ConfigError(f"unknown {what} key(s) {', '.join(unknown)}")
+    return value
+
+
+def _number(value, kind: type, what: str):
+    """``value`` as a finite ``kind`` (int or float).
+
+    JSON gives numbers and the text form gives strings; a bool, or a float
+    where an int is due, is a config error.
+    """
+    if isinstance(value, str):
+        try:
+            value = kind(value)
+        except ValueError:
+            pass
+    types = int if kind is int else (int, float)
+    if (isinstance(value, bool) or not isinstance(value, types)
+            or not math.isfinite(value)):
+        noun = "an integer" if kind is int else "a finite number"
+        raise ConfigError(f"{what} must be {noun}, got {value!r}")
+    return kind(value)
+
+
+def _string(value, what: str) -> str:
+    if not isinstance(value, str):
+        raise ConfigError(f"{what} must be a string, got {value!r}")
+    return value
+
+
+def _config_from_data(data) -> RunConfig:
+    """Type-check a config in the JSON layout; any bad value is a ConfigError."""
+    data = _mapping(data, "top-level", JSON_KEYS)
+    run = _mapping(data.get("run", {}), "run", RUN_KEYS)
     cfg = RunConfig()
-    unknown = sorted(set(data) - set(JSON_KEYS))
-    if unknown:
-        raise ConfigError(f"unknown key(s) {', '.join(unknown)}")
-    run = data.get("run", {})
-    unknown = sorted(set(run) - set(RUN_KEYS))
-    if unknown:
-        raise ConfigError(f"unknown run key(s) {', '.join(unknown)}")
-    cfg.jobs = int(run.get("jobs", 1))
-    cfg.strict = bool(run.get("strict", False))
-    cfg.out_dir = run.get("out")
-    for key, pair in data.get("tolerances", {}).items():
-        if key not in INEQUALITY_TOLERANCES:
-            raise ConfigError(f"unknown inequality {key!r}")
-        cfg.tolerances[key] = (float(pair[0]), float(pair[1]))
-    for entry in data.get("cases", []):
-        cfg.cases.append(_case_from_mapping(entry))
+    if "jobs" in run:
+        cfg.jobs = _number(run["jobs"], int, "run jobs")
+        if cfg.jobs < 1:
+            raise ConfigError(f"run jobs must be at least 1, got {cfg.jobs}")
+    strict = run.get("strict", False)
+    if strict not in (False, True, "0", "1"):  # a JSON bool or 0/1; text 0/1
+        raise ConfigError(f"run strict must be 0 or 1, got {strict!r}")
+    cfg.strict = strict in (True, "1")
+    if run.get("out") is not None:
+        cfg.out_dir = _string(run["out"], "run out")
+    tolerances = _mapping(data.get("tolerances", {}), "tolerances",
+                          INEQUALITY_TOLERANCES)
+    for key, pair in tolerances.items():
+        if not isinstance(pair, list) or len(pair) != 2:
+            raise ConfigError(f"tolerance {key} needs [rel, c], got {pair!r}")
+        cfg.tolerances[key] = (_number(pair[0], float, f"tolerance {key}"),
+                               _number(pair[1], float, f"tolerance {key}"))
+    cases = data.get("cases", [])
+    if not isinstance(cases, list):
+        raise ConfigError(f"cases must be a list, got {cases!r}")
+    for entry in cases:
+        entry = _mapping(entry, "case", CASE_KEYS)
+        h = entry.get("h")
+        fields = {
+            "domain": _string(entry.get("domain"), "case domain"),
+            "norm": _string(entry.get("norm"), "case norm"),
+            "p": _number(entry.get("p"), float, "case p"),
+            "h": None if h is None else _number(h, float, "case h"),
+            "tol": _number(entry.get("tol", DEFAULTS["tol"]), float,
+                           "case tol"),
+        }
+        try:
+            cfg.cases.append(CaseSpec(**fields))
+        except ValueError as exc:
+            raise ConfigError(f"bad case {entry!r}: {exc}") from None
     return cfg
-
-
-def _add_case_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--domain", required=True,
-                     help="rect:a,k | regular:n,R | wulff:r,n | poly:x,y;...")
-    sub.add_argument("--norm", required=True, help="lq:q | ellipse:a11,a12,a22")
-    sub.add_argument("--p", type=float, default=2.0)
-    sub.add_argument("--h", type=float, default=None,
-                     help="grid spacing (default: diameter/128)")
-    sub.add_argument("--tol", type=float, default=DEFAULTS["tol"])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -200,17 +221,26 @@ def build_parser() -> argparse.ArgumentParser:
                     "and inequality audits on convex planar domains")
     subs = ap.add_subparsers(dest="command", required=True)
 
-    for name in ("eigen", "torsion"):
+    for name in ("eigen", "torsion", "cheeger"):
         sub = subs.add_parser(name)
-        _add_case_flags(sub)
+        sub.add_argument("--domain", required=True,
+                         help="rect:a,k | regular:n,R | wulff:r,n | poly:x,y;...")
+        sub.add_argument("--norm", required=True,
+                         help="lq:q | ellipse:a11,a12,a22")
+        if name == "cheeger":
+            continue  # exact polygon arithmetic: no p, grid or tolerance
+        sub.add_argument("--p", type=float, default=2.0)
+        sub.add_argument("--h", type=float, default=None,
+                         help="grid spacing (default: diameter/128)")
+        sub.add_argument("--tol", type=float, default=DEFAULTS["tol"])
         sub.add_argument("--out", default=None,
                          help="output directory for the field CSV")
-    _add_case_flags(subs.add_parser("cheeger"))
 
     ver = subs.add_parser("verify")
     ver.add_argument("--config", default=None, help="config file (text or JSON)")
     ver.add_argument("--out", default=None)
-    ver.add_argument("--jobs", type=int, default=1)
+    ver.add_argument("--jobs", type=int, default=None,
+                     help="worker processes (default: the config's, else 1)")
     ver.add_argument("--strict", action="store_true",
                      help="inconclusive cases fail the run with exit 3")
     ver.add_argument("--dump-config", action="store_true",
@@ -229,11 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _build_case(args) -> tuple:
-    gauge = MinkowskiNorm.parse(args.norm)
-    poly = parse_domain(args.domain, norm=gauge)
-    h = args.h if args.h is not None else \
-        poly.diameter * DEFAULTS["h_over_diameter"]
-    return poly, gauge, h
+    return CaseSpec(args.domain, args.norm, args.p, args.h, args.tol).build()
 
 
 def _cmd_eigen(args) -> int:
@@ -266,11 +292,26 @@ def _cmd_torsion(args) -> int:
 
 
 def _cmd_cheeger(args) -> int:
-    poly, gauge, _ = _build_case(args)
-    res = cheeger_estimate(poly, gauge)
+    gauge = MinkowskiNorm.parse(args.norm)
+    res = cheeger_estimate(parse_domain(args.domain, norm=gauge), gauge)
     print(f"h_est = {res.h_est:.10g}  (r* = {res.r_star:.6g})")
     print(f"bounds: {res.lower:.10g} <= h <= {res.upper:.10g}")
     return EXIT_OK
+
+
+def _write_if_changed(path: Path, text: str) -> None:
+    """Write ``text`` unless ``path`` already holds exactly these bytes.
+
+    Comparing costs far less than overwriting, and an unchanged report
+    keeps its modification time.
+    """
+    data = text.encode()
+    try:
+        if path.read_bytes() == data:
+            return
+    except FileNotFoundError:
+        pass
+    path.write_bytes(data)
 
 
 def _run_one(payload):
@@ -290,7 +331,7 @@ def _cmd_verify(args) -> int:
             return EXIT_USAGE
     else:
         cfg = RunConfig(cases=default_catalog())
-    if args.jobs:
+    if args.jobs is not None:
         cfg.jobs = args.jobs
     if args.strict:
         cfg.strict = True
@@ -314,9 +355,10 @@ def _cmd_verify(args) -> int:
         for rep in reports:
             safe = rep.case["id"].replace(":", "_").replace("|", "__") \
                 .replace(",", "-").replace("=", "")
-            (out / f"case_{safe}.json").write_text(rep.to_json() + "\n")
-        (out / "aggregate.csv").write_text(
-            "\n".join(aggregate_csv_rows(reports)) + "\n")
+            _write_if_changed(out / f"case_{safe}.json",
+                              rep.to_json() + "\n")
+        _write_if_changed(out / "aggregate.csv",
+                          "\n".join(aggregate_csv_rows(reports)) + "\n")
 
     n_fail = n_inc = 0
     for rep in reports:

@@ -27,7 +27,7 @@ import numpy as np
 from scipy.optimize import linprog
 from scipy.spatial import ConvexHull, QhullError
 
-from .norms import MinkowskiNorm, WulffPolygon, warn_if_not_axis_aligned
+from .norms import MinkowskiNorm, warn_if_not_axis_aligned, wulff_polygon
 
 _DEDUP_TOL = 1e-12
 
@@ -89,11 +89,6 @@ class ConvexPolygon:
         verts = circumradius * np.stack([np.cos(th), np.sin(th)], axis=-1)
         return ConvexPolygon(verts, f"regular:{n},{circumradius:g}")
 
-    @staticmethod
-    def from_wulff(wp: WulffPolygon) -> "ConvexPolygon":
-        n = len(wp.vertices)
-        return ConvexPolygon(wp.vertices, f"wulff:{wp.radius:g},{n}")
-
     # -- cached edge data ------------------------------------------------------
 
     @cached_property
@@ -105,18 +100,6 @@ class ConvexPolygon:
         normals = np.stack([d[:, 1], -d[:, 0]], axis=-1) / lengths[:, None]
         offsets = np.einsum("ij,ij->i", normals, v)
         return normals, offsets, lengths
-
-    @property
-    def edge_normals(self) -> np.ndarray:
-        return self._edges[0]
-
-    @property
-    def edge_offsets(self) -> np.ndarray:
-        return self._edges[1]
-
-    @property
-    def edge_lengths(self) -> np.ndarray:
-        return self._edges[2]
 
     # -- scalars ---------------------------------------------------------------
 
@@ -138,10 +121,6 @@ class ConvexPolygon:
         return (float(v[:, 0].min()), float(v[:, 0].max()),
                 float(v[:, 1].min()), float(v[:, 1].max()))
 
-    @property
-    def euclidean_perimeter(self) -> float:
-        return float(self.edge_lengths.sum())
-
     # -- point queries -----------------------------------------------------------
 
     def clearance(self, points: np.ndarray) -> np.ndarray:
@@ -158,9 +137,6 @@ class ConvexPolygon:
             block = offsets[s:s + 64] - points @ normals[s:s + 64].T
             np.minimum(out, block.min(axis=-1), out=out)
         return out
-
-    def contains(self, points: np.ndarray) -> np.ndarray:
-        return self.clearance(points) > 0.0
 
     # -- anisotropic functionals ----------------------------------------------
 
@@ -314,10 +290,8 @@ def _clean_convex(verts: np.ndarray, scale: float) -> np.ndarray | None:
 
 
 def wulff_domain(norm: MinkowskiNorm, r: float = 1.0, n: int = 256) -> ConvexPolygon:
-    """Polygonal Wulff shape of ``norm`` as a domain."""
-    from .norms import wulff_polygon
-
-    return ConvexPolygon.from_wulff(wulff_polygon(norm, r, n=n))
+    """Polygonal Wulff shape of ``norm`` (``n`` rays) as a domain."""
+    return ConvexPolygon(wulff_polygon(norm, r, n), f"wulff:{r:g},{n}")
 
 
 def parse_domain(spec: str, norm: MinkowskiNorm | None = None) -> ConvexPolygon:

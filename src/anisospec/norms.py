@@ -1,16 +1,20 @@
-"""Minkowski gauges (anisotropies), their polar gauges, and Wulff shapes.
+"""Planar Minkowski gauges (anisotropies), their polar gauges, and Wulff shapes.
 
-A gauge F is an even, positively 1-homogeneous, convex function on R^N,
+A gauge F is an even, positively 1-homogeneous, convex function on R^2,
 positive away from the origin.  Two closed-form families are shipped:
 
-* ``lq:<q>``                  F(xi) = (sum_i |xi_i|^q)^(1/q),  q > 1
+* ``lq:<q>``                  F(xi) = (|xi_1|^q + |xi_2|^q)^(1/q),  q > 1
 * ``ellipse:<a11>,<a12>,<a22>``  F(xi) = sqrt(xi . A xi), A symmetric
   positive definite (2x2)
 
 Both families admit closed forms for the polar gauge (dual exponent,
-inverse matrix), the gradient, and the area of the unit polar ball (the
-Wulff shape), so no numeric sup/inversion sits on the solver hot path.
-The sup-based polar is kept in the test suite as an independent oracle.
+inverse matrix) and the area of the unit polar ball (the Wulff shape),
+so no numeric sup/inversion sits on the solver hot path.  Each gauge has
+one evaluation formula, ``value2`` on the x/y parts, and one gradient
+formula, ``value_wgrad2``, which returns W = F grad F (grad F = W / F
+away from the origin); calling the gauge on (..., 2) points evaluates
+``value2``.  The sup-based polar is kept in the test suite as an
+independent oracle.
 
 The module also provides ``pi_p``, the generalized pi governing the
 one-dimensional eigenvalue problem, in closed form with a quadrature
@@ -21,7 +25,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad
@@ -30,13 +34,6 @@ from scipy.special import gamma
 
 class GaugeError(ValueError):
     """Invalid gauge parameters or invalid gauge input."""
-
-
-def _as_points(xi) -> np.ndarray:
-    xi = np.asarray(xi, dtype=float)
-    if xi.shape[-1] < 2:
-        raise GaugeError("gauge inputs need at least 2 components")
-    return xi
 
 
 @dataclass(frozen=True, eq=False)
@@ -51,7 +48,6 @@ class MinkowskiNorm:
     family: str
     q: float | None = None
     A: np.ndarray | None = None
-    dimension: int = 2
 
     def __post_init__(self):
         if self.family == "lq":
@@ -81,10 +77,6 @@ class MinkowskiNorm:
         return MinkowskiNorm("ellipse", A=np.array([[a11, a12], [a12, a22]], float))
 
     @staticmethod
-    def euclidean() -> "MinkowskiNorm":
-        return MinkowskiNorm.lq(2.0)
-
-    @staticmethod
     def parse(spec: str) -> "MinkowskiNorm":
         """Parse the gauge grammar ``lq:<q>`` or ``ellipse:<a11>,<a12>,<a22>``."""
         spec = spec.strip()
@@ -112,29 +104,12 @@ class MinkowskiNorm:
     # -- evaluation --------------------------------------------------------
 
     def __call__(self, xi) -> np.ndarray | float:
-        """Evaluate F(xi); xi may be a single vector or an (..., N) array."""
-        xi = _as_points(xi)
-        if self.family == "lq":
-            a = np.abs(xi)
-            m = a.max(axis=-1)
-            with np.errstate(invalid="ignore", divide="ignore"):
-                t = a / m[..., None]
-                val = m * np.power(np.power(t, self.q).sum(axis=-1), 1.0 / self.q)
-            val = np.where(m == 0.0, 0.0, val)
-        else:
-            val = np.sqrt(np.einsum("...i,ij,...j->...", xi, self.A, xi))
+        """Evaluate F(xi) by ``value2``; xi is a planar vector or (..., 2) array."""
+        xi = np.asarray(xi, dtype=float)
+        if xi.shape[-1:] != (2,):
+            raise GaugeError("gauge inputs are planar: (..., 2) arrays")
+        val = self.value2(xi[..., 0], xi[..., 1])
         return float(val) if val.ndim == 0 else val
-
-    def grad(self, xi) -> np.ndarray:
-        """Gradient of F; 0-homogeneous. The origin is rejected, not smoothed."""
-        xi = _as_points(xi)
-        f = np.asarray(self(xi))
-        if np.any(f == 0.0):
-            raise GaugeError("gauge gradient is undefined at the origin")
-        if self.family == "lq":
-            t = np.abs(xi) / f[..., None]
-            return np.sign(xi) * np.power(t, self.q - 1.0)
-        return np.einsum("ij,...j->...i", self.A, xi) / f[..., None]
 
     def polar(self) -> "MinkowskiNorm":
         """The polar gauge F°(v) = sup_{xi != 0} <xi, v>/F(xi), in closed form."""
@@ -188,45 +163,19 @@ class MinkowskiNorm:
         s = self.q / (self.q - 1.0)  # polar exponent; Wulff = unit ls-ball
         return 4.0 * gamma(1.0 + 1.0 / s) ** 2 / gamma(1.0 + 2.0 / s)
 
-    def coercivity(self) -> tuple[float, float]:
-        """Constants (a, b) with a|xi| <= F(xi) <= b|xi|."""
-        if self.family == "ellipse":
-            ev = np.linalg.eigvalsh(self.A)
-            return math.sqrt(ev[0]), math.sqrt(ev[-1])
-        q = self.q
-        if q >= 2.0:
-            return 2.0 ** (1.0 / q - 0.5), 1.0
-        return 1.0, 2.0 ** (1.0 / q - 0.5)
-
     def axis_alignment_defect(self) -> float:
         """|F(e1) F°(e1) - 1|; zero for lq and axis-aligned ellipse gauges."""
-        e1 = np.zeros(self.dimension)
-        e1[0] = 1.0
+        e1 = np.array([1.0, 0.0])
         return abs(float(self(e1)) * float(self.polar_eval(e1)) - 1.0)
 
 
-@dataclass(frozen=True, eq=False)
-class WulffPolygon:
-    """Polygonal sampling of the scaled Wulff shape {F°(x - center) = radius}."""
+def wulff_polygon(norm: MinkowskiNorm, r: float, n: int = 512) -> np.ndarray:
+    """Sample the Wulff shape {F° = r} of ``norm`` by ``n`` rays.
 
-    vertices: np.ndarray  # (n, 2) CCW
-    radius: float
-    center: np.ndarray = field(default_factory=lambda: np.zeros(2))
-
-    @property
-    def area(self) -> float:
-        v = self.vertices
-        x, y = v[:, 0], v[:, 1]
-        return 0.5 * float(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1)))
-
-
-def wulff_polygon(norm: MinkowskiNorm, r: float, center=(0.0, 0.0),
-                  n: int = 512) -> WulffPolygon:
-    """Sample the Wulff shape of ``norm`` at radius ``r`` by ``n`` rays.
-
-    Vertex i sits on the ray at angle 2*pi*i/n, scaled so that the polar
-    gauge of (vertex - center) equals r exactly.  The polygon is convex and
-    inscribed in the true shape; its area tends to ``norm.wulff_area() * r**2``.
+    Returns the (n, 2) CCW vertex array: vertex i sits on the ray at angle
+    2*pi*i/n, scaled so that its polar gauge equals r exactly.  The polygon
+    is convex and inscribed in the true shape; its area tends to
+    ``norm.wulff_area() * r**2``.
     """
     if n < 16:
         raise GaugeError("wulff polygon needs n >= 16 rays")
@@ -235,8 +184,7 @@ def wulff_polygon(norm: MinkowskiNorm, r: float, center=(0.0, 0.0),
     theta = 2.0 * math.pi * np.arange(n) / n
     rays = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
     rho = r / np.asarray(norm.polar()(rays))
-    verts = np.asarray(center, float) + rho[:, None] * rays
-    return WulffPolygon(verts, float(r), np.asarray(center, float))
+    return rho[:, None] * rays
 
 
 def pi_p(p: float) -> float:

@@ -45,6 +45,7 @@ from scipy.fft import dstn, idstn
 from scipy.ndimage import map_coordinates
 from scipy.special import betainc
 
+from .config import DEFAULTS
 from .geometry import ConvexPolygon, CoarseGridError
 from .norms import MinkowskiNorm, pi_p
 
@@ -71,8 +72,6 @@ class Grid:
     carries a hard zero Dirichlet value.  Free nodes keep at least half a
     cell of clearance to the boundary, so the ring of zero nodes
     straddles the true boundary instead of sitting uniformly outside it.
-    ``boundary_closed`` records that the grid retains a full ring of zero
-    nodes around the mask (always true for this builder).
     """
 
     hx: float
@@ -80,7 +79,6 @@ class Grid:
     x: np.ndarray
     y: np.ndarray
     mask: np.ndarray
-    boundary_closed: bool = True
 
     @property
     def h(self) -> float:
@@ -112,9 +110,6 @@ class GridField:
 
     grid: Grid
     values: np.ndarray
-
-    def max(self) -> float:
-        return float(self.values.max())
 
     def integral(self, power: float = 1.0) -> float:
         v = self.values[self.grid.mask]
@@ -601,8 +596,8 @@ def _not_converged(kind: str, poly: ConvexPolygon, result) -> ConvergenceError:
 
 
 def solve_eigen(poly: ConvexPolygon, norm: MinkowskiNorm, p: float, h: float,
-                tol: float = 1e-8, max_iter: int = 50_000,
-                raise_on_fail: bool = True) -> EigenResult:
+                tol: float = DEFAULTS["tol"],
+                max_iter: int = DEFAULTS["max_iter"]) -> EigenResult:
     """Minimize the discrete Rayleigh quotient; returns max-normalized u.
 
     The reported eigenvalue re-evaluates the quotient of the minimizer at
@@ -610,8 +605,7 @@ def solve_eigen(poly: ConvexPolygon, norm: MinkowskiNorm, p: float, h: float,
     the 25-iteration relative quotient decrease on the nonlinear path (see
     the module docstring).  Raises ConvergenceError (carrying the partial
     result) when neither rule is met within ``max_iter`` total iterations
-    or the line search fails short of sqrt(tol), unless ``raise_on_fail``
-    is false.
+    or the line search fails short of sqrt(tol).
     """
     grid, psi, total_it, residual, converged, stop = _coarse_to_fine(
         _EigenProblem, poly, norm, p, h, tol, max_iter)
@@ -626,17 +620,18 @@ def solve_eigen(poly: ConvexPolygon, norm: MinkowskiNorm, p: float, h: float,
                          residual=residual, p=p, norm_id=norm.spec_string(),
                          domain_id=poly.provenance, converged=converged,
                          stop=stop)
-    if not converged and raise_on_fail:
+    if not converged:
         raise _not_converged("eigen", poly, result)
     return result
 
 
 def solve_torsion(poly: ConvexPolygon, norm: MinkowskiNorm, p: float, h: float,
-                  tol: float = 1e-8, max_iter: int = 50_000,
-                  raise_on_fail: bool = True) -> TorsionResult:
+                  tol: float = DEFAULTS["tol"],
+                  max_iter: int = DEFAULTS["max_iter"]) -> TorsionResult:
     """Minimize J(v) = (1/p) sum F_eps(grad v)^p - sum v over zero-boundary fields.
 
-    ``tol``, ``max_iter`` and ``raise_on_fail`` act as in ``solve_eigen``.
+    ``tol`` and ``max_iter`` act, and ConvergenceError is raised, as in
+    ``solve_eigen``.
     """
     grid, psi, total_it, residual, converged, stop = _coarse_to_fine(
         _TorsionProblem, poly, norm, p, h, tol, max_iter)
@@ -653,7 +648,7 @@ def solve_torsion(poly: ConvexPolygon, norm: MinkowskiNorm, p: float, h: float,
                            p=p, norm_id=norm.spec_string(),
                            domain_id=poly.provenance, converged=converged,
                            stop=stop)
-    if not converged and raise_on_fail:
+    if not converged:
         raise _not_converged("torsion", poly, result)
     return result
 

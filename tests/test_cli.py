@@ -55,9 +55,12 @@ class TestSolverCommands:
         out = capsys.readouterr().out
         assert code == EXIT_OK
         assert out.startswith("h_est = 3.772453851 ")
-        # nothing is left to write: the flag is gone
-        assert main(["cheeger", "--domain", "rect:0.5,0.5", "--norm", "lq:2",
-                     "--out", str(tmp_path)]) == EXIT_USAGE
+        # the constant is exact polygon arithmetic: no output file, no p
+        # or tolerance to set (argparse reads "--h" as "--help")
+        for flag, value in (("--out", str(tmp_path)), ("--p", "3"),
+                            ("--tol", "1e-6")):
+            assert main(["cheeger", "--domain", "rect:0.5,0.5", "--norm",
+                         "lq:2", flag, value]) == EXIT_USAGE
         capsys.readouterr()
 
     def test_parse_error_exit_2(self, capsys):
@@ -142,6 +145,26 @@ h = 0.0625
         assert main(["verify", "--config", str(cfg)]) == EXIT_OK
         capsys.readouterr()
 
+    def test_unchanged_reports_not_rewritten(self, capsys, tmp_path):
+        cfg = tmp_path / "one.cfg"
+        case = "[case]\ndomain = rect:1,1\nnorm = lq:2\np = 2\nh = 0.0625\n"
+        cfg.write_text(case)
+        out_dir = tmp_path / "out"
+        argv = ["verify", "--config", str(cfg), "--out", str(out_dir)]
+        assert main(argv) == EXIT_OK
+        files = sorted(out_dir.iterdir())
+        assert len(files) == 2
+        stamps = [f.stat().st_mtime_ns for f in files]
+        assert main(argv) == EXIT_OK
+        assert [f.stat().st_mtime_ns for f in files] == stamps
+        agg = out_dir / "aggregate.csv"
+        before = agg.read_text()
+        cfg.write_text("[tolerances]\npayne = 1e-6, 1.5\n" + case)
+        assert main(argv) == EXIT_OK
+        capsys.readouterr()
+        assert agg.read_text() != before
+        assert agg.stat().st_mtime_ns != stamps[files.index(agg)]
+
     def test_parallel_jobs_match_serial(self, capsys, tmp_path):
         cfg = tmp_path / "mini.cfg"
         cfg.write_text(MINI_CFG)
@@ -174,6 +197,16 @@ class TestConfig:
         text = capsys.readouterr().out
         again = parse_config_text(text)
         assert again.dump_text() == text
+
+    def test_config_jobs_kept_without_flag(self, capsys, tmp_path):
+        cfg = tmp_path / "jobs.cfg"
+        cfg.write_text(MINI_CFG.replace("jobs = 1", "jobs = 4"))
+        assert main(["verify", "--config", str(cfg), "--dump-config"]) \
+            == EXIT_OK
+        assert "jobs = 4\n" in capsys.readouterr().out
+        assert main(["verify", "--config", str(cfg), "--dump-config",
+                     "--jobs", "2"]) == EXIT_OK
+        assert "jobs = 2\n" in capsys.readouterr().out
 
     def test_json_config(self):
         payload = {
@@ -217,6 +250,37 @@ class TestConfig:
         cfg.write_text(json.dumps(payload))
         assert main(["verify", "--config", str(cfg)]) == EXIT_USAGE
         assert key in capsys.readouterr().err
+
+    @pytest.mark.parametrize("payload", [
+        {"run": 5},
+        {"tolerances": [1, 2]},
+        {"tolerances": {"payne": [1]}},
+        {"run": {"strict": "false"}},
+        {"run": {"jobs": 2.5}},
+        {"cases": {"domain": "rect:1,1"}},
+        {"cases": [{"domain": 1, "norm": "lq:2", "p": 2}]},
+        {"cases": [{"domain": "rect:1,1", "norm": "lq:2", "p": "two"}]},
+    ], ids=["run-int", "tolerances-list", "tolerance-pair", "strict-string",
+            "jobs-float", "cases-object", "domain-int", "p-string"])
+    def test_wrong_json_type_rejected(self, capsys, tmp_path, payload):
+        payload = {"cases": [{"domain": "rect:1,1", "norm": "lq:2", "p": 2}],
+                   **payload}
+        with pytest.raises(cli.ConfigError):
+            parse_config_text(json.dumps(payload))
+        cfg = tmp_path / "typed.json"
+        cfg.write_text(json.dumps(payload))
+        assert main(["verify", "--config", str(cfg)]) == EXIT_USAGE
+        assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", [
+        "[run]\nstrict = yes\n", "[run]\njobs = 0\n",
+        "[tolerances]\npayne = 1e-6\n", "[case]\ndomain = rect:1,1\n",
+        "[case]\ndomain = rect:1,1\nnorm = lq:2\np = 0.5\n",
+    ], ids=["strict-word", "jobs-zero", "tolerance-single", "case-missing",
+            "p-below-1"])
+    def test_bad_text_value_rejected(self, text):
+        with pytest.raises(cli.ConfigError):
+            parse_config_text(text)
 
     def test_default_catalog_when_no_config(self, capsys):
         code = main(["verify", "--dump-config"])

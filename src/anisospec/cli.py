@@ -11,7 +11,8 @@ cheeger
 verify
     Run a case catalog (default or from ``--config``), write one JSON
     report per case plus an aggregate CSV (a file whose bytes would not
-    change is left as it is), and exit 0 only if every converged case
+    change is left as it is; case reports of earlier runs that this run
+    did not write are removed), and exit 0 only if every converged case
     passes every inequality.
 sweep
     Slab-family optimality ratios; emits ``k,r1,r2,r3,r4`` CSV.
@@ -215,14 +216,16 @@ def _config_from_data(data) -> RunConfig:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # no prefix matching: "--h" on a command without it is an error, not
+    # an abbreviation of "--help"
     ap = argparse.ArgumentParser(
-        prog="anisospec",
+        prog="anisospec", allow_abbrev=False,
         description="anisotropic eigenvalues, torsion, Cheeger constants, "
                     "and inequality audits on convex planar domains")
     subs = ap.add_subparsers(dest="command", required=True)
 
     for name in ("eigen", "torsion", "cheeger"):
-        sub = subs.add_parser(name)
+        sub = subs.add_parser(name, allow_abbrev=False)
         sub.add_argument("--domain", required=True,
                          help="rect:a,k | regular:n,R | wulff:r,n | poly:x,y;...")
         sub.add_argument("--norm", required=True,
@@ -236,7 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
         sub.add_argument("--out", default=None,
                          help="output directory for the field CSV")
 
-    ver = subs.add_parser("verify")
+    ver = subs.add_parser("verify", allow_abbrev=False)
     ver.add_argument("--config", default=None, help="config file (text or JSON)")
     ver.add_argument("--out", default=None)
     ver.add_argument("--jobs", type=int, default=None,
@@ -246,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--dump-config", action="store_true",
                      help="print the canonical config text and exit")
 
-    sw = subs.add_parser("sweep")
+    sw = subs.add_parser("sweep", allow_abbrev=False)
     sw.add_argument("--family", default="slab", choices=["slab"])
     sw.add_argument("--a", type=float, default=1.0)
     sw.add_argument("--k", default="1,2,4,8,16",
@@ -352,13 +355,19 @@ def _cmd_verify(args) -> int:
     if cfg.out_dir:
         out = Path(cfg.out_dir)
         out.mkdir(parents=True, exist_ok=True)
+        written = set()
         for rep in reports:
             safe = rep.case["id"].replace(":", "_").replace("|", "__") \
                 .replace(",", "-").replace("=", "")
-            _write_if_changed(out / f"case_{safe}.json",
-                              rep.to_json() + "\n")
+            name = f"case_{safe}.json"
+            written.add(name)
+            _write_if_changed(out / name, rep.to_json() + "\n")
         _write_if_changed(out / "aggregate.csv",
                           "\n".join(aggregate_csv_rows(reports)) + "\n")
+        # a reused directory keeps no report of a case outside this run
+        for path in out.glob("case_*.json"):
+            if path.name not in written:
+                path.unlink()
 
     n_fail = n_inc = 0
     for rep in reports:

@@ -131,8 +131,9 @@ class MinkowskiNorm:
         q = self.q
         ax, ay = np.abs(gx), np.abs(gy)
         m = np.maximum(ax, ay)
+        # the larger of ax/m, ay/m is exactly 1, and so is its q-th power
         with np.errstate(invalid="ignore", divide="ignore"):
-            v = m * np.power(np.power(ax / m, q) + np.power(ay / m, q), 1.0 / q)
+            v = m * np.power(1.0 + np.power(np.minimum(ax, ay) / m, q), 1.0 / q)
         return np.where(m == 0.0, 0.0, v)
 
     def value_wgrad2(self, gx, gy) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -14,18 +14,24 @@ null field that would let the quotient collapse.
 
 Minimization is a monotone projected descent on the quotient: nonlinear
 conjugate-gradient directions preconditioned by the inverse grid
-Laplacian of the bounding box (applied by fast sine transforms), a
-backtracking line search (on the quadratic path, p = 2 with a quadratic
-gauge, the exact minimizer along the ray and no backtracking),
+Laplacian of the bounding box (applied by fast sine transforms),
 nonnegativity clamping for eigenfields, and coarse-to-fine seeding
-across a grid hierarchy.  Each solve reports which rule stopped it:
+across a grid hierarchy.  On the quadratic path (p = 2 with a quadratic
+gauge) each step is the exact minimizer along the ray.  Elsewhere a
+bracketing Wolfe line search picks it: every trial point costs one
+value-and-gradient evaluation, whose gradient also gives the slope along
+the ray; a trial is accepted once it strictly decreases the value and
+the slope has shrunk to ``WOLFE_C2`` times the initial one, and its value
+and gradient start the next iteration.  Each solve reports which rule
+stopped it:
 
 * ``"dual"`` - quadratic path only: the preconditioned dual residual,
   the relative energy-norm error of the iterate, is below ``tol``;
 * ``"window"`` - the relative value decrease over a 25-iteration window
   is below ``tol`` (the stopping rule of the nonlinear path, whose
   Hessian the Laplacian preconditioner does not match in scale);
-* ``"line_search"`` - no step decreases the value; converged only when
+* ``"line_search"`` - no step along the direction or along the
+  preconditioned steepest descent decreases the value; converged only when
   the dual residual is below sqrt(tol), i.e. when the value gap the
   quadratic model predicts is below ``tol``;
 * ``"budget"`` - the iteration budget ran out; never converged.
@@ -51,6 +57,9 @@ from .norms import MinkowskiNorm, pi_p
 
 WINDOW = 25  # iterations spanned by the convergence criterion
 EPS_FACTOR = 1e-8  # gradient regularization per unit of domain diameter
+WOLFE_C2 = 0.3  # accepted |slope| as a share of the initial one
+MAX_TRIALS = 60  # trial points per direction of the Wolfe line search
+_EPS = float(np.finfo(float).eps)
 
 
 class ConvergenceError(RuntimeError):
@@ -184,9 +193,10 @@ def _fp_grad(norm: MinkowskiNorm, gx, gy, p: float, eps: float):
     s = f * f
     r = np.sqrt(s + eps * eps)
     fe = np.divide(s, r + eps, out=np.zeros_like(s), where=(r + eps) > 0.0)
-    fp = _pow(fe, p)
+    fe1 = _pow(fe, p - 1.0)
+    fp = fe1 * fe  # one power call; bit-identical to fe * fe at p = 2
     with np.errstate(divide="ignore", invalid="ignore"):
-        c = p * _pow(fe, p - 1.0) / r
+        c = p * fe1 / r
     c = np.where(r > 0.0, c, 0.0)
     return fp, c * w1, c * w2
 
@@ -287,6 +297,35 @@ class _DescentProblem:
         out[~self.grid.mask] = 0.0
         return out
 
+    def ray_point(self, psi, d, alpha):
+        """The iterate at ``feasible(psi + alpha d)`` and its scale s.
+
+        The iterate is that point divided by s; s is 1 here, and the
+        eigen problem normalizes the denominator.  (None, 0) for a point
+        that cannot be normalized.
+        """
+        return self.feasible(psi + alpha * d), 1.0
+
+    def accept(self, psi, d, alpha):
+        """(iterate, value) at step ``alpha`` along ``d``."""
+        cand, _ = self.ray_point(psi, d, alpha)
+        if cand is None:
+            return None, math.inf
+        return cand, self.value(cand)
+
+    def trial(self, psi, d, alpha):
+        """(iterate, value, gradient, slope) at step ``alpha`` along ``d``.
+
+        The slope is the derivative of the value along the ray, g . d / s:
+        the eigen quotient is 0-homogeneous, so its gradient at the
+        unnormalized point is g / s.
+        """
+        cand, s = self.ray_point(psi, d, alpha)
+        if cand is None:
+            return None, math.inf, None, math.nan
+        fc, gc = self.value_grad(cand)
+        return cand, fc, gc, float((gc * d).sum()) / s
+
 
 class _EigenProblem(_DescentProblem):
     clamp = True
@@ -336,13 +375,14 @@ class _EigenProblem(_DescentProblem):
         nrm_p = float(np.abs(psi).max())
         return [0.5 * (nrm_p + 1e-30) / (nrm_d + 1e-30)]
 
-    def accept(self, psi, d, alpha):
+    def ray_point(self, psi, d, alpha):
         cand = self.feasible(psi + alpha * d)
         dc = self.denom(cand)
         if dc <= 0.0:
-            return None, math.inf
-        cand /= dc ** (1.0 / self.p)
-        return cand, self.value(cand)
+            return None, 0.0
+        s = dc ** (1.0 / self.p)
+        cand /= s
+        return cand, s
 
 
 class _TorsionProblem(_DescentProblem):
@@ -371,11 +411,7 @@ class _TorsionProblem(_DescentProblem):
                 return [-slope / n_d]
         if alpha0 is not None and alpha0 > 0:
             return [alpha0]
-        return [1.0]  # growth/backtracking probes fix a bad scale
-
-    def accept(self, psi, d, alpha):
-        cand = self.feasible(psi + alpha * d)
-        return cand, self.value(cand)
+        return [1.0]  # the line search's extrapolation fixes a bad scale
 
 
 def _rational_minimizers(a, b, c, dd, e, f) -> list[float]:
@@ -407,6 +443,12 @@ def _descend(problem: _DescentProblem, psi0: np.ndarray, tol: float,
              max_iter: int):
     """Monotone preconditioned CG descent on one grid.
 
+    Each iteration steps along the CG direction, or along the
+    preconditioned steepest descent -z when the CG direction fails: by the
+    exact ray minimizer on the quadratic path (``_ray_step``), else by the
+    Wolfe line search (``_wolfe_step``).  Every accepted step strictly
+    decreases the value (on the quadratic path a tie also counts).
+
     Returns (psi, iterations, residual, converged, stop), where ``stop``
     names the rule that ended the descent (see the module docstring) and
     ``residual`` is the quantity that rule measures: the dual residual for
@@ -419,13 +461,7 @@ def _descend(problem: _DescentProblem, psi0: np.ndarray, tol: float,
     z = problem.precond(g)
     d = -z
     gz = float((g * z).sum())
-    # the quadratic path's step is already the exact minimizer on the ray:
-    # it is not halved, and a value tie there is float rounding, not a stall
-    max_halvings = 0 if problem.quadratic else 60
-
-    def improved(cand, fc):
-        return cand is not None and (fc < f or problem.quadratic and fc == f)
-
+    step = _ray_step if problem.quadratic else _wolfe_step
     alpha_prev = None
     it = 0
     while True:
@@ -441,41 +477,18 @@ def _descend(problem: _DescentProblem, psi0: np.ndarray, tol: float,
         it += 1
         if float((g * d).sum()) >= 0.0:
             d = -z
-        accepted = False
-        a = math.nan
-        cand = fc = None
         for direction in (d, -z):
-            for alpha in problem.step_candidates(psi, direction, f,
-                                                 float((g * direction).sum()),
-                                                 alpha_prev):
-                a = alpha
-                cand, fc = problem.accept(psi, direction, a)
-                halvings = 0
-                while not improved(cand, fc) and halvings < max_halvings:
-                    a *= 0.5
-                    halvings += 1
-                    cand, fc = problem.accept(psi, direction, a)
-                if not improved(cand, fc):
-                    continue
-                if halvings == 0 and not problem.quadratic:
-                    for _ in range(40):  # a bad scale guess: probe growth
-                        cand2, fc2 = problem.accept(psi, direction, 2.0 * a)
-                        if cand2 is None or not fc2 < fc:
-                            break
-                        a *= 2.0
-                        cand, fc = cand2, fc2
-                accepted = True
-                break
-            if accepted:
+            found = step(problem, psi, direction, f, g, alpha_prev)
+            if found is not None:
                 d = direction
                 break
-        if not accepted:
+        else:
             # converged only if the predicted value gap dual^2 is below tol
             return psi, it, dual, dual < math.sqrt(tol), "line_search"
-        alpha_prev = a
-        psi = cand
-        hist.append(fc)
-        f, gn = problem.value_grad(psi)
+        alpha_prev, psi, f, gn = found
+        hist.append(f)
+        if gn is None:  # quadratic path: evaluated after the old psi is freed
+            f, gn = problem.value_grad(psi)
         zn = problem.precond(gn)
         beta = float((gn * (zn - z)).sum()) / gz
         beta = max(beta, 0.0)
@@ -484,6 +497,89 @@ def _descend(problem: _DescentProblem, psi0: np.ndarray, tol: float,
         d = -zn + beta * d
         g, z = gn, zn
         gz = float((g * z).sum())
+
+
+def _ray_step(problem, psi, d, f, g, alpha_prev):
+    """Quadratic path: the exact minimizer along the ray.
+
+    Returns (alpha, iterate, value, None): no gradient, which the caller
+    evaluates; or None when no candidate decreases the value.  A value
+    tie counts as a decrease: after the exact step it is float rounding,
+    not a stall.
+    """
+    for alpha in problem.step_candidates(psi, d, f, float((g * d).sum()),
+                                         alpha_prev):
+        cand, fc = problem.accept(psi, d, alpha)
+        if cand is not None and fc <= f:
+            return alpha, cand, fc, None
+    return None
+
+
+def _wolfe_step(problem, psi, d, f, g, alpha_prev):
+    """Nonlinear path: a bracketing line search for a strong Wolfe step.
+
+    With phi(alpha) the value at step alpha and phi' its slope, a trial is
+    accepted when phi(alpha) < f and |phi'(alpha)| <= WOLFE_C2 |phi'(0)|.
+    The first trial is the last accepted step.  While the slope stays
+    steeper than that, the step grows by the secant of phi' (at most 8x);
+    once a trial brackets the minimizer (no decrease on the best point so
+    far, or a positive slope), the next one interpolates inside the
+    bracket, kept to [0.1, 0.9] of it.  After MAX_TRIALS trials, or once
+    the bracket is too short for a decrease above float resolution, the
+    best decreasing trial is taken.
+
+    Returns (alpha, iterate, value, gradient) of the accepted trial, or
+    None when no trial decreases the value.
+    """
+    slope0 = float((g * d).sum())
+    if not slope0 < 0.0:
+        return None  # not a descent direction
+    alpha = problem.step_candidates(psi, d, f, slope0, alpha_prev)[0]
+    lo, f_lo, s_lo = 0.0, f, slope0  # the best point, still descending
+    hi = math.inf
+    f_hi = s_hi = math.nan
+    best = None
+    for _ in range(MAX_TRIALS):
+        cand, fc, gc, slope = problem.trial(psi, d, alpha)
+        if fc < f:
+            if abs(slope) <= WOLFE_C2 * abs(slope0):
+                return alpha, cand, fc, gc
+            if best is None or fc < best[2]:
+                best = (alpha, cand, fc, gc)
+        if fc < f_lo and slope < 0.0:
+            prev, s_prev = lo, s_lo
+            lo, f_lo, s_lo = alpha, fc, slope
+            if hi == math.inf:
+                grow = 8.0 * alpha
+                if slope > s_prev:  # zero of the secant of phi'
+                    grow = min(grow, alpha - slope * (alpha - prev)
+                               / (slope - s_prev))
+                alpha = grow
+                continue
+        else:
+            hi, f_hi, s_hi = alpha, fc, slope
+        if -s_lo * (hi - lo) <= _EPS * abs(f_lo):
+            break  # no representable decrease is left in the bracket
+        alpha = _interpolate(lo, f_lo, s_lo, hi, f_hi, s_hi)
+        if not lo < alpha < hi:
+            break  # the bracket is below float resolution
+    return best
+
+
+def _interpolate(lo, f_lo, s_lo, hi, f_hi, s_hi) -> float:
+    """Next trial inside the bracket [lo, hi], kept to [0.1, 0.9] of it.
+
+    phi'(lo) < 0.  If phi decreased up to hi with a positive slope there,
+    take the zero of the secant of phi'; otherwise the minimizer of the
+    quadratic through phi(lo), phi'(lo) and phi(hi), which a non-finite
+    phi(hi) sends to the 0.1 end.
+    """
+    width = hi - lo
+    if f_hi < f_lo and s_hi > s_lo:
+        t = -s_lo / (s_hi - s_lo)
+    else:
+        t = -s_lo * width / (2.0 * (f_hi - f_lo - s_lo * width))
+    return lo + width * (min(t, 0.9) if t > 0.1 else 0.1)
 
 
 def _dual_residual(f: float, gz: float, cell_area: float) -> float:

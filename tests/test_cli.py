@@ -55,10 +55,10 @@ class TestSolverCommands:
         out = capsys.readouterr().out
         assert code == EXIT_OK
         assert out.startswith("h_est = 3.772453851 ")
-        # the constant is exact polygon arithmetic: no output file, no p
-        # or tolerance to set (argparse reads "--h" as "--help")
+        # the constant is exact polygon arithmetic: no output file, no p,
+        # grid or tolerance to set ("--h" is no abbreviation of "--help")
         for flag, value in (("--out", str(tmp_path)), ("--p", "3"),
-                            ("--tol", "1e-6")):
+                            ("--h", "0.01"), ("--tol", "1e-6")):
             assert main(["cheeger", "--domain", "rect:0.5,0.5", "--norm",
                          "lq:2", flag, value]) == EXIT_USAGE
         capsys.readouterr()
@@ -74,6 +74,7 @@ class TestSolverCommands:
 
     def test_unknown_flag_exit_2(self, capsys):
         assert main(["eigen", "--nope"]) == EXIT_USAGE
+        assert main(["verify", "--h", "1"]) == EXIT_USAGE  # not "--help"
         capsys.readouterr()
 
     def test_nonconvergence_exit_3(self, capsys, monkeypatch):
@@ -164,6 +165,27 @@ h = 0.0625
         capsys.readouterr()
         assert agg.read_text() != before
         assert agg.stat().st_mtime_ns != stamps[files.index(agg)]
+
+    def test_stale_reports_removed(self, capsys, tmp_path):
+        cfg = tmp_path / "mini.cfg"
+        cfg.write_text(MINI_CFG)
+        out_dir = tmp_path / "out"
+        argv = ["verify", "--config", str(cfg), "--out", str(out_dir)]
+        assert main(argv) == EXIT_OK
+        assert len(list(out_dir.glob("case_*.json"))) == 2
+        (out_dir / "notes.txt").write_text("kept")
+        # the same directory, now with only the second case
+        cfg.write_text(MINI_CFG.split("[case]")[0] + "[case]"
+                       + MINI_CFG.split("[case]")[2])
+        assert main(argv) == EXIT_OK
+        capsys.readouterr()
+        (left,) = out_dir.glob("case_*.json")
+        case_id = json.loads(left.read_text())["case"]["id"]
+        assert case_id.startswith("rect:0.5,0.5|lq:4|")
+        rows = (out_dir / "aggregate.csv").read_text().splitlines()[1:]
+        assert len(rows) == 16
+        assert all(row.startswith(f'"{case_id}",') for row in rows)
+        assert (out_dir / "notes.txt").read_text() == "kept"
 
     def test_parallel_jobs_match_serial(self, capsys, tmp_path):
         cfg = tmp_path / "mini.cfg"

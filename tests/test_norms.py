@@ -75,6 +75,32 @@ class TestEval:
             assert norm(-xi) == pytest.approx(f, rel=1e-12, abs=1e-12)
             assert norm(t * xi) == pytest.approx(t * f, rel=1e-10, abs=1e-10)
 
+    @pytest.mark.parametrize("q", [1.01, 1.2, 1.5, 2.0, 3.0, 4.0, 7.5, 8.0])
+    def test_lq_value_bitwise_two_power_formula(self, q):
+        # value2 raises only the smaller ratio to q; the reference raises
+        # both, and the larger one, ax/m or ay/m, is exactly 1
+        rng = np.random.default_rng(int(100 * q))
+        tiny = np.finfo(float).tiny
+        x = np.concatenate([
+            rng.normal(size=4000) * 10.0 ** rng.uniform(-8, 8, 4000),
+            rng.normal(size=500) * tiny * rng.uniform(1e-10, 1, 500),
+            np.zeros(300), [0.0, -0.0, 5e-324, -5e-324, 1.0]])
+        y = np.concatenate([
+            rng.normal(size=4000) * 10.0 ** rng.uniform(-8, 8, 4000),
+            x[4000:4500] * rng.choice([1.0, -1.0, 0.5], 500),
+            rng.normal(size=300), [0.0, 5e-324, 0.0, -5e-324, -1.0]])
+        ties = rng.normal(size=500)
+        x = np.concatenate([x, ties, -ties])
+        y = np.concatenate([y, ties, ties])
+        ax, ay = np.abs(x), np.abs(y)
+        m = np.maximum(ax, ay)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            ref = m * np.power(np.power(ax / m, q) + np.power(ay / m, q),
+                               1.0 / q)
+        ref = np.where(m == 0.0, 0.0, ref)
+        got = MinkowskiNorm.lq(q).value2(x, y)
+        assert np.array_equal(got.view(np.int64), ref.view(np.int64))
+
     @pytest.mark.parametrize("shape", [(3,), (4, 3), (1,), (5, 1)])
     def test_planar_input_only(self, shape):
         with pytest.raises(GaugeError):

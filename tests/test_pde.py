@@ -216,6 +216,28 @@ class TestTorsionOracles:
         assert math.isfinite(res.residual) and res.residual > 1e-8
         assert res.residual != np.finfo(float).eps
 
+    def test_failed_wolfe_search_not_converged(self, monkeypatch):
+        # the nonlinear path: every trial point after each level's start
+        # reads +inf, so no step decreases the value along either direction
+        started = []  # the problems themselves, so no id is reused
+        value_grad = _TorsionProblem.value_grad
+
+        def first_finite(self, psi):
+            f, g = value_grad(self, psi)
+            if any(problem is self for problem in started):
+                return math.inf, g
+            started.append(self)
+            return f, g
+
+        monkeypatch.setattr(_TorsionProblem, "value_grad", first_finite)
+        with pytest.raises(ConvergenceError) as err:
+            solve_torsion(SQUARE, LQ4, 3.0, 1.0 / 24.0)
+        res = err.value.result
+        assert res.converged is False
+        assert res.stop == "line_search"
+        assert res.iterations == len(started)  # one failed step per level
+        assert math.isfinite(res.residual) and res.residual > 1e-4
+
     def test_nonnegative(self):
         res = solve_torsion(ConvexPolygon.regular(6, 1.0), LQ4, 1.5,
                             1.0 / 32.0)

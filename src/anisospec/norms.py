@@ -11,9 +11,11 @@ Both families admit closed forms for the polar gauge (dual exponent,
 inverse matrix) and the area of the unit polar ball (the Wulff shape),
 so no numeric sup/inversion sits on the solver hot path.  Each gauge has
 one evaluation formula, ``value2`` on the x/y parts, and one gradient
-formula, ``value_wgrad2``, which returns W = F grad F (grad F = W / F
-away from the origin); calling the gauge on (..., 2) points evaluates
-``value2``.  The sup-based polar is kept in the test suite as an
+formula, ``value_wgrad2``, which returns F and W = F grad F (grad F =
+W / F away from the origin); calling the gauge on (..., 2) points
+evaluates ``value2``.  The lq gradient is built from ``value2``'s own
+operations, so its F is bitwise ``value2``'s and there is still one value
+formula per family.  The sup-based polar is kept in the test suite as an
 independent oracle.
 
 The module also provides ``pi_p``, the generalized pi governing the
@@ -137,20 +139,48 @@ class MinkowskiNorm:
         return np.where(m == 0.0, 0.0, v)
 
     def value_wgrad2(self, gx, gy) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Return (F, W1, W2) with W = F * grad F = grad(F^2)/2, finite at 0."""
+        """Return (F, W1, W2) with W = F * grad F = grad(F^2)/2, finite at 0.
+
+        F is bitwise the value of ``value2``.  For lq with q != 2, W reuses
+        the terms of that formula: with m = max(|gx|, |gy|), r = min / m,
+        big = 1 + r^q and u = big^(1/q), F = m u; W is F u / big on the
+        larger component and that times r^(q-1) on the smaller, each
+        signed like its component of g.  At q = 2, W is (g / F) F, not g:
+        the quadratic-gauge reports are pinned to that rounding.
+        """
         if self.family == "ellipse":
             a = self.A
             f = self.value2(gx, gy)
             return f, a[0, 0] * gx + a[0, 1] * gy, a[0, 1] * gx + a[1, 1] * gy
         q = self.q
-        f = self.value2(gx, gy)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            tx = np.abs(gx) / f
-            ty = np.abs(gy) / f
-            w1 = np.sign(gx) * np.power(tx, q - 1.0) * f
-            w2 = np.sign(gy) * np.power(ty, q - 1.0) * f
-        zero = f == 0.0
-        return f, np.where(zero, 0.0, w1), np.where(zero, 0.0, w2)
+        if q == 2.0:
+            f = self.value2(gx, gy)
+            safe = np.where(f > 0.0, f, 1.0)  # g = 0 where F = 0
+            return f, gx / safe * f, gy / safe * f
+        shape = np.broadcast(gx, gy).shape
+        # arrays even for 0-d input, so that every step below runs in place
+        ax = np.abs(gx, out=np.empty(shape))
+        ay = np.abs(gy, out=np.empty(shape))
+        y_larger = ax < ay
+        f = np.maximum(ax, ay, out=np.empty(shape))
+        r = np.minimum(ax, ay, out=ax)
+        with np.errstate(invalid="ignore"):
+            r /= f
+        np.fmax(r, 0.0, out=r)  # 0/0 at g = 0: r = 0 makes F and W zero there
+        big = np.power(r, q, out=ay)
+        big += 1.0
+        u = np.power(big, 1.0 / q, out=np.empty(shape))
+        f *= u
+        w_max = u  # the larger component's W, F u / big
+        w_max *= f
+        w_max /= big
+        w_min = np.power(r, q - 1.0, out=r)
+        w_min *= w_max
+        w1 = np.where(y_larger, w_min, w_max)
+        w2 = np.where(y_larger, w_max, w_min)
+        np.copysign(w1, gx, out=w1)
+        np.copysign(w2, gy, out=w2)
+        return f, w1, w2
 
     # -- derived quantities --------------------------------------------------
 

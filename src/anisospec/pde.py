@@ -189,16 +189,26 @@ def _fp(norm: MinkowskiNorm, gx, gy, p: float, eps: float) -> np.ndarray:
 
 
 def _fp_grad(norm: MinkowskiNorm, gx, gy, p: float, eps: float):
-    f, w1, w2 = norm.value_wgrad2(gx, gy)
-    s = f * f
-    r = np.sqrt(s + eps * eps)
-    fe = np.divide(s, r + eps, out=np.zeros_like(s), where=(r + eps) > 0.0)
+    """(F_eps^p, c W1, c W2) with c = p F_eps^(p-1) / sqrt(F^2 + eps^2).
+
+    It works in place on the arrays that ``value_wgrad2`` returns, with
+    the operations of the closed form in their order, so the values are
+    those of the out-of-place formula bit for bit.
+    """
+    s, w1, w2 = norm.value_wgrad2(gx, gy)
+    s *= s
+    r = s + eps * eps
+    np.sqrt(r, out=r)
+    # r vanishes only at eps = 0, where F = 0; F_eps and c stay 0 there
+    live = r > 0.0 if eps == 0.0 else True
+    fe = np.divide(s, r + eps, out=s, where=live)
     fe1 = _pow(fe, p - 1.0)
     fp = fe1 * fe  # one power call; bit-identical to fe * fe at p = 2
-    with np.errstate(divide="ignore", invalid="ignore"):
-        c = p * fe1 / r
-    c = np.where(r > 0.0, c, 0.0)
-    return fp, c * w1, c * w2
+    fe1 *= p  # fe is spent; at p = 2 fe1 is fe
+    c = np.divide(fe1, r, out=r, where=live)
+    w1 *= c
+    w2 *= c
+    return fp, w1, w2
 
 
 def grad_energy(psi: np.ndarray, grid: Grid, norm: MinkowskiNorm, p: float,
@@ -212,31 +222,41 @@ def grad_energy(psi: np.ndarray, grid: Grid, norm: MinkowskiNorm, p: float,
 
 def _grad_energy_with_grad(psi, grid, norm, p, eps):
     gxl, gyl, gxu, gyu = _tri_gradients(psi, grid.hx, grid.hy)
-    fpl, ax, ay = _fp_grad(norm, gxl, gyl, p, eps)
-    fpu, bx, by = _fp_grad(norm, gxu, gyu, p, eps)
     w = 0.5 * grid.cell_area
-    val = float(w * (fpl.sum() + fpu.sum()))
     cx = w / grid.hx
     cy = w / grid.hy
     g = np.zeros_like(psi)
-    g[1:, :-1] += cx * ax
-    g[:-1, :-1] -= cx * ax + cy * ay
-    g[:-1, 1:] += cy * ay
-    g[1:, 1:] += cx * bx + cy * by
-    g[:-1, 1:] -= cx * bx
-    g[1:, :-1] -= cy * by
+    # halves one at a time: stacked, oracle-solve RSS rose 269 -> 360 MB
+    fpl, ax, ay = _fp_grad(norm, gxl, gyl, p, eps)
+    sum_l = fpl.sum()
+    del fpl
+    ax *= cx
+    ay *= cy
+    g[1:, :-1] += ax
+    ax += ay
+    g[:-1, :-1] -= ax
+    g[:-1, 1:] += ay
+    del ax, ay
+    fpu, bx, by = _fp_grad(norm, gxu, gyu, p, eps)
+    val = float(w * (sum_l + fpu.sum()))
+    bx *= cx
+    by *= cy
+    g[1:, 1:] += np.add(bx, by, out=fpu)
+    g[:-1, 1:] -= bx
+    g[1:, :-1] -= by
     return val, g
 
 
 # -- preconditioner and prolongation -----------------------------------------
 
 
-def _make_precond(grid: Grid):
+def _make_precond(grid: Grid, free: np.ndarray):
     """Inverse of the 5-point Laplacian on the full bounding grid (zero BC).
 
     Applied through DST-I diagonalization; restricted to the mask on the
-    way out.  On rectangle-aligned domains this is the exact inverse of
-    the p=2 Euclidean Hessian, elsewhere a spectrally equivalent one.
+    way out by multiplying with ``free``, the mask as 1.0 / 0.0.  On
+    rectangle-aligned domains this is the exact inverse of the p=2
+    Euclidean Hessian, elsewhere a spectrally equivalent one.
     """
     m1, m2 = grid.nx - 2, grid.ny - 2
     lam1 = (2.0 - 2.0 * np.cos(np.pi * np.arange(1, m1 + 1) / (m1 + 1))) \
@@ -244,13 +264,14 @@ def _make_precond(grid: Grid):
     lam2 = (2.0 - 2.0 * np.cos(np.pi * np.arange(1, m2 + 1) / (m2 + 1))) \
         / (grid.hy * grid.hy)
     den = lam1[:, None] + lam2[None, :]
-    mask = grid.mask
+    inner = free[1:-1, 1:-1]  # the border nodes are never free
 
     def apply(g: np.ndarray) -> np.ndarray:
+        t = dstn(g[1:-1, 1:-1], type=1, workers=-1)
+        t /= den
         z = np.zeros_like(g)
-        z[1:-1, 1:-1] = idstn(dstn(g[1:-1, 1:-1], type=1, workers=-1) / den,
-                              type=1, workers=-1)
-        z[~mask] = 0.0
+        np.multiply(idstn(t, type=1, workers=-1, overwrite_x=True), inner,
+                    out=z[1:-1, 1:-1])
         return z
 
     return apply
@@ -287,14 +308,16 @@ class _DescentProblem:
         self.norm = norm
         self.p = p
         self.eps = eps
-        self.precond = _make_precond(grid)
+        # the mask as 1.0 / 0.0: multiplying by it zeroes the fixed nodes
+        self.free = grid.mask.astype(float)
+        self.precond = _make_precond(grid, self.free)
         self.quadratic = p == 2.0 and norm.is_quadratic()
 
-    def feasible(self, psi: np.ndarray) -> np.ndarray:
-        out = psi.copy()
+    def feasible(self, out: np.ndarray) -> np.ndarray:
+        """Clamp (eigen problem) and zero the fixed nodes of ``out`` in place."""
         if self.clamp:
             np.clip(out, 0.0, None, out=out)
-        out[~self.grid.mask] = 0.0
+        out *= self.free
         return out
 
     def ray_point(self, psi, d, alpha):
@@ -304,7 +327,9 @@ class _DescentProblem:
         eigen problem normalizes the denominator.  (None, 0) for a point
         that cannot be normalized.
         """
-        return self.feasible(psi + alpha * d), 1.0
+        cand = alpha * d  # the one new array of a trial point
+        cand += psi
+        return self.feasible(cand), 1.0
 
     def accept(self, psi, d, alpha):
         """(iterate, value) at step ``alpha`` along ``d``."""
@@ -331,7 +356,7 @@ class _EigenProblem(_DescentProblem):
     clamp = True
 
     def prepare(self, psi):
-        psi = self.feasible(psi)
+        psi = self.feasible(psi.copy())
         d = self.denom(psi)
         if d <= 0.0:
             psi = self.feasible(_bbox_seed(self.grid))
@@ -339,7 +364,8 @@ class _EigenProblem(_DescentProblem):
         return psi / d ** (1.0 / self.p)
 
     def denom(self, psi) -> float:
-        v = np.abs(psi[self.grid.mask])
+        # iterates are clamped nonnegative, so |psi| is psi
+        v = psi[self.grid.mask]
         return float(self.grid.cell_area * _pow(v, self.p).sum())
 
     def value(self, psi) -> float:
@@ -350,10 +376,12 @@ class _EigenProblem(_DescentProblem):
         num, gn = _grad_energy_with_grad(psi, self.grid, self.norm, self.p,
                                          self.eps)
         p = self.p
-        gd = p * self.grid.cell_area * np.sign(psi) * _pow(np.abs(psi), p - 1.0)
-        g = gn - num * gd  # denominator is 1 by normalization
-        g[~self.grid.mask] = 0.0
-        return num, g
+        # d/dpsi of the denominator; iterates are clamped nonnegative
+        gd = _pow(psi, p - 1.0) * (p * self.grid.cell_area)
+        gd *= num
+        gn -= gd  # the denominator is 1 by normalization
+        gn *= self.free
+        return num, gn
 
     def step_candidates(self, psi, d, f, slope, alpha0):
         if self.quadratic:
@@ -376,7 +404,7 @@ class _EigenProblem(_DescentProblem):
         return [0.5 * (nrm_p + 1e-30) / (nrm_d + 1e-30)]
 
     def ray_point(self, psi, d, alpha):
-        cand = self.feasible(psi + alpha * d)
+        cand, _ = super().ray_point(psi, d, alpha)
         dc = self.denom(cand)
         if dc <= 0.0:
             return None, 0.0
@@ -389,7 +417,7 @@ class _TorsionProblem(_DescentProblem):
     clamp = False
 
     def prepare(self, psi):
-        return self.feasible(psi)
+        return self.feasible(psi.copy())
 
     def value(self, psi) -> float:
         num = grad_energy(psi, self.grid, self.norm, self.p, self.eps)
@@ -398,11 +426,11 @@ class _TorsionProblem(_DescentProblem):
     def value_grad(self, psi):
         num, gn = _grad_energy_with_grad(psi, self.grid, self.norm, self.p,
                                          self.eps)
-        g = gn / self.p
-        g[self.grid.mask] -= self.grid.cell_area
-        g[~self.grid.mask] = 0.0
+        gn /= self.p
+        gn -= self.grid.cell_area  # the load, then zero on the fixed nodes
+        gn *= self.free
         val = num / self.p - self.grid.cell_area * float(psi[self.grid.mask].sum())
-        return val, g
+        return val, gn
 
     def step_candidates(self, psi, d, f, slope, alpha0):
         if self.quadratic:
@@ -684,9 +712,10 @@ def _coarse_to_fine(problem_cls, poly: ConvexPolygon, norm: MinkowskiNorm,
     return grids[0], psi, total_it, residual, converged, stop
 
 
-def _not_converged(kind: str, poly: ConvexPolygon, result) -> ConvergenceError:
+def _not_converged(kind: str, poly: ConvexPolygon, result,
+                   outcome: str = "did not converge") -> ConvergenceError:
     return ConvergenceError(
-        f"{kind} solve on {poly.provenance} did not converge (stop "
+        f"{kind} solve on {poly.provenance} {outcome} (stop "
         f"{result.stop}, residual {result.residual:.2e} after "
         f"{result.iterations} iterations)", result)
 
@@ -701,21 +730,27 @@ def solve_eigen(poly: ConvexPolygon, norm: MinkowskiNorm, p: float, h: float,
     the 25-iteration relative quotient decrease on the nonlinear path (see
     the module docstring).  Raises ConvergenceError (carrying the partial
     result) when neither rule is met within ``max_iter`` total iterations
-    or the line search fails short of sqrt(tol).
+    or the line search fails short of sqrt(tol), and when the descent
+    ends on a null field (the partial result then holds the zero field
+    and lambda = nan).
     """
     grid, psi, total_it, residual, converged, stop = _coarse_to_fine(
         _EigenProblem, poly, norm, p, h, tol, max_iter)
     umax = float(psi.max())
-    if umax <= 0.0:
-        raise ConvergenceError("eigen iteration produced a null field")
-    u = psi / umax
-    num = grad_energy(u, grid, norm, p, eps=0.0)
-    den = grid.cell_area * float(_pow(u[grid.mask], p).sum())
-    lam = num / den
+    null = not umax > 0.0
+    if null:
+        u, lam = np.zeros_like(psi), math.nan
+    else:
+        u = psi / umax
+        num = grad_energy(u, grid, norm, p, eps=0.0)
+        den = grid.cell_area * float(_pow(u[grid.mask], p).sum())
+        lam = num / den
     result = EigenResult(lambda_=lam, u=GridField(grid, u), iterations=total_it,
                          residual=residual, p=p, norm_id=norm.spec_string(),
-                         domain_id=poly.provenance, converged=converged,
-                         stop=stop)
+                         domain_id=poly.provenance,
+                         converged=converged and not null, stop=stop)
+    if null:
+        raise _not_converged("eigen", poly, result, "produced a null field")
     if not converged:
         raise _not_converged("eigen", poly, result)
     return result
@@ -727,23 +762,31 @@ def solve_torsion(poly: ConvexPolygon, norm: MinkowskiNorm, p: float, h: float,
     """Minimize J(v) = (1/p) sum F_eps(grad v)^p - sum v over zero-boundary fields.
 
     ``tol`` and ``max_iter`` act, and ConvergenceError is raised, as in
-    ``solve_eigen``.
+    ``solve_eigen``; when the descent ends with no positive value, the
+    partial result reports T, Mv and T_dual as nan.
     """
     grid, psi, total_it, residual, converged, stop = _coarse_to_fine(
         _TorsionProblem, poly, norm, p, h, tol, max_iter)
     mv = float(psi.max())
+    null = not mv > 0.0
     # clip pure float noise; genuine sign defects are left visible
     noise = psi < 0.0
     if noise.any() and float(psi.min()) > -1e-12 * max(mv, 1.0):
         psi = psi.copy()
         psi[noise] = 0.0
-    t_int = grid.cell_area * float(psi[grid.mask].sum())
-    t_dual = grad_energy(psi, grid, norm, p, eps=0.0)
+    if null:
+        mv = t_int = t_dual = math.nan
+    else:
+        t_int = grid.cell_area * float(psi[grid.mask].sum())
+        t_dual = grad_energy(psi, grid, norm, p, eps=0.0)
     result = TorsionResult(v=GridField(grid, psi), T=t_int, Mv=mv,
                            T_dual=t_dual, iterations=total_it, residual=residual,
                            p=p, norm_id=norm.spec_string(),
-                           domain_id=poly.provenance, converged=converged,
-                           stop=stop)
+                           domain_id=poly.provenance,
+                           converged=converged and not null, stop=stop)
+    if null:
+        raise _not_converged("torsion", poly, result,
+                             "produced no positive value")
     if not converged:
         raise _not_converged("torsion", poly, result)
     return result

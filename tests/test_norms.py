@@ -121,6 +121,44 @@ class TestGrad:
             f, w1, w2 = norm.value_wgrad2(zero, zero)
             assert np.all(f == 0.0) and np.all(w1 == 0.0) and np.all(w2 == 0.0)
 
+    @pytest.mark.parametrize("q", [1.01, 1.2, 1.5, 3.0, 4.0, 8.0])
+    def test_lq_wgrad_against_two_power_formula(self, q):
+        # value_wgrad2 builds W from value2's own terms; the reference
+        # raises |g_i| / F to the power q - 1 for each component
+        rng = np.random.default_rng(int(100 * q) + 1)
+        ties = rng.normal(size=300)
+        x = np.concatenate([
+            rng.normal(size=3000) * 10.0 ** rng.uniform(-8, 8, 3000),
+            np.zeros(200), [0.0, -0.0, -0.0, 0.0, 3.0, -3.0], ties, -ties])
+        y = np.concatenate([
+            rng.normal(size=3000) * 10.0 ** rng.uniform(-8, 8, 3000),
+            rng.normal(size=200), [0.0, 0.0, -0.0, -2.0, -0.0, 0.0],
+            ties, ties])
+        norm = MinkowskiNorm.lq(q)
+
+        def reference(gx, gy):
+            f = norm.value2(gx, gy)
+            with np.errstate(invalid="ignore", divide="ignore"):
+                w1 = np.sign(gx) * np.power(np.abs(gx) / f, q - 1.0) * f
+                w2 = np.sign(gy) * np.power(np.abs(gy) / f, q - 1.0) * f
+            zero = f == 0.0
+            return np.where(zero, 0.0, w1), np.where(zero, 0.0, w2)
+
+        inputs = [(x, y), (x[:3600].reshape(60, 60), y[:3600].reshape(60, 60))]
+        # 0-d input: numpy scalars and 0-d arrays
+        inputs += [(np.float64(a), np.float64(b))
+                   for a, b in zip(x[::97], y[::97])]
+        inputs += [(np.asarray(a), np.asarray(b))
+                   for a, b in zip(x[-8:], y[-8:])]
+        for gx, gy in inputs:
+            f, w1, w2 = norm.value_wgrad2(gx, gy)
+            assert np.shape(f) == np.shape(w1) == np.shape(w2) == np.shape(gx)
+            value = np.asarray(norm.value2(gx, gy))
+            assert np.array_equal(np.asarray(f).view(np.int64),
+                                  value.view(np.int64))
+            for got, want in zip((w1, w2), reference(gx, gy)):
+                assert np.all(np.abs(got - want) <= 1e-14 * f)
+
     @given(st.floats(-10, 10), st.floats(-10, 10))
     @settings(max_examples=40, deadline=None)
     def test_degree_zero_homogeneous(self, x, y):

@@ -1,17 +1,20 @@
 """Solver oracles, maximum-principle fields, and the comparison profile."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.special import jn_zeros
 
+from anisospec import harness, pde
 from anisospec.geometry import CoarseGridError, ConvexPolygon, wulff_domain
 from anisospec.norms import MinkowskiNorm, pi_p
 from anisospec.pde import (ConvergenceError, build_grid, efficiency_ratio,
                            grad_energy, mass_bound_check, p_function,
                            phi_check, phi_profile, solve_eigen, solve_torsion,
-                           _tri_gradients, _TorsionProblem)
+                           _grad_energy_with_grad, _tri_gradients,
+                           _TorsionProblem)
 
 LQ2 = MinkowskiNorm.lq(2)
 LQ4 = MinkowskiNorm.lq(4)
@@ -43,6 +46,118 @@ def square_torsion_integral(terms=40):
 
 SQUARE_MV = square_torsion_series()          # 0.294685...
 SQUARE_T = square_torsion_integral()         # 0.562282...
+
+
+# -- reference energy-gradient kernel -----------------------------------------
+# The energy-gradient kernel written out of place, with the two-power lq
+# gradient sign(g) (|g| / F)^(q-1) F.  The quadratic-gauge reports are pinned
+# to its arithmetic: the solver's kernel must reproduce it bit for bit there.
+
+
+def _ref_pow(x, p):
+    if p == 2.0:
+        return x * x
+    if p == 1.0:
+        return x
+    return np.power(x, p)
+
+
+def _ref_value_wgrad2(norm, gx, gy):
+    f = norm.value2(gx, gy)
+    if norm.family == "ellipse":
+        a = norm.A
+        return f, a[0, 0] * gx + a[0, 1] * gy, a[0, 1] * gx + a[1, 1] * gy
+    q = norm.q
+    with np.errstate(invalid="ignore", divide="ignore"):
+        w1 = np.sign(gx) * np.power(np.abs(gx) / f, q - 1.0) * f
+        w2 = np.sign(gy) * np.power(np.abs(gy) / f, q - 1.0) * f
+    zero = f == 0.0
+    return f, np.where(zero, 0.0, w1), np.where(zero, 0.0, w2)
+
+
+def _ref_fp_grad(norm, gx, gy, p, eps):
+    f, w1, w2 = _ref_value_wgrad2(norm, gx, gy)
+    s = f * f
+    r = np.sqrt(s + eps * eps)
+    fe = np.divide(s, r + eps, out=np.zeros_like(s), where=(r + eps) > 0.0)
+    fe1 = _ref_pow(fe, p - 1.0)
+    fp = fe1 * fe
+    with np.errstate(divide="ignore", invalid="ignore"):
+        c = p * fe1 / r
+    c = np.where(r > 0.0, c, 0.0)
+    return fp, c * w1, c * w2
+
+
+def _ref_grad_energy_with_grad(psi, grid, norm, p, eps):
+    gxl, gyl, gxu, gyu = _tri_gradients(psi, grid.hx, grid.hy)
+    fpl, ax, ay = _ref_fp_grad(norm, gxl, gyl, p, eps)
+    fpu, bx, by = _ref_fp_grad(norm, gxu, gyu, p, eps)
+    w = 0.5 * grid.cell_area
+    val = float(w * (fpl.sum() + fpu.sum()))
+    cx = w / grid.hx
+    cy = w / grid.hy
+    g = np.zeros_like(psi)
+    g[1:, :-1] += cx * ax
+    g[:-1, :-1] -= cx * ax + cy * ay
+    g[:-1, 1:] += cy * ay
+    g[1:, 1:] += cx * bx + cy * by
+    g[:-1, 1:] -= cx * bx
+    g[1:, :-1] -= cy * by
+    return val, g
+
+
+def _seeded_field(grid, seed):
+    """Random values on the free nodes, with a flat patch where grad = 0."""
+    rng = np.random.default_rng(seed)
+    psi = np.where(grid.mask, rng.standard_normal(grid.mask.shape), 0.0)
+    free = np.argwhere(grid.mask)
+    i, j = free[len(free) // 2]
+    psi[i - 2:i + 3, j - 2:j + 3] = 0.5
+    return psi
+
+
+HEXAGON = ConvexPolygon.regular(6, 1.0)
+KERNEL_NORMS = {"lq2": LQ2, "ellipse-4-0-1": ELL,
+                "ellipse-2-0.5-1": MinkowskiNorm.ellipse(2, 0.5, 1),
+                "lq4": LQ4}
+
+
+class TestKernel:
+    @pytest.mark.parametrize("name", ["lq2", "ellipse-4-0-1",
+                                      "ellipse-2-0.5-1"])
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+    @pytest.mark.parametrize("eps", [0.0, 1e-3])
+    def test_quadratic_gauges_bitwise(self, name, p, eps):
+        norm = KERNEL_NORMS[name]
+        for seed, poly in enumerate((ConvexPolygon.rectangle(1, 2), HEXAGON)):
+            grid = build_grid(poly, poly.diameter / 40)
+            psi = _seeded_field(grid, seed)
+            val, g = _grad_energy_with_grad(psi, grid, norm, p, eps)
+            ref_val, ref_g = _ref_grad_energy_with_grad(psi, grid, norm, p,
+                                                        eps)
+            assert val == ref_val
+            assert np.array_equal(g, ref_g)
+
+    @pytest.mark.parametrize("name", list(KERNEL_NORMS))
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+    def test_peak_memory_not_above_reference(self, name, p):
+        # tracemalloc sees numpy's buffers; the peak of one call, in
+        # units of one field, must not exceed the reference kernel's
+        norm = KERNEL_NORMS[name]
+        grid = build_grid(SQUARE, 2.0 / 256)
+        assert grid.mask.shape == (257, 257)
+        psi = _seeded_field(grid, 7)
+        eps = pde._eps_for(SQUARE, norm, p)
+        peaks = []
+        for kernel in (_grad_energy_with_grad, _ref_grad_energy_with_grad):
+            kernel(psi, grid, norm, p, eps)  # warm any caches
+            tracemalloc.start()
+            try:
+                kernel(psi, grid, norm, p, eps)
+                peaks.append(tracemalloc.get_traced_memory()[1] / psi.nbytes)
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] <= peaks[1], peaks
 
 
 class TestGrid:
@@ -139,6 +254,31 @@ class TestEigenOracles:
             solve_eigen(SQUARE, LQ4, 3.0, 1.0 / 32.0, tol=1e-14, max_iter=40)
         assert err.value.result is not None
         assert not err.value.result.converged
+
+
+    def test_null_field_is_inconclusive(self, monkeypatch):
+        # a descent that ends on the zero field raises with a partial
+        # result, so the harness reports the case instead of crashing
+        solve = pde._coarse_to_fine
+
+        def null_field(*args):
+            grid, psi, *rest = solve(*args)
+            return (grid, np.zeros_like(psi), *rest)
+
+        monkeypatch.setattr(pde, "_coarse_to_fine", null_field)
+        with pytest.raises(ConvergenceError, match="null field") as err:
+            solve_eigen(SQUARE, LQ2, 2.0, 1.0 / 16.0)
+        res = err.value.result
+        assert res is not None and res.converged is False
+        assert math.isnan(res.lambda_)
+        assert not res.u.values.any()
+        with pytest.raises(ConvergenceError, match="no positive") as err:
+            solve_torsion(SQUARE, LQ2, 2.0, 1.0 / 16.0)
+        res = err.value.result
+        assert res is not None and res.converged is False
+        assert math.isnan(res.T) and math.isnan(res.Mv)
+        spec = harness.CaseSpec("rect:1,1", "lq:2", 2.0)
+        assert harness.run_case(spec).status == "inconclusive"
 
 
 class TestEigenProperties:

@@ -10,7 +10,7 @@ from .cheeger import CheegerResult, cheeger_bounds, cheeger_estimate
 from .config import DEFAULTS, INEQUALITY_IDS, ToleranceTable
 from .geometry import (ConvexPolygon, DistanceField, GeometryError,
                        CoarseGridError, distance_field, parse_domain,
-                       rect_ratio_limit, wulff_domain)
+                       wulff_domain)
 from .harness import (CaseSpec, InequalityReport, convergence_study,
                       default_catalog, run_case, slab_sweep)
 from .norms import (GaugeError, MinkowskiNorm, pi_p, pi_p_quadrature,
@@ -31,6 +31,6 @@ __all__ = [
     "cheeger_estimate", "convergence_study", "default_catalog",
     "distance_field", "efficiency_ratio", "mass_bound_check", "p_function",
     "parse_domain", "phi_check", "phi_profile", "pi_p", "pi_p_quadrature",
-    "rect_ratio_limit", "run_case", "slab_sweep", "solve_eigen",
+    "run_case", "slab_sweep", "solve_eigen",
     "solve_torsion", "wulff_domain", "wulff_polygon",
 ]

@@ -27,7 +27,7 @@ import numpy as np
 from scipy.optimize import linprog
 from scipy.spatial import ConvexHull, QhullError
 
-from .norms import MinkowskiNorm, warn_if_not_axis_aligned, wulff_polygon
+from .norms import MinkowskiNorm, wulff_polygon
 
 _DEDUP_TOL = 1e-12
 
@@ -331,18 +331,6 @@ def parse_domain(spec: str, norm: MinkowskiNorm | None = None) -> ConvexPolygon:
     raise GeometryError(f"unknown domain family {head!r}")
 
 
-def rect_ratio_limit(a: float, norm: MinkowskiNorm) -> float:
-    """Limit of perimeter/area for ]-a,a[ x ]-k,k[ as k grows: 1/(a F°(e1)).
-
-    Warns when the axis-alignment identity F(e1) F°(e1) = 1 fails, since
-    the closed form is derived from it.
-    """
-    if not (a > 0):
-        raise GeometryError("slab half-width a must be positive")
-    warn_if_not_axis_aligned(norm)
-    return 1.0 / (a * float(norm.polar_eval(np.array([1.0, 0.0]))))
-
-
 # -- gridded distance field ------------------------------------------------------
 
 
@@ -351,9 +339,7 @@ class DistanceField:
     """Anisotropic distance to the boundary sampled on a uniform grid.
 
     ``values`` is zero outside ``mask``; ``h`` is the larger of the two
-    axis spacings.  ``ridge`` marks nodes whose two best edge-line
-    distances are within 2h (where the gradient of the distance is
-    discontinuous); it over-flags, never under-flags.
+    axis spacings.
     """
 
     h: float
@@ -361,7 +347,6 @@ class DistanceField:
     y: np.ndarray
     mask: np.ndarray
     values: np.ndarray
-    ridge: np.ndarray
     inradius: float
     argmax: np.ndarray
 
@@ -385,18 +370,13 @@ def distance_field(poly: ConvexPolygon, norm: MinkowskiNorm,
     # one edge at a time: a points x edges matrix takes 26 MB on the
     # 256-gon Wulff domain at the catalog's spacing
     best = np.full(len(pts), np.inf)
-    second = np.full(len(pts), np.inf)
     for n, c, f in zip(normals, offsets, fn):
-        d = (c - pts @ n) / f
-        np.minimum(second, np.maximum(best, d), out=second)
-        np.minimum(best, d, out=best)
+        np.minimum(best, (c - pts @ n) / f, out=best)
 
     values = np.zeros(grid.mask.shape)
     values[grid.mask] = best
-    ridge = np.zeros(grid.mask.shape, dtype=bool)
-    ridge[grid.mask] = (second - best) <= 2.0 * grid.h
     i, j = np.unravel_index(int(np.argmax(values)), values.shape)
     return DistanceField(h=grid.h, x=grid.x, y=grid.y, mask=grid.mask,
-                         values=values, ridge=ridge,
+                         values=values,
                          inradius=float(values[i, j]),
                          argmax=np.array([grid.x[i], grid.y[j]]))

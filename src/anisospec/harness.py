@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import math
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -149,8 +150,7 @@ def evaluate_inequalities(poly: ConvexPolygon, gauge: MinkowskiNorm, p: float,
                      f"here p*pi_p = {p * pi_p(p):.6g} vs 2N = {2 * N_DIM}"),
         _record("reverse_cheeger", lam, half_pi**p * h_est**p, tols, h),
         _record("perimeter_upper", lam, (half_pi * per / area) ** p, tols, h),
-        _record("payne", ((p - 1.0) / p) ** (p - 1.0) * half_pi**p,
-                lam * mv ** (p - 1.0), tols, h),
+        _record("payne", slab_constant(p), lam * mv ** (p - 1.0), tols, h),
         _record("functional_chain", lam * (t_rig / area) ** (p - 1.0),
                 (area * mv / t_rig) ** (p - 1.0), tols, h, parts=[
                     {"name": "torsion mean below max",
@@ -184,6 +184,12 @@ def evaluate_inequalities(poly: ConvexPolygon, gauge: MinkowskiNorm, p: float,
     return tuple(recs)
 
 
+def slab_constant(p: float) -> float:
+    """((p-1)/p)^(p-1) (pi_p/2)^p: the one-dimensional lower bound on
+    lambda Mv^(p-1), attained in the slab limit."""
+    return ((p - 1.0) / p) ** (p - 1.0) * (0.5 * pi_p(p)) ** p
+
+
 def run_case(spec: CaseSpec,
              tols: ToleranceTable | None = None) -> InequalityReport:
     """Solve one case and score every inequality record.
@@ -215,7 +221,7 @@ def run_case(spec: CaseSpec,
     records = evaluate_inequalities(poly, gauge, spec.p, eigen, torsion, ch, h,
                                     tols)
     pf = p_function(eigen, gauge, spec.p)
-    phi_viol, payne_lhs = phi_check(eigen, torsion, spec.p)
+    phi_viol = phi_check(eigen, torsion, spec.p)
 
     case = {
         "id": spec.case_id,
@@ -253,7 +259,7 @@ def run_case(spec: CaseSpec,
         "mass_ratio": mass_bound_check(eigen, poly.area, spec.p),
         "p_function_max": pf.max_interior,
         "phi_violation": phi_viol,
-        "payne_slab_constant": payne_lhs,
+        "payne_slab_constant": slab_constant(spec.p),
         "h": h,
     }
     if inconclusive:
@@ -290,17 +296,16 @@ def slab_sweep(a: float, gauge: MinkowskiNorm, p: float, ks: list[float],
     r1 = lambda R_F^p / (pi_p/2)^p            (inradius lower bound)
     r2 = h_est * R_F                          (Cheeger inradius lower bound)
     r3 = P_F R_F / area                       (perimeter-inradius bound)
-    r4 = lambda Mv^(p-1) / slab constant      (torsion-max bound)
+    r4 = lambda Mv^(p-1) / slab_constant(p)   (torsion-max bound)
 
     All four tend to 1 from above as k grows; the grid is tied to the
     short side (h = 2a * slab_h_fraction by default) so the accuracy is
-    k-independent.
+    k-independent.  The limits assume R_F = a F°(e1), and a k whose
+    inradius differs warns.  As R_F <= a / F(e1) <= a F°(e1), with
+    equality in the second step iff the gauge is axis-aligned
+    (F(e1) F°(e1) = 1), an unaligned gauge warns at every k.
     """
-    from .geometry import rect_ratio_limit
-
-    rect_ratio_limit(a, gauge)  # warns when the alignment identity fails
     half_pi = 0.5 * pi_p(p)
-    payne_const = ((p - 1.0) / p) ** (p - 1.0) * half_pi**p
     h_eff = h if h is not None else 2.0 * a * DEFAULTS["slab_h_fraction"]
     rows = []
     for k in ks:
@@ -308,11 +313,10 @@ def slab_sweep(a: float, gauge: MinkowskiNorm, p: float, ks: list[float],
         r_f, _ = poly.inradius_F(gauge)
         expect_rf = a * float(gauge.polar_eval(np.array([1.0, 0.0])))
         if abs(r_f - expect_rf) > 1e-9 * max(expect_rf, 1.0):
-            import warnings
-
             warnings.warn(f"slab sweep at k={k:g}: inradius {r_f:g} is not "
                           f"a*F°(e1)={expect_rf:g}; the limit formulas assume "
-                          "the short direction dominates", stacklevel=2)
+                          "an axis-aligned gauge whose short direction "
+                          "dominates", stacklevel=2)
         eigen = solve_eigen(poly, gauge, p, h_eff, tol=tol)
         torsion = solve_torsion(poly, gauge, p, h_eff, tol=tol)
         ch = cheeger_estimate(poly, gauge)
@@ -321,7 +325,7 @@ def slab_sweep(a: float, gauge: MinkowskiNorm, p: float, ks: list[float],
             "r1": eigen.lambda_ * r_f**p / half_pi**p,
             "r2": ch.h_est * r_f,
             "r3": poly.perimeter_F(gauge) * r_f / poly.area,
-            "r4": eigen.lambda_ * torsion.Mv ** (p - 1.0) / payne_const,
+            "r4": eigen.lambda_ * torsion.Mv ** (p - 1.0) / slab_constant(p),
         })
     return rows
 

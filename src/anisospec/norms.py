@@ -26,7 +26,6 @@ cross-check routine.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -194,11 +193,6 @@ class MinkowskiNorm:
         s = self.q / (self.q - 1.0)  # polar exponent; Wulff = unit ls-ball
         return 4.0 * gamma(1.0 + 1.0 / s) ** 2 / gamma(1.0 + 2.0 / s)
 
-    def axis_alignment_defect(self) -> float:
-        """|F(e1) F°(e1) - 1|; zero for lq and axis-aligned ellipse gauges."""
-        e1 = np.array([1.0, 0.0])
-        return abs(float(self(e1)) * float(self.polar_eval(e1)) - 1.0)
-
 
 def wulff_polygon(norm: MinkowskiNorm, r: float, n: int = 512) -> np.ndarray:
     """Sample the Wulff shape {F° = r} of ``norm`` by ``n`` rays.
@@ -248,19 +242,3 @@ def pi_p_quadrature(p: float) -> float:
     val, _ = quad(smooth_part, 0.0, 1.0, weight="alg", wvar=(0.0, -1.0 / p),
                   epsabs=1e-13, epsrel=1e-13, limit=200)
     return 2.0 * (p - 1.0) ** (1.0 / p) * val
-
-
-def warn_if_not_axis_aligned(norm: MinkowskiNorm, tol: float = 1e-9) -> float:
-    """Warn when F(e1)*F°(e1) != 1; returns the defect.
-
-    The alignment identity holds for the shipped lq family and for
-    axis-aligned ellipses; rotated ellipses violate it and the slab limit
-    formulas that rely on it then do not apply.
-    """
-    defect = norm.axis_alignment_defect()
-    if defect > tol:
-        warnings.warn(
-            f"gauge {norm.spec_string()} is not axis-aligned "
-            f"(F(e1)*F°(e1) deviates from 1 by {defect:.3e}); "
-            "slab-limit formulas assume alignment", stacklevel=2)
-    return defect

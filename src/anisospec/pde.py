@@ -18,12 +18,13 @@ Laplacian of the bounding box (applied by fast sine transforms),
 nonnegativity clamping for eigenfields, and coarse-to-fine seeding
 across a grid hierarchy.  On the quadratic path (p = 2 with a quadratic
 gauge) each step is the exact minimizer along the ray.  Elsewhere a
-bracketing Wolfe line search picks it: every trial point costs one
-value-and-gradient evaluation, whose gradient also gives the slope along
-the ray; a trial is accepted once it strictly decreases the value and
-the slope has shrunk to ``WOLFE_C2`` times the initial one, and its value
-and gradient start the next iteration.  Each solve reports which rule
-stopped it:
+bracketing Wolfe line search picks it: a trial is accepted once it
+strictly decreases the value and the slope along the ray has shrunk to
+``WOLFE_C2`` times the initial one.  On both paths every trial point
+costs one value-and-gradient evaluation, the step receives the slope of
+its direction rather than the old gradient, and the accepted trial's
+value and gradient start the next iteration.  Each solve reports which
+rule stopped it:
 
 * ``"dual"`` - quadratic path only: the preconditioned dual residual,
   the relative energy-norm error of the iterate, is below ``tol``;
@@ -331,13 +332,6 @@ class _DescentProblem:
         cand += psi
         return self.feasible(cand), 1.0
 
-    def accept(self, psi, d, alpha):
-        """(iterate, value) at step ``alpha`` along ``d``."""
-        cand, _ = self.ray_point(psi, d, alpha)
-        if cand is None:
-            return None, math.inf
-        return cand, self.value(cand)
-
     def trial(self, psi, d, alpha):
         """(iterate, value, gradient, slope) at step ``alpha`` along ``d``.
 
@@ -367,10 +361,6 @@ class _EigenProblem(_DescentProblem):
         # iterates are clamped nonnegative, so |psi| is psi
         v = psi[self.grid.mask]
         return float(self.grid.cell_area * _pow(v, self.p).sum())
-
-    def value(self, psi) -> float:
-        # iterates are kept denominator-normalized
-        return grad_energy(psi, self.grid, self.norm, self.p, self.eps)
 
     def value_grad(self, psi):
         num, gn = _grad_energy_with_grad(psi, self.grid, self.norm, self.p,
@@ -418,10 +408,6 @@ class _TorsionProblem(_DescentProblem):
 
     def prepare(self, psi):
         return self.feasible(psi.copy())
-
-    def value(self, psi) -> float:
-        num = grad_energy(psi, self.grid, self.norm, self.p, self.eps)
-        return num / self.p - self.grid.cell_area * float(psi[self.grid.mask].sum())
 
     def value_grad(self, psi):
         num, gn = _grad_energy_with_grad(psi, self.grid, self.norm, self.p,
@@ -472,10 +458,14 @@ def _descend(problem: _DescentProblem, psi0: np.ndarray, tol: float,
     """Monotone preconditioned CG descent on one grid.
 
     Each iteration steps along the CG direction, or along the
-    preconditioned steepest descent -z when the CG direction fails: by the
-    exact ray minimizer on the quadratic path (``_ray_step``), else by the
-    Wolfe line search (``_wolfe_step``).  Every accepted step strictly
-    decreases the value (on the quadratic path a tie also counts).
+    preconditioned steepest descent -z when the CG direction does not
+    descend or its step fails: by the exact ray minimizer on the quadratic
+    path (``_ray_step``), else by the Wolfe line search (``_wolfe_step``).
+    A step receives the slope of its direction, so the old gradient is
+    freed before any trial point is evaluated; each trial point costs one
+    ``value_grad``, and the accepted one's value and gradient start the
+    next iteration.  Every accepted step strictly decreases the value (on
+    the quadratic path a tie also counts).
 
     Returns (psi, iterations, residual, converged, stop), where ``stop``
     names the rule that ended the descent (see the module docstring) and
@@ -503,51 +493,50 @@ def _descend(problem: _DescentProblem, psi0: np.ndarray, tol: float,
             return (psi, it, dual if problem.quadratic else window, False,
                     "budget")
         it += 1
-        if float((g * d).sum()) >= 0.0:
+        slope = float((g * d).sum())
+        del g  # beta needs only z and gz of the old point
+        found = (step(problem, psi, d, f, slope, alpha_prev) if slope < 0.0
+                 else None)
+        if found is None:
             d = -z
-        for direction in (d, -z):
-            found = step(problem, psi, direction, f, g, alpha_prev)
-            if found is not None:
-                d = direction
-                break
-        else:
+            found = step(problem, psi, d, f, -gz, alpha_prev)  # -gz = g . -z
+        if found is None:
             # converged only if the predicted value gap dual^2 is below tol
             return psi, it, dual, dual < math.sqrt(tol), "line_search"
-        alpha_prev, psi, f, gn = found
+        alpha_prev, psi, f, g = found
+        del found  # else it keeps this g alive through the next step
         hist.append(f)
-        if gn is None:  # quadratic path: evaluated after the old psi is freed
-            f, gn = problem.value_grad(psi)
-        zn = problem.precond(gn)
-        beta = float((gn * (zn - z)).sum()) / gz
+        zn = problem.precond(g)
+        beta = float((g * (zn - z)).sum()) / gz
         beta = max(beta, 0.0)
         if not math.isfinite(beta) or beta > 10.0:
             beta = 0.0
         d = -zn + beta * d
-        g, z = gn, zn
+        z = zn
         gz = float((g * z).sum())
 
 
-def _ray_step(problem, psi, d, f, g, alpha_prev):
+def _ray_step(problem, psi, d, f, slope0, alpha_prev):
     """Quadratic path: the exact minimizer along the ray.
 
-    Returns (alpha, iterate, value, None): no gradient, which the caller
-    evaluates; or None when no candidate decreases the value.  A value
-    tie counts as a decrease: after the exact step it is float rounding,
-    not a stall.
+    Each candidate step costs one ``trial``.  Returns (alpha, iterate,
+    value, gradient) of the first candidate that does not increase the
+    value, or None when none does.  A value tie counts as a decrease:
+    after the exact step it is float rounding, not a stall.
     """
-    for alpha in problem.step_candidates(psi, d, f, float((g * d).sum()),
-                                         alpha_prev):
-        cand, fc = problem.accept(psi, d, alpha)
-        if cand is not None and fc <= f:
-            return alpha, cand, fc, None
+    for alpha in problem.step_candidates(psi, d, f, slope0, alpha_prev):
+        cand, fc, gc, _ = problem.trial(psi, d, alpha)
+        if fc <= f:
+            return alpha, cand, fc, gc
     return None
 
 
-def _wolfe_step(problem, psi, d, f, g, alpha_prev):
+def _wolfe_step(problem, psi, d, f, slope0, alpha_prev):
     """Nonlinear path: a bracketing line search for a strong Wolfe step.
 
-    With phi(alpha) the value at step alpha and phi' its slope, a trial is
-    accepted when phi(alpha) < f and |phi'(alpha)| <= WOLFE_C2 |phi'(0)|.
+    With phi(alpha) the value at step alpha and phi' its slope (phi'(0) is
+    ``slope0``), a trial is accepted when phi(alpha) < f and
+    |phi'(alpha)| <= WOLFE_C2 |phi'(0)|.
     The first trial is the last accepted step.  While the slope stays
     steeper than that, the step grows by the secant of phi' (at most 8x);
     once a trial brackets the minimizer (no decrease on the best point so
@@ -559,7 +548,6 @@ def _wolfe_step(problem, psi, d, f, g, alpha_prev):
     Returns (alpha, iterate, value, gradient) of the accepted trial, or
     None when no trial decreases the value.
     """
-    slope0 = float((g * d).sum())
     if not slope0 < 0.0:
         return None  # not a descent direction
     alpha = problem.step_candidates(psi, d, f, slope0, alpha_prev)[0]
@@ -848,13 +836,11 @@ def phi_profile(s, p: float):
     return float(out) if out.ndim == 0 else out
 
 
-def phi_check(eigen: EigenResult, torsion: TorsionResult,
-              p: float) -> tuple[float, float]:
-    """Pointwise comparison Phi(u) <= q lambda^(1/(p-1)) v and the slab constant.
+def phi_check(eigen: EigenResult, torsion: TorsionResult, p: float) -> float:
+    """Pointwise comparison Phi(u) <= q lambda^(1/(p-1)) v.
 
-    Returns (max over nodes of the left side minus the right side, which
-    should not exceed the grid tolerance, and the one-dimensional lower
-    bound ((p-1)/p)^(p-1) (pi_p/2)^p for comparison with lambda * Mv^(p-1)).
+    Returns the max over nodes of the left side minus the right side,
+    which should not exceed the grid tolerance.
     """
     gu, gv = eigen.u.grid, torsion.v.grid
     if not gu.same_layout(gv):
@@ -863,9 +849,7 @@ def phi_check(eigen: EigenResult, torsion: TorsionResult,
     lhs = phi_profile(eigen.u.values, p)
     rhs = q * eigen.lambda_ ** (1.0 / (p - 1.0)) * torsion.v.values
     viol = lhs - rhs
-    max_violation = float(viol[gu.mask].max())
-    payne_lhs = ((p - 1.0) / p) ** (p - 1.0) * (0.5 * pi_p(p)) ** p
-    return max_violation, payne_lhs
+    return float(viol[gu.mask].max())
 
 
 def efficiency_ratio(eigen: EigenResult, area: float, p: float) -> float:

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from anisospec.geometry import (CoarseGridError, ConvexPolygon, GeometryError,
-                                distance_field, parse_domain,
-                                rect_ratio_limit, wulff_domain)
+                                distance_field, parse_domain, wulff_domain)
+from anisospec.harness import slab_sweep
 from anisospec.norms import MinkowskiNorm, wulff_polygon
 
 LQ2 = MinkowskiNorm.lq(2)
@@ -172,22 +172,25 @@ class TestInradius:
 
 
 class TestRectRatioLimit:
-    def test_values(self):
-        assert rect_ratio_limit(1.0, LQ2) == pytest.approx(1.0)
-        assert rect_ratio_limit(2.0, LQ2) == pytest.approx(0.5)
-        assert rect_ratio_limit(1.0, ELL) == pytest.approx(2.0)
-
     def test_limit_matches_perimeter_ratio(self):
+        # P_F / area on ]-1,1[ x ]-k,k[ tends to 1 / R_F = F(e1)
         for norm in CATALOG_NORMS:
-            target = rect_ratio_limit(1.0, norm)
+            r_f, _ = ConvexPolygon.rectangle(1.0, 1.0).inradius_F(norm)
+            target = float(norm(np.array([1.0, 0.0])))
+            assert 1.0 / r_f == pytest.approx(target, rel=1e-9)
             k = 512.0
             poly = ConvexPolygon.rectangle(1.0, k)
             ratio = poly.perimeter_F(norm) / poly.area
             assert ratio == pytest.approx(target, rel=4 / k)
 
     def test_warns_when_unaligned(self):
+        # an unaligned gauge has R_F < a F°(e1), so the limit assumption
+        # of the rectangle sweep fails and it warns
+        rotated = MinkowskiNorm.ellipse(2, 0.5, 1)
+        r_f, _ = ConvexPolygon.rectangle(1.0, 4.0).inradius_F(rotated)
+        assert r_f < float(rotated.polar_eval(np.array([1.0, 0.0]))) - 1e-3
         with pytest.warns(UserWarning):
-            rect_ratio_limit(1.0, MinkowskiNorm.ellipse(2, 0.5, 1))
+            slab_sweep(1.0, rotated, 2.0, [4], h=1.0 / 16.0)
 
 
 class TestErode:
@@ -321,9 +324,21 @@ class TestDistanceField:
             gx = (v[2:, 1:-1] - v[:-2, 1:-1]) / (2 * h)
             gy = (v[1:-1, 2:] - v[1:-1, :-2]) / (2 * h)
             fg = norm.value2(gx, gy)
+            # the ridge, where the two nearest edge lines are within 2h
+            # and the gradient of the distance jumps, from the exact
+            # per-edge line distances (c_e - x.n_e) / F(n_e)
+            verts = poly.vertices
+            e = np.roll(verts, -1, axis=0) - verts
+            normals = np.stack([e[:, 1], -e[:, 0]], axis=-1)
+            normals /= np.hypot(*normals.T)[:, None]
+            offsets = (normals * verts).sum(axis=1)
+            pts = np.stack(np.meshgrid(df.x, df.y, indexing="ij"), axis=-1)
+            lines = np.sort((offsets - pts @ normals.T)
+                            / np.asarray(norm(normals)), axis=-1)
+            ridge = lines[..., 1] - lines[..., 0] <= 2.0 * h
             m = df.mask
             ok = (m[1:-1, 1:-1] & m[2:, 1:-1] & m[:-2, 1:-1] & m[1:-1, 2:]
-                  & m[1:-1, :-2] & ~df.ridge[1:-1, 1:-1])
+                  & m[1:-1, :-2] & ~ridge[1:-1, 1:-1])
             assert ok.sum() > 100
             assert np.abs(fg[ok] - 1.0).max() <= 5 * h
 

@@ -1,7 +1,9 @@
 """Case reports, determinism, slab sweeps, and convergence studies."""
 
 import math
+import warnings
 
+import numpy as np
 import pytest
 
 import anisospec.harness as harness
@@ -102,6 +104,19 @@ def rows():
     return slab_sweep(1.0, MinkowskiNorm.lq(2), 2.0, [1, 2, 4], h=1.0 / 24.0)
 
 
+@pytest.fixture(scope="module")
+def catalog_sweeps():
+    # the catalog gauges are axis-aligned, so their sweeps must not warn
+    sweeps = {}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for spec in ("lq:2", "lq:4", "ellipse:4,0,1"):
+            gauge = MinkowskiNorm.parse(spec)
+            sweeps[spec] = gauge, slab_sweep(1.0, gauge, 2.0, [1, 4],
+                                             h=1.0 / 16.0)
+    return sweeps
+
+
 class TestSlabSweep:
 
     def test_columns(self, rows):
@@ -118,9 +133,17 @@ class TestSlabSweep:
             vals = [row[key] for row in rows]
             assert all(a >= b - 1e-9 for a, b in zip(vals, vals[1:]))
 
-    def test_r3_exact(self, rows):
-        for row in rows:
-            assert row["r3"] == pytest.approx(1.0 + 1.0 / row["k"], rel=1e-9)
+    def test_aligned_catalog_gauges_do_not_warn(self, catalog_sweeps):
+        for _, sweep in catalog_sweeps.values():
+            assert [row["k"] for row in sweep] == [1.0, 4.0]
+
+    def test_r3_exact(self, catalog_sweeps):
+        # P_F R_F / area on ]-1,1[ x ]-k,k[ with R_F = 1/F(e1)
+        for gauge, sweep in catalog_sweeps.values():
+            f1, f2 = (float(gauge(e)) for e in np.eye(2))
+            for row in sweep:
+                assert row["r3"] == pytest.approx(1.0 + f2 / (row["k"] * f1),
+                                                  rel=1e-9)
 
     def test_r1_separation_of_variables(self, rows):
         for row in rows:

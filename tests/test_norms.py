@@ -8,8 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from anisospec.geometry import ConvexPolygon
+from anisospec.harness import slab_sweep
 from anisospec.norms import (GaugeError, MinkowskiNorm, pi_p, pi_p_quadrature,
-                             warn_if_not_axis_aligned, wulff_polygon)
+                             wulff_polygon)
 
 LQ2 = MinkowskiNorm.lq(2)
 LQ4 = MinkowskiNorm.lq(4)
@@ -335,12 +336,10 @@ class TestSpecStrings:
 
 
 class TestAlignment:
-    def test_catalog_families_aligned(self):
-        for norm in (LQ2, LQ4, ELL):
-            assert norm.axis_alignment_defect() < 1e-12
-
     def test_rotated_ellipse_warns(self):
+        # F(e1) F°(e1) = 1 exactly for an axis-aligned gauge
         rotated = MinkowskiNorm.ellipse(2, 0.5, 1)
-        assert rotated.axis_alignment_defect() > 1e-3
+        e1 = np.array([1.0, 0.0])
+        assert float(rotated(e1)) * float(rotated.polar_eval(e1)) > 1 + 1e-3
         with pytest.warns(UserWarning):
-            warn_if_not_axis_aligned(rotated)
+            slab_sweep(1.0, rotated, 2.0, [1], h=1.0 / 16.0)

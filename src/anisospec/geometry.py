@@ -128,7 +128,10 @@ class ConvexPolygon:
 
         Valid as a distance only for points inside the polygon; outside it
         is just the most violated half-plane margin.  Edge chunking keeps
-        the intermediate below points x 64 entries.
+        the intermediate below points x 64 entries.  This is the per-node
+        formula that defines a grid's free nodes: ``pde.build_grid``
+        decides most nodes from per-column intervals and calls it only for
+        the nodes within rounding of an interval end.
         """
         points = np.asarray(points, float)
         normals, offsets, _ = self._edges
@@ -363,8 +366,8 @@ def distance_field(poly: ConvexPolygon, norm: MinkowskiNorm,
     from .pde import build_grid
 
     grid = build_grid(poly, h, min_axis=32)
-    pts = np.stack(np.meshgrid(grid.x, grid.y, indexing="ij"),
-                   axis=-1)[grid.mask]
+    i, j = np.nonzero(grid.mask)  # the free nodes in C order
+    pts = np.column_stack([grid.x[i], grid.y[j]])
     normals, offsets, _ = poly._edges
     fn = np.asarray(norm(normals))
     # one edge at a time: a points x edges matrix takes 26 MB on the
@@ -374,7 +377,7 @@ def distance_field(poly: ConvexPolygon, norm: MinkowskiNorm,
         np.minimum(best, (c - pts @ n) / f, out=best)
 
     values = np.zeros(grid.mask.shape)
-    values[grid.mask] = best
+    values[i, j] = best
     i, j = np.unravel_index(int(np.argmax(values)), values.shape)
     return DistanceField(h=grid.h, x=grid.x, y=grid.y, mask=grid.mask,
                          values=values,

@@ -79,9 +79,12 @@ class Grid:
     for hy) so that grid nodes land exactly on the bounding box; straight
     edges parallel to an axis then carry no systematic half-cell boundary
     offset.  ``mask`` flags the free (interior) nodes; every other node
-    carries a hard zero Dirichlet value.  Free nodes keep at least half a
-    cell of clearance to the boundary, so the ring of zero nodes
-    straddles the true boundary instead of sitting uniformly outside it.
+    carries a hard zero Dirichlet value.  Free nodes keep more than
+    0.25 (hx + hy), about half a cell, of clearance to the boundary, so
+    the ring of zero nodes straddles the true boundary instead of sitting
+    uniformly outside it.  A convex polygon meets each grid column in one
+    interval, so the free nodes of a column are one run of consecutive
+    nodes (see ``build_grid``).
     """
 
     hx: float
@@ -141,7 +144,10 @@ def build_grid(poly: ConvexPolygon, h: float, min_axis: int = 16) -> Grid:
 
     The first zero node along any grid line lies within half a spacing of
     the true boundary on either side, which keeps the effective Dirichlet
-    boundary centered on the exact one.
+    boundary centered on the exact one.  The mask is exactly
+    ``poly.clearance(node) > 0.25 (hx + hy)`` at every node, built column
+    by column from the edge half-planes (``_free_nodes``) rather than by
+    evaluating every node of the bounding box against every edge.
     """
     if not (h > 0):
         raise CoarseGridError("grid spacing must be positive")
@@ -152,14 +158,55 @@ def build_grid(poly: ConvexPolygon, h: float, min_axis: int = 16) -> Grid:
     hy = (ymax - ymin) / ncy
     x = xmin + hx * np.arange(ncx + 1)
     y = ymin + hy * np.arange(ncy + 1)
-    pts = np.stack(np.meshgrid(x, y, indexing="ij"), axis=-1).reshape(-1, 2)
-    thr = 0.25 * (hx + hy)
-    mask = (poly.clearance(pts) > thr).reshape(len(x), len(y))
+    mask = _free_nodes(poly, x, y, 0.25 * (hx + hy))
     if min(mask.any(axis=1).sum(), mask.any(axis=0).sum()) < min_axis:
         raise CoarseGridError(
             f"h={h:g} leaves fewer than {min_axis} interior nodes per axis "
             f"of {poly.provenance}")
     return Grid(hx=hx, hy=hy, x=x, y=y, mask=mask)
+
+
+def _free_nodes(poly: ConvexPolygon, x: np.ndarray, y: np.ndarray,
+                thr: float) -> np.ndarray:
+    """The mask clearance > thr on the nodes (x_i, y_j), one column at a time.
+
+    Node (x, y) is free iff c_e - x n_x - y n_y > thr for every edge e.  In
+    the column at x an edge with n_y > 0 bounds y from above by
+    (c_e - thr - x n_x) / n_y, an edge with n_y < 0 bounds it from below,
+    and an edge with n_y = 0 keeps or drops the whole column, so the free
+    nodes of a column lie strictly inside one interval.  Each bound
+    carries a band of 64 eps times the size of the margin's terms (over
+    |n_y|), which covers the rounding of both this formula and the
+    per-node one; the few nodes inside a band are decided by
+    ``poly.clearance`` itself, so the mask equals clearance(nodes) > thr.
+    Cost: O(columns x edges + nodes) comparisons, with no point array.
+    """
+    normals, offsets, _ = poly._edges
+    n_x, n_y = normals[:, 0], normals[:, 1]
+    band = 64.0 * _EPS * (np.abs(offsets) + thr + np.abs(x).max() * np.abs(n_x)
+                          + np.abs(y).max() * np.abs(n_y))
+
+    def bounds(edges):
+        # each edge's bound on y in each column, and its band
+        b = (offsets[edges] - thr) - x[:, None] * n_x[edges]
+        b /= n_y[edges]
+        return b, band[edges] / np.abs(n_y[edges])
+
+    # free for certain above lo_in and below hi_in; outside for certain
+    # below lo_out or above hi_out
+    b, w = bounds(n_y > 0.0)
+    hi_in, hi_out = (b - w).min(axis=1), (b + w).min(axis=1)
+    b, w = bounds(n_y < 0.0)
+    lo_in, lo_out = (b + w).max(axis=1), (b - w).max(axis=1)
+    flat = n_y == 0.0
+    margin = (offsets[flat] - thr) - x[:, None] * n_x[flat]
+    lo_in[(margin <= band[flat]).any(axis=1)] = np.inf
+    lo_out[(margin < -band[flat]).any(axis=1)] = np.inf
+    mask = (y > lo_in[:, None]) & (y < hi_in[:, None])
+    i, j = np.nonzero((y >= lo_out[:, None]) & (y <= hi_out[:, None]) & ~mask)
+    if len(i):
+        mask[i, j] = poly.clearance(np.column_stack([x[i], y[j]])) > thr
+    return mask
 
 
 # -- energy kernels -----------------------------------------------------------
@@ -461,6 +508,8 @@ def _descend(problem: _DescentProblem, psi0: np.ndarray, tol: float,
     preconditioned steepest descent -z when the CG direction does not
     descend or its step fails: by the exact ray minimizer on the quadratic
     path (``_ray_step``), else by the Wolfe line search (``_wolfe_step``).
+    A failed step along a direction that already is -z (the first of a
+    level, or one after a beta = 0 restart) is not repeated.
     A step receives the slope of its direction, so the old gradient is
     freed before any trial point is evaluated; each trial point costs one
     ``value_grad``, and the accepted one's value and gradient start the
@@ -478,6 +527,7 @@ def _descend(problem: _DescentProblem, psi0: np.ndarray, tol: float,
     hist = [f]
     z = problem.precond(g)
     d = -z
+    steepest = True  # d is -z: the first direction of a level, or beta = 0
     gz = float((g * z).sum())
     step = _ray_step if problem.quadratic else _wolfe_step
     alpha_prev = None
@@ -497,7 +547,7 @@ def _descend(problem: _DescentProblem, psi0: np.ndarray, tol: float,
         del g  # beta needs only z and gz of the old point
         found = (step(problem, psi, d, f, slope, alpha_prev) if slope < 0.0
                  else None)
-        if found is None:
+        if found is None and not steepest:
             d = -z
             found = step(problem, psi, d, f, -gz, alpha_prev)  # -gz = g . -z
         if found is None:
@@ -511,6 +561,7 @@ def _descend(problem: _DescentProblem, psi0: np.ndarray, tol: float,
         beta = max(beta, 0.0)
         if not math.isfinite(beta) or beta > 10.0:
             beta = 0.0
+        steepest = beta == 0.0
         d = -zn + beta * d
         z = zn
         gz = float((g * z).sum())

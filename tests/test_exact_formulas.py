@@ -1,11 +1,14 @@
-"""Property tests of the exact Cheeger root solve and the exact distance field.
+"""Property tests of the exact Cheeger root solve, the exact distance field
+and the grid mask.
 
 Domains: hulls of random points, thin rectangles down to 1:64 and
 near-degenerate triangles; gauges: l^q with q in [1.1, 8] and rotated
-ellipses.
+ellipses.  The grid mask is also checked on regular n-gons and Wulff
+polygons, rotated by multiples of 90 degrees plus tiny angles.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,8 +18,9 @@ from scipy.spatial import ConvexHull, QhullError
 
 from anisospec.cheeger import cheeger_estimate
 from anisospec.geometry import (CoarseGridError, ConvexPolygon, GeometryError,
-                                distance_field)
+                                distance_field, parse_domain, wulff_domain)
 from anisospec.norms import MinkowskiNorm
+from anisospec.pde import _grid_hierarchy, build_grid
 
 coord = st.floats(-1.0, 1.0, allow_nan=False)
 
@@ -85,3 +89,113 @@ def test_distance_field_is_the_line_formula(poly, norm):
                                                abs=1e-14 * scale)
     r_f, _ = poly.inradius_F(norm)
     assert df.inradius <= r_f * (1.0 + 1e-9)
+
+
+# -- the grid mask ------------------------------------------------------------
+# build_grid decides most nodes from per-column intervals; its mask must be
+# exactly the per-node clearance test on every node of the bounding box.
+
+
+def _clearance_mask(poly: ConvexPolygon, grid) -> np.ndarray:
+    nodes = np.stack(np.meshgrid(grid.x, grid.y, indexing="ij"),
+                     axis=-1).reshape(-1, 2)
+    thr = 0.25 * (grid.hx + grid.hy)
+    return (poly.clearance(nodes) > thr).reshape(grid.mask.shape)
+
+
+def _turned(poly: ConvexPolygon, theta: float, shift=(0.0, 0.0)):
+    c, s = math.cos(theta), math.sin(theta)
+    v = poly.vertices @ np.array([[c, s], [-s, c]]) + np.asarray(shift)
+    return ConvexPolygon(v, f"{poly.provenance}~turn")
+
+
+wulff_polygons = st.builds(
+    lambda spec, n: wulff_domain(MinkowskiNorm.parse(spec), 1.0, n),
+    st.sampled_from(["lq:1.2", "lq:4", "ellipse:4,0,1"]),
+    st.integers(16, 512))
+
+# a quarter turn plus nothing or a tiny angle: edges with |n_y| near 1e-17
+tiny_turns = st.builds(
+    lambda quarter, tiny: quarter * math.pi / 2.0 + tiny,
+    st.integers(0, 3),
+    st.one_of(st.just(0.0),
+              st.builds(lambda sign, e: sign * 10.0 ** e,
+                        st.sampled_from([-1.0, 1.0]), st.floats(-17.0, -6.0))))
+
+mask_domains = st.builds(
+    _turned,
+    st.one_of(hull_polygons(), thin_rectangles, slivers,
+              st.integers(3, 64).map(ConvexPolygon.regular), wulff_polygons),
+    tiny_turns,
+    st.tuples(st.floats(-8.0, 8.0), st.floats(-8.0, 8.0)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(mask_domains, st.floats(1.0, 64.0))
+def test_grid_mask_is_the_clearance_test(poly, cells):
+    # coarse spacings hit the 4-cell floor on the short side, so hx != hy
+    xmin, xmax, ymin, ymax = poly.bounding_box
+    grid = build_grid(poly, min(xmax - xmin, ymax - ymin) / cells, min_axis=0)
+    assert np.array_equal(grid.mask, _clearance_mask(poly, grid))
+
+
+def _counting_clearance(monkeypatch) -> list[int]:
+    """Patch ConvexPolygon.clearance to record how many points it receives."""
+    counts: list[int] = []
+    clearance = ConvexPolygon.clearance
+
+    def counted(self, points):
+        counts.append(len(points))
+        return clearance(self, points)
+
+    monkeypatch.setattr(ConvexPolygon, "clearance", counted)
+    return counts
+
+
+@pytest.mark.parametrize("theta", [0.0, math.pi / 2.0, math.pi, 1e-15])
+@pytest.mark.parametrize("a,k", [(1.5, 0.5), (0.5, 1.5)])
+def test_grid_mask_on_ties(monkeypatch, a, k, theta):
+    # at h = 1 both axes hit the 4-cell floor: hx = 3 hy (or hy = 3 hx),
+    # so the threshold 0.25 (hx + hy) equals the short spacing and the
+    # second row (or column) sits exactly on it: the per-node formula
+    # decides those nodes
+    poly = _turned(ConvexPolygon.rectangle(a, k), theta)
+    counts = _counting_clearance(monkeypatch)
+    grid = build_grid(poly, 1.0, min_axis=0)
+    assert 0 < sum(counts) <= 2 * (grid.nx + grid.ny)
+    assert np.array_equal(grid.mask, _clearance_mask(poly, grid))
+    assert grid.mask.sum() == 3
+
+
+@pytest.mark.parametrize("spec", ["rect:1,1", "wulff:1,512", "rect:1,16"])
+def test_grid_mask_on_every_hierarchy_level(spec):
+    poly = parse_domain(spec, norm=MinkowskiNorm.lq(2))
+    grids = _grid_hierarchy(poly, 1.0 / 64.0)
+    assert len(grids) >= 2
+    for grid in grids:
+        assert np.array_equal(grid.mask, _clearance_mask(poly, grid))
+
+
+@pytest.mark.parametrize("spec", ["rect:1,16", "wulff:1,512", "regular:6,1"])
+def test_build_grid_cost(monkeypatch, spec):
+    # the mask costs O(columns x edges + nodes), with no whole-box
+    # point array: clearance sees at most a few nodes per column and row
+    poly = parse_domain(spec, norm=MinkowskiNorm.lq(2))
+    counts = _counting_clearance(monkeypatch)
+    grid = build_grid(poly, 1.0 / 128.0)
+    assert sum(counts) <= 2 * (grid.nx + grid.ny), sum(counts)
+
+
+def test_build_grid_peak_memory():
+    # in units of one float field of the grid; whole-box evaluation
+    # against every edge peaks at 11
+    poly = ConvexPolygon.rectangle(1, 16)
+    grid = build_grid(poly, 1.0 / 128.0)  # also fills the cached edge data
+    field = grid.mask.size * 8
+    tracemalloc.start()
+    try:
+        build_grid(poly, 1.0 / 128.0)
+        peak = tracemalloc.get_traced_memory()[1] / field
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4.0, peak

@@ -403,13 +403,17 @@ class TestTorsionOracles:
         # the nonlinear path: every trial point after each level's start
         # reads +inf, so no step decreases the value along either direction
         started = []  # the problems themselves, so no id is reused
+        calls = []  # value_grad calls of each started problem
         value_grad = _TorsionProblem.value_grad
 
         def first_finite(self, psi):
             f, g = value_grad(self, psi)
-            if any(problem is self for problem in started):
-                return math.inf, g
+            for k, problem in enumerate(started):
+                if problem is self:
+                    calls[k] += 1
+                    return math.inf, g
             started.append(self)
+            calls.append(1)
             return f, g
 
         monkeypatch.setattr(_TorsionProblem, "value_grad", first_finite)
@@ -420,6 +424,9 @@ class TestTorsionOracles:
         assert res.stop == "line_search"
         assert res.iterations == len(started)  # one failed step per level
         assert math.isfinite(res.residual) and res.residual > 1e-4
+        # the first direction of a level is -z, so its failed search is
+        # not repeated along -z: the start plus one search per level
+        assert all(n <= pde.MAX_TRIALS + 1 for n in calls), calls
 
     def test_nonnegative(self):
         res = solve_torsion(ConvexPolygon.regular(6, 1.0), LQ4, 1.5,

@@ -15,8 +15,12 @@ formula, ``value_wgrad2``, which returns F and W = F grad F (grad F =
 W / F away from the origin); calling the gauge on (..., 2) points
 evaluates ``value2``.  The lq gradient is built from ``value2``'s own
 operations, so its F is bitwise ``value2``'s and there is still one value
-formula per family.  The sup-based polar is kept in the test suite as an
-independent oracle.
+formula per family.  ``quadratic_form`` returns the matrix A with
+F^2 = xi . A xi for the gauges whose square is quadratic (every ellipse,
+and lq:2 with A the identity) and None for the others; the solver's
+p = 2 kernel evaluates F^2 and F grad F = A xi from it directly, without
+``value2`` or ``value_wgrad2``.  The sup-based polar is kept in the test
+suite as an independent oracle.
 
 The module also provides ``pi_p``, the generalized pi governing the
 one-dimensional eigenvalue problem, in closed form with a quadrature
@@ -145,7 +149,9 @@ class MinkowskiNorm:
         big = 1 + r^q and u = big^(1/q), F = m u; W is F u / big on the
         larger component and that times r^(q-1) on the smaller, each
         signed like its component of g.  At q = 2, W is (g / F) F, not g:
-        the quadratic-gauge reports are pinned to that rounding.
+        lq:2 at p != 2 (the solver's nonlinear path) is pinned to that
+        rounding.  The p = 2 solver kernel does not call this for a
+        quadratic gauge; it reads ``quadratic_form`` instead.
         """
         if self.family == "ellipse":
             a = self.A
@@ -183,8 +189,19 @@ class MinkowskiNorm:
 
     # -- derived quantities --------------------------------------------------
 
-    def is_quadratic(self) -> bool:
-        return self.family == "ellipse" or self.q == 2.0
+    def quadratic_form(self) -> tuple[float, float, float] | None:
+        """(a11, a12, a22) with F(xi)^2 = xi . A xi, or None.
+
+        A is the ellipse's matrix, and the identity for lq:2; no other lq
+        gauge has a quadratic square, so it returns None.  The solver's
+        quadratic path (p = 2) is decided by this alone, and its energy
+        kernel evaluates F^2 = g . A g and F grad F = A g from these
+        entries.
+        """
+        if self.family == "ellipse":
+            a = self.A
+            return float(a[0, 0]), float(a[0, 1]), float(a[1, 1])
+        return (1.0, 0.0, 1.0) if self.q == 2.0 else None
 
     def wulff_area(self) -> float:
         """Area of the unit Wulff shape {F° <= 1} (closed form per family)."""

@@ -39,12 +39,20 @@ rule stopped it:
 
 Non-differentiability of F at a vanishing gradient is removed by the
 subtracted regularization F_eps = sqrt(F^2 + eps^2) - eps, which keeps
-F_eps(0) = 0; reported energies are re-evaluated at eps = 0.
+F_eps(0) = 0; reported energies are re-evaluated at eps = 0.  The
+quadratic path needs none (eps = 0), and there the energy kernel is the
+closed form: per triangle, F^2 = g . A g and F grad F = A g, read off the
+gauge's matrix (``MinkowskiNorm.quadratic_form``: A for an ellipse, the
+identity for lq:2), with no root, absolute value, min/max or division.
+Every other (p, eps, gauge) evaluates F and F grad F by the gauge's
+``value_wgrad2`` and raises them to p.  (p, eps, gauge) alone picks the
+formula.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -227,7 +235,33 @@ def _pow(x: np.ndarray, p: float) -> np.ndarray:
     return np.power(x, p)
 
 
+def _quadratic_form(norm: MinkowskiNorm, p: float, eps: float):
+    """The gauge's (a11, a12, a22) where F_eps^p is the quadratic g . A g.
+
+    That is p = 2 and eps = 0 with a gauge whose square is quadratic; else
+    None, and the kernels evaluate the general formula.
+    """
+    return norm.quadratic_form() if p == 2.0 and eps == 0.0 else None
+
+
+def _quadratic_fp(a, gx, gy) -> np.ndarray:
+    """a11 gx^2 + 2 a12 gx gy + a22 gy^2, in place on two arrays."""
+    a11, a12, a22 = a
+    fp = a11 * gx
+    fp *= gx
+    t = (2.0 * a12) * gx
+    t *= gy
+    fp += t
+    np.multiply(a22, gy, out=t)
+    t *= gy
+    fp += t
+    return fp
+
+
 def _fp(norm: MinkowskiNorm, gx, gy, p: float, eps: float) -> np.ndarray:
+    a = _quadratic_form(norm, p, eps)
+    if a is not None:
+        return _quadratic_fp(a, gx, gy)
     f = norm.value2(gx, gy)
     if eps == 0.0:
         return _pow(f, p)
@@ -239,10 +273,24 @@ def _fp(norm: MinkowskiNorm, gx, gy, p: float, eps: float) -> np.ndarray:
 def _fp_grad(norm: MinkowskiNorm, gx, gy, p: float, eps: float):
     """(F_eps^p, c W1, c W2) with c = p F_eps^(p-1) / sqrt(F^2 + eps^2).
 
-    It works in place on the arrays that ``value_wgrad2`` returns, with
-    the operations of the closed form in their order, so the values are
-    those of the out-of-place formula bit for bit.
+    On the quadratic path (``_quadratic_form``) c = 2 and W = A g, so this
+    is the closed form (g . A g, 2 A g), with no root, absolute value,
+    min/max or division.  Otherwise it works in place on the arrays that
+    ``value_wgrad2`` returns, with the operations of the closed form in
+    their order, so the values are those of the out-of-place formula bit
+    for bit.
     """
+    a = _quadratic_form(norm, p, eps)
+    if a is not None:
+        fp = _quadratic_fp(a, gx, gy)
+        a11, a12, a22 = a
+        w1 = (2.0 * a11) * gx
+        w2 = (2.0 * a12) * gx
+        t = (2.0 * a12) * gy
+        w1 += t
+        np.multiply(2.0 * a22, gy, out=t)
+        w2 += t
+        return fp, w1, w2
     s, w1, w2 = norm.value_wgrad2(gx, gy)
     s *= s
     r = s + eps * eps
@@ -304,7 +352,9 @@ def _make_precond(grid: Grid, free: np.ndarray):
     Applied through DST-I diagonalization; restricted to the mask on the
     way out by multiplying with ``free``, the mask as 1.0 / 0.0.  On
     rectangle-aligned domains this is the exact inverse of the p=2
-    Euclidean Hessian, elsewhere a spectrally equivalent one.
+    Euclidean Hessian, elsewhere a spectrally equivalent one.  The
+    transforms use one thread per CPU this process may run on, not per
+    CPU of the machine (the results do not depend on the count).
     """
     m1, m2 = grid.nx - 2, grid.ny - 2
     lam1 = (2.0 - 2.0 * np.cos(np.pi * np.arange(1, m1 + 1) / (m1 + 1))) \
@@ -313,12 +363,16 @@ def _make_precond(grid: Grid, free: np.ndarray):
         / (grid.hy * grid.hy)
     den = lam1[:, None] + lam2[None, :]
     inner = free[1:-1, 1:-1]  # the border nodes are never free
+    try:
+        workers = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        workers = os.cpu_count()
 
     def apply(g: np.ndarray) -> np.ndarray:
-        t = dstn(g[1:-1, 1:-1], type=1, workers=-1)
+        t = dstn(g[1:-1, 1:-1], type=1, workers=workers)
         t /= den
         z = np.zeros_like(g)
-        np.multiply(idstn(t, type=1, workers=-1, overwrite_x=True), inner,
+        np.multiply(idstn(t, type=1, workers=workers, overwrite_x=True), inner,
                     out=z[1:-1, 1:-1])
         return z
 
@@ -359,7 +413,7 @@ class _DescentProblem:
         # the mask as 1.0 / 0.0: multiplying by it zeroes the fixed nodes
         self.free = grid.mask.astype(float)
         self.precond = _make_precond(grid, self.free)
-        self.quadratic = p == 2.0 and norm.is_quadratic()
+        self.quadratic = _quadratic_form(norm, p, eps) is not None
 
     def feasible(self, out: np.ndarray) -> np.ndarray:
         """Clamp (eigen problem) and zero the fixed nodes of ``out`` in place."""
@@ -721,7 +775,7 @@ class TorsionResult:
 
 
 def _eps_for(poly: ConvexPolygon, norm: MinkowskiNorm, p: float) -> float:
-    if p == 2.0 and norm.is_quadratic():
+    if _quadratic_form(norm, p, 0.0) is not None:
         return 0.0  # the energy is already smooth (quadratic)
     return EPS_FACTOR * poly.diameter
 

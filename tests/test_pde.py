@@ -48,10 +48,12 @@ SQUARE_MV = square_torsion_series()          # 0.294685...
 SQUARE_T = square_torsion_integral()         # 0.562282...
 
 
-# -- reference energy-gradient kernel -----------------------------------------
+# -- reference energy-gradient kernels ----------------------------------------
 # The energy-gradient kernel written out of place, with the two-power lq
-# gradient sign(g) (|g| / F)^(q-1) F.  The quadratic-gauge reports are pinned
-# to its arithmetic: the solver's kernel must reproduce it bit for bit there.
+# gradient sign(g) (|g| / F)^(q-1) F.  Off the quadratic path (p != 2 or
+# eps != 0) the quadratic-gauge reports are pinned to its arithmetic: the
+# solver's kernel must reproduce it bit for bit there.  On the quadratic path
+# (p = 2, eps = 0) the pin is the quadratic form written out of place.
 
 
 def _ref_pow(x, p):
@@ -88,10 +90,19 @@ def _ref_fp_grad(norm, gx, gy, p, eps):
     return fp, c * w1, c * w2
 
 
-def _ref_grad_energy_with_grad(psi, grid, norm, p, eps):
+def _ref_quadratic_fp_grad(norm, gx, gy, p, eps):
+    """(g . A g, 2 A g) in the kernel's operation order; p = 2, eps = 0."""
+    assert p == 2.0 and eps == 0.0
+    a = np.eye(2) if norm.family == "lq" else norm.A
+    a11, a12, a22 = a[0, 0], a[0, 1], a[1, 1]
+    fp = a11 * gx * gx + 2.0 * a12 * gx * gy + a22 * gy * gy
+    return fp, 2.0 * a11 * gx + 2.0 * a12 * gy, 2.0 * a12 * gx + 2.0 * a22 * gy
+
+
+def _ref_grad_energy_with_grad(psi, grid, norm, p, eps, fp_grad=_ref_fp_grad):
     gxl, gyl, gxu, gyu = _tri_gradients(psi, grid.hx, grid.hy)
-    fpl, ax, ay = _ref_fp_grad(norm, gxl, gyl, p, eps)
-    fpu, bx, by = _ref_fp_grad(norm, gxu, gyu, p, eps)
+    fpl, ax, ay = fp_grad(norm, gxl, gyl, p, eps)
+    fpu, bx, by = fp_grad(norm, gxu, gyu, p, eps)
     w = 0.5 * grid.cell_area
     val = float(w * (fpl.sum() + fpu.sum()))
     cx = w / grid.hx
@@ -129,14 +140,44 @@ class TestKernel:
     @pytest.mark.parametrize("eps", [0.0, 1e-3])
     def test_quadratic_gauges_bitwise(self, name, p, eps):
         norm = KERNEL_NORMS[name]
+        quadratic = p == 2.0 and eps == 0.0
+        fp_grad = _ref_quadratic_fp_grad if quadratic else _ref_fp_grad
         for seed, poly in enumerate((ConvexPolygon.rectangle(1, 2), HEXAGON)):
             grid = build_grid(poly, poly.diameter / 40)
             psi = _seeded_field(grid, seed)
             val, g = _grad_energy_with_grad(psi, grid, norm, p, eps)
             ref_val, ref_g = _ref_grad_energy_with_grad(psi, grid, norm, p,
-                                                        eps)
+                                                        eps, fp_grad)
             assert val == ref_val
             assert np.array_equal(g, ref_g)
+
+    @pytest.mark.parametrize("name", ["lq2", "ellipse-4-0-1",
+                                      "ellipse-2-0.5-1"])
+    def test_quadratic_kernel_matches_general_formula(self, name):
+        # the closed form g . A g agrees with F(g)^2 through value_wgrad2
+        norm = KERNEL_NORMS[name]
+        for seed, poly in enumerate((ConvexPolygon.rectangle(1, 2), HEXAGON)):
+            grid = build_grid(poly, poly.diameter / 40)
+            psi = _seeded_field(grid, seed)
+            val, g = _grad_energy_with_grad(psi, grid, norm, 2.0, 0.0)
+            ref_val, ref_g = _ref_grad_energy_with_grad(psi, grid, norm, 2.0,
+                                                        0.0)
+            assert val == pytest.approx(ref_val, rel=1e-13)
+            assert np.abs(g - ref_g).max() <= 1e-13 * np.abs(ref_g).max()
+
+    @pytest.mark.parametrize("name", ["lq2", "ellipse-4-0-1",
+                                      "ellipse-2-0.5-1"])
+    def test_quadratic_kernel_euler_identity(self, name):
+        # the energy is a form of degree 2 in psi: psi . grad E = 2 E; and
+        # the reported energy is the value the descent minimizes, bit for bit
+        norm = KERNEL_NORMS[name]
+        for seed, poly in enumerate((ConvexPolygon.rectangle(1, 2), HEXAGON)):
+            grid = build_grid(poly, poly.diameter / 40)
+            psi = _seeded_field(grid, seed)
+            val, g = _grad_energy_with_grad(psi, grid, norm, 2.0, 0.0)
+            assert val == pytest.approx(0.5 * float((psi * g).sum()),
+                                        rel=1e-12)
+            assert grad_energy(psi, grid, norm, 2.0) == val
 
     @pytest.mark.parametrize("name", list(KERNEL_NORMS))
     @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
@@ -182,6 +223,34 @@ class TestDescentCost:
                             counted("kernel", pde._grad_energy_with_grad))
         solve(SQUARE, norm, 2.0, 1.0 / 32.0)
         assert 0 < calls["energy"] <= calls["kernel"], calls
+
+    @pytest.mark.parametrize("norm,p,quadratic", [(LQ2, 2.0, True),
+                                                  (ELL, 2.0, True),
+                                                  (LQ4, 3.0, False)],
+                             ids=["lq2-p2", "ellipse-4-0-1-p2", "lq4-p3"])
+    @pytest.mark.parametrize("solve", [solve_eigen, solve_torsion],
+                             ids=["eigen", "torsion"])
+    def test_quadratic_path_skips_gauge_formulas(self, monkeypatch, norm, p,
+                                                 quadratic, solve):
+        # at p = 2 a quadratic gauge's energy is g . A g, evaluated from
+        # quadratic_form() alone; the general formulas run only elsewhere
+        calls = {"value2": 0, "value_wgrad2": 0}
+
+        def counted(name):
+            fn = getattr(MinkowskiNorm, name)
+
+            def wrapper(self, *args, **kwargs):
+                calls[name] += 1
+                return fn(self, *args, **kwargs)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(MinkowskiNorm, name, counted(name))
+        solve(SQUARE, norm, p, 1.0 / 32.0)
+        if quadratic:
+            assert calls == {"value2": 0, "value_wgrad2": 0}
+        else:
+            assert calls["value2"] > 0 and calls["value_wgrad2"] > 0, calls
 
     @pytest.mark.parametrize("norm,p,bound", [(LQ2, 2.0, 15.6),
                                               (LQ4, 3.0, 18.6)],

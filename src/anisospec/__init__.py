@@ -9,16 +9,16 @@ audits the full family of sharp inequalities tying them together.
 from .cheeger import CheegerResult, cheeger_bounds, cheeger_estimate
 from .config import DEFAULTS, INEQUALITY_IDS, ToleranceTable
 from .geometry import (ConvexPolygon, DistanceField, GeometryError,
-                       CoarseGridError, distance_field, parse_domain,
-                       wulff_domain)
+                       CoarseGridError, Grid, build_grid, distance_field,
+                       parse_domain, wulff_domain)
 from .harness import (CaseSpec, InequalityReport, convergence_study,
                       default_catalog, run_case, slab_sweep)
 from .norms import (GaugeError, MinkowskiNorm, pi_p, pi_p_quadrature,
                     wulff_polygon)
-from .pde import (ConvergenceError, EigenResult, Grid, GridField,
-                  PFunctionResult, TorsionResult, build_grid,
-                  efficiency_ratio, mass_bound_check, p_function, phi_check,
-                  phi_profile, solve_eigen, solve_torsion)
+from .pde import (ConvergenceError, EigenResult, GridField,
+                  PFunctionResult, TorsionResult, efficiency_ratio,
+                  mass_bound_check, p_function, phi_check, phi_profile,
+                  solve_eigen, solve_torsion)
 
 __version__ = "0.1.0"
 

@@ -166,6 +166,14 @@ def _number(value, kind: type, what: str):
     return kind(value)
 
 
+def _jobs(value, what: str) -> int:
+    """A worker count: an integer of at least 1."""
+    jobs = _number(value, int, what)
+    if jobs < 1:
+        raise ConfigError(f"{what} must be at least 1, got {jobs}")
+    return jobs
+
+
 def _string(value, what: str) -> str:
     if not isinstance(value, str):
         raise ConfigError(f"{what} must be a string, got {value!r}")
@@ -178,9 +186,7 @@ def _config_from_data(data) -> RunConfig:
     run = _mapping(data.get("run", {}), "run", RUN_KEYS)
     cfg = RunConfig()
     if "jobs" in run:
-        cfg.jobs = _number(run["jobs"], int, "run jobs")
-        if cfg.jobs < 1:
-            raise ConfigError(f"run jobs must be at least 1, got {cfg.jobs}")
+        cfg.jobs = _jobs(run["jobs"], "run jobs")
     strict = run.get("strict", False)
     if strict not in (False, True, "0", "1"):  # a JSON bool or 0/1; text 0/1
         raise ConfigError(f"run strict must be 0 or 1, got {strict!r}")
@@ -261,36 +267,27 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _build_case(args) -> tuple:
-    return CaseSpec(args.domain, args.norm, args.p, args.h, args.tol).build()
-
-
-def _cmd_eigen(args) -> int:
-    poly, gauge, h = _build_case(args)
-    res = solve_eigen(poly, gauge, args.p, h, tol=args.tol)
-    print(f"lambda = {res.lambda_:.10g}")
+def _cmd_solve(args) -> int:
+    """The eigen or torsion subcommand, by ``args.command``."""
+    spec = CaseSpec(args.domain, args.norm, args.p, args.h, args.tol)
+    poly, gauge, h = spec.build()
+    if args.command == "eigen":
+        res = solve_eigen(poly, gauge, args.p, h, tol=args.tol)
+        print(f"lambda = {res.lambda_:.10g}")
+        field = res.u
+    else:
+        res = solve_torsion(poly, gauge, args.p, h, tol=args.tol)
+        print(f"T = {res.T:.10g}")
+        print(f"Mv = {res.Mv:.10g}")
+        field = res.v
     print(f"iterations = {res.iterations}  residual = {res.residual:.3e}  "
           f"stop = {res.stop}")
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        res.u.to_csv(out / "eigen_field.csv")
-        print(f"field written to {out / 'eigen_field.csv'}")
-    return EXIT_OK
-
-
-def _cmd_torsion(args) -> int:
-    poly, gauge, h = _build_case(args)
-    res = solve_torsion(poly, gauge, args.p, h, tol=args.tol)
-    print(f"T = {res.T:.10g}")
-    print(f"Mv = {res.Mv:.10g}")
-    print(f"iterations = {res.iterations}  residual = {res.residual:.3e}  "
-          f"stop = {res.stop}")
-    if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        res.v.to_csv(out / "torsion_field.csv")
-        print(f"field written to {out / 'torsion_field.csv'}")
+        path = out / f"{args.command}_field.csv"
+        field.to_csv(path)
+        print(f"field written to {path}")
     return EXIT_OK
 
 
@@ -335,7 +332,7 @@ def _cmd_verify(args) -> int:
     else:
         cfg = RunConfig(cases=default_catalog())
     if args.jobs is not None:
-        cfg.jobs = args.jobs
+        cfg.jobs = _jobs(args.jobs, "--jobs")
     if args.strict:
         cfg.strict = True
     if args.out:
@@ -405,8 +402,8 @@ def _cmd_sweep(args) -> int:
 
 
 _COMMANDS = {
-    "eigen": _cmd_eigen,
-    "torsion": _cmd_torsion,
+    "eigen": _cmd_solve,
+    "torsion": _cmd_solve,
     "cheeger": _cmd_cheeger,
     "verify": _cmd_verify,
     "sweep": _cmd_sweep,

@@ -12,9 +12,11 @@ perimeter, erosion and inradius computations exact polygon arithmetic:
 * rolling bodies         K_r = (erode r) ⊕ r*Wulff via the planar
   mixed-area identities
 
-The gridded anisotropic distance field evaluates the exact formula
-d_F(x) = min over edges of (c_e - x.n_e) / F(n_e) at each interior node,
-not fast marching, so its error is set by the grid alone.
+The module owns the solvers' grids: ``build_grid`` masks the free nodes
+by the edge half-planes.  The gridded anisotropic distance field
+evaluates the exact formula d_F(x) = min over edges of (c_e - x.n_e) /
+F(n_e) at each free node, not fast marching, so its error is set by the
+grid alone.
 """
 
 from __future__ import annotations
@@ -50,6 +52,19 @@ def _dedup_ccw(vertices: np.ndarray, tol: float) -> np.ndarray:
     return np.asarray(keep)
 
 
+def _turns(v: np.ndarray) -> np.ndarray:
+    """Cross product of each edge with the next (positive: a left turn)."""
+    e = np.roll(v, -1, axis=0) - v
+    nxt = np.roll(e, -1, axis=0)
+    return e[:, 0] * nxt[:, 1] - e[:, 1] * nxt[:, 0]
+
+
+def _shoelace(v: np.ndarray) -> float:
+    """Signed area of the polygon with vertices ``v`` (positive if CCW)."""
+    x, y = v[:, 0], v[:, 1]
+    return 0.5 * float(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1)))
+
+
 @dataclass(frozen=True, eq=False)
 class ConvexPolygon:
     """Strictly convex polygon with CCW vertices and a provenance tag."""
@@ -64,9 +79,7 @@ class ConvexPolygon:
         v = _dedup_ccw(v, _DEDUP_TOL)
         if len(v) < 3:
             raise GeometryError("polygon needs at least 3 distinct vertices")
-        e = np.roll(v, -1, axis=0) - v
-        cross = e[:, 0] * np.roll(e, -1, axis=0)[:, 1] - e[:, 1] * np.roll(e, -1, axis=0)[:, 0]
-        if np.any(cross <= 0.0):
+        if np.any(_turns(v) <= 0.0):
             raise GeometryError("vertices must be strictly convex in CCW order")
         v.setflags(write=False)
         object.__setattr__(self, "vertices", v)
@@ -105,9 +118,7 @@ class ConvexPolygon:
 
     @cached_property
     def area(self) -> float:
-        v = self.vertices
-        x, y = v[:, 0], v[:, 1]
-        return 0.5 * float(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1)))
+        return _shoelace(self.vertices)
 
     @cached_property
     def diameter(self) -> float:
@@ -123,23 +134,28 @@ class ConvexPolygon:
 
     # -- point queries -----------------------------------------------------------
 
-    def clearance(self, points: np.ndarray) -> np.ndarray:
-        """Signed Euclidean distance to the boundary (positive inside).
-
-        Valid as a distance only for points inside the polygon; outside it
-        is just the most violated half-plane margin.  Edge chunking keeps
-        the intermediate below points x 64 entries.  This is the per-node
-        formula that defines a grid's free nodes: ``pde.build_grid``
-        decides most nodes from per-column intervals and calls it only for
-        the nodes within rounding of an interval end.
-        """
+    def _least_margin(self, points, scale=None) -> np.ndarray:
+        """min over edges of (c_e - x.n_e) / scale_e, 64 edges at a time."""
         points = np.asarray(points, float)
         normals, offsets, _ = self._edges
         out = np.full(points.shape[:-1], np.inf)
         for s in range(0, len(normals), 64):
             block = offsets[s:s + 64] - points @ normals[s:s + 64].T
+            if scale is not None:
+                block /= scale[s:s + 64]
             np.minimum(out, block.min(axis=-1), out=out)
         return out
+
+    def clearance(self, points: np.ndarray) -> np.ndarray:
+        """Signed Euclidean distance to the boundary (positive inside).
+
+        Valid as a distance only for points inside the polygon; outside it
+        is just the most violated half-plane margin.  This is the per-node
+        formula that defines a grid's free nodes: ``build_grid`` decides
+        most nodes from per-column intervals and calls it only for the
+        nodes within rounding of an interval end.
+        """
+        return self._least_margin(points)
 
     # -- anisotropic functionals ----------------------------------------------
 
@@ -168,14 +184,7 @@ class ConvexPolygon:
     def distance_to_boundary_F(self, norm: MinkowskiNorm,
                                points: np.ndarray) -> np.ndarray:
         """Exact polar-gauge distance to the boundary for interior points."""
-        points = np.asarray(points, float)
-        normals, offsets, _ = self._edges
-        fn = np.asarray(norm(normals))
-        out = np.full(points.shape[:-1], np.inf)
-        for s in range(0, len(normals), 64):
-            block = (offsets[s:s + 64] - points @ normals[s:s + 64].T) / fn[s:s + 64]
-            np.minimum(out, block.min(axis=-1), out=out)
-        return out
+        return self._least_margin(points, np.asarray(norm(self._edges[0])))
 
     # -- erosion and rolling bodies ----------------------------------------------
 
@@ -198,7 +207,6 @@ class ConvexPolygon:
         # the incenter keeps margin (R_F - r) F(n) > 0, so polar duality
         # applies: active planes = hull vertices of n_e / margin_e
         margins = shifted - normals @ center
-        verts = None
         try:
             hull = ConvexHull(normals / margins[:, None])
             act = hull.vertices  # CCW
@@ -274,22 +282,14 @@ def _clean_convex(verts: np.ndarray, scale: float) -> np.ndarray | None:
     for _ in range(len(verts)):
         if len(verts) < 3:
             return None
-        e = np.roll(verts, -1, axis=0) - verts
-        cross = e[:, 0] * np.roll(e, -1, axis=0)[:, 1] - e[:, 1] * np.roll(e, -1, axis=0)[:, 0]
-        bad = cross <= 1e-14 * scale * scale
+        bad = _turns(verts) <= 1e-14 * scale * scale
         if not bad.any():
             break
         # drop the vertex at the apex of each flat/reflex corner
         verts = verts[np.roll(~bad, 1)]
     else:
         return None
-    if len(verts) < 3:
-        return None
-    x, y = verts[:, 0], verts[:, 1]
-    area = 0.5 * float(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1)))
-    if area <= 1e-12 * scale * scale:
-        return None
-    return verts
+    return None if _shoelace(verts) <= 1e-12 * scale * scale else verts
 
 
 def wulff_domain(norm: MinkowskiNorm, r: float = 1.0, n: int = 256) -> ConvexPolygon:
@@ -334,7 +334,125 @@ def parse_domain(spec: str, norm: MinkowskiNorm | None = None) -> ConvexPolygon:
     raise GeometryError(f"unknown domain family {head!r}")
 
 
-# -- gridded distance field ------------------------------------------------------
+# -- uniform grids and the gridded distance field -------------------------------
+
+
+@dataclass(frozen=True, eq=False)
+class Grid:
+    """Uniform grid covering the domain's bounding box exactly.
+
+    The spacing is snapped per axis (hx = width / round(width / h), same
+    for hy) so that grid nodes land exactly on the bounding box; straight
+    edges parallel to an axis then carry no systematic half-cell boundary
+    offset.  ``mask`` flags the free (interior) nodes; every other node
+    carries a hard zero Dirichlet value.  Free nodes keep more than
+    0.25 (hx + hy), about half a cell, of clearance to the boundary, so
+    the ring of zero nodes straddles the true boundary instead of sitting
+    uniformly outside it.  A convex polygon meets each grid column in one
+    interval, so the free nodes of a column are one run of consecutive
+    nodes (see ``build_grid``).
+    """
+
+    hx: float
+    hy: float
+    x: np.ndarray
+    y: np.ndarray
+    mask: np.ndarray
+
+    @property
+    def h(self) -> float:
+        return max(self.hx, self.hy)
+
+    @property
+    def nx(self) -> int:
+        return len(self.x)
+
+    @property
+    def ny(self) -> int:
+        return len(self.y)
+
+    @property
+    def cell_area(self) -> float:
+        return self.hx * self.hy
+
+    def same_layout(self, other: "Grid") -> bool:
+        return (self.mask.shape == other.mask.shape
+                and math.isclose(self.hx, other.hx)
+                and math.isclose(self.hy, other.hy)
+                and math.isclose(self.x[0], other.x[0])
+                and math.isclose(self.y[0], other.y[0]))
+
+
+def build_grid(poly: ConvexPolygon, h: float, min_axis: int = 16) -> Grid:
+    """Grid whose free nodes keep half a cell of clearance to the boundary.
+
+    The first zero node along any grid line lies within half a spacing of
+    the true boundary on either side, which keeps the effective Dirichlet
+    boundary centered on the exact one.  The mask is exactly
+    ``poly.clearance(node) > 0.25 (hx + hy)`` at every node, built column
+    by column from the edge half-planes (``_free_nodes``) rather than by
+    evaluating every node of the bounding box against every edge.
+    """
+    if not (h > 0):
+        raise CoarseGridError("grid spacing must be positive")
+    xmin, xmax, ymin, ymax = poly.bounding_box
+    ncx = max(int(round((xmax - xmin) / h)), 4)
+    ncy = max(int(round((ymax - ymin) / h)), 4)
+    hx = (xmax - xmin) / ncx
+    hy = (ymax - ymin) / ncy
+    x = xmin + hx * np.arange(ncx + 1)
+    y = ymin + hy * np.arange(ncy + 1)
+    mask = _free_nodes(poly, x, y, 0.25 * (hx + hy))
+    if min(mask.any(axis=1).sum(), mask.any(axis=0).sum()) < min_axis:
+        raise CoarseGridError(
+            f"h={h:g} leaves fewer than {min_axis} interior nodes per axis "
+            f"of {poly.provenance}")
+    return Grid(hx=hx, hy=hy, x=x, y=y, mask=mask)
+
+
+def _free_nodes(poly: ConvexPolygon, x: np.ndarray, y: np.ndarray,
+                thr: float) -> np.ndarray:
+    """The mask clearance > thr on the nodes (x_i, y_j), one column at a time.
+
+    Node (x, y) is free iff c_e - x n_x - y n_y > thr for every edge e.  In
+    the column at x an edge with n_y > 0 bounds y from above by
+    (c_e - thr - x n_x) / n_y, an edge with n_y < 0 bounds it from below,
+    and an edge with n_y = 0 keeps or drops the whole column, so the free
+    nodes of a column lie strictly inside one interval.  Each bound
+    carries a band of 64 eps times the size of the margin's terms (over
+    |n_y|), which covers the rounding of both this formula and the
+    per-node one; the few nodes inside a band are decided by
+    ``poly.clearance`` itself, so the mask equals clearance(nodes) > thr.
+    Cost: O(columns x edges + nodes) comparisons, with no point array.
+    """
+    normals, offsets, _ = poly._edges
+    n_x, n_y = normals[:, 0], normals[:, 1]
+    band = 64.0 * np.finfo(float).eps * (np.abs(offsets) + thr + np.abs(x).max() * np.abs(n_x)
+                          + np.abs(y).max() * np.abs(n_y))
+
+    def bounds(edges):
+        # each edge's bound on y in each column, and its band
+        b = (offsets[edges] - thr) - x[:, None] * n_x[edges]
+        b /= n_y[edges]
+        return b, band[edges] / np.abs(n_y[edges])
+
+    # free for certain above lo_in and below hi_in; outside for certain
+    # below lo_out or above hi_out
+    b, w = bounds(n_y > 0.0)
+    hi_in, hi_out = (b - w).min(axis=1), (b + w).min(axis=1)
+    b, w = bounds(n_y < 0.0)
+    lo_in, lo_out = (b + w).max(axis=1), (b - w).max(axis=1)
+    flat = n_y == 0.0
+    margin = (offsets[flat] - thr) - x[:, None] * n_x[flat]
+    lo_in[(margin <= band[flat]).any(axis=1)] = np.inf
+    lo_out[(margin < -band[flat]).any(axis=1)] = np.inf
+    mask = (y > lo_in[:, None]) & (y < hi_in[:, None])
+    i, j = np.nonzero((y >= lo_out[:, None]) & (y <= hi_out[:, None]) & ~mask)
+    if len(i):
+        mask[i, j] = poly.clearance(np.column_stack([x[i], y[j]])) > thr
+    return mask
+
+
 
 
 @dataclass(frozen=True, eq=False)
@@ -361,10 +479,8 @@ def distance_field(poly: ConvexPolygon, norm: MinkowskiNorm,
     For an interior point of a convex polygon the infimum over an edge's
     whole line is (c_e - x.n_e) / F(n_e), and the least of these over the
     edges is attained on the boundary, so d_F is that minimum exactly.
-    The grid is ``pde.build_grid``'s, with at least 32 free nodes per axis.
+    The grid is ``build_grid``'s, with at least 32 free nodes per axis.
     """
-    from .pde import build_grid
-
     grid = build_grid(poly, h, min_axis=32)
     i, j = np.nonzero(grid.mask)  # the free nodes in C order
     pts = np.column_stack([grid.x[i], grid.y[j]])

@@ -21,16 +21,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cheeger import CheegerResult, cheeger_estimate
+from .cheeger import N_DIM, CheegerResult, cheeger_estimate
 from .config import DEFAULTS, INEQUALITY_NAMES, ToleranceTable
 from .geometry import ConvexPolygon, distance_field, parse_domain
 from .norms import MinkowskiNorm, pi_p
 from .pde import (ConvergenceError, EigenResult, TorsionResult,
-                  efficiency_ratio, mass_bound_check, p_function, phi_check,
-                  solve_eigen, solve_torsion)
-
-N_DIM = 2
-
+                  check_p_tol, efficiency_ratio, mass_bound_check, p_function,
+                  phi_check, solve_eigen, solve_torsion)
 
 @dataclass(frozen=True)
 class CaseSpec:
@@ -43,8 +40,7 @@ class CaseSpec:
     tol: float = DEFAULTS["tol"]
 
     def __post_init__(self):
-        if not (self.p > 1.0):
-            raise ValueError("p must exceed 1")
+        check_p_tol(self.p, self.tol)
         if self.h is not None and not (self.h > 0):
             raise ValueError("h must be positive")
 
@@ -305,6 +301,7 @@ def slab_sweep(a: float, gauge: MinkowskiNorm, p: float, ks: list[float],
     equality in the second step iff the gauge is axis-aligned
     (F(e1) F°(e1) = 1), an unaligned gauge warns at every k.
     """
+    check_p_tol(p, tol)
     half_pi = 0.5 * pi_p(p)
     h_eff = h if h is not None else 2.0 * a * DEFAULTS["slab_h_fraction"]
     rows = []

@@ -13,14 +13,14 @@ so no numeric sup/inversion sits on the solver hot path.  Each gauge has
 one evaluation formula, ``value2`` on the x/y parts, and one gradient
 formula, ``value_wgrad2``, which returns F and W = F grad F (grad F =
 W / F away from the origin); calling the gauge on (..., 2) points
-evaluates ``value2``.  The lq gradient is built from ``value2``'s own
-operations, so its F is bitwise ``value2``'s and there is still one value
-formula per family.  ``quadratic_form`` returns the matrix A with
-F^2 = xi . A xi for the gauges whose square is quadratic (every ellipse,
-and lq:2 with A the identity) and None for the others; the solver's
-p = 2 kernel evaluates F^2 and F grad F = A xi from it directly, without
-``value2`` or ``value_wgrad2``.  The sup-based polar is kept in the test
-suite as an independent oracle.
+evaluates ``value2``.  The lq formula is written once, in place
+(``_lq``): ``value2`` returns its F and the gradient reuses its terms,
+so there is one value formula per family.  ``quadratic_form`` returns
+the matrix A with F^2 = xi . A xi for the gauges whose square is
+quadratic (every ellipse, and lq:2 with A the identity) and None for the
+others; the solver's p = 2 kernel evaluates F^2 and F grad F = A xi from
+it directly, without ``value2`` or ``value_wgrad2``.  The sup-based
+polar is kept in the test suite as an independent oracle.
 
 The module also provides ``pi_p``, the generalized pi governing the
 one-dimensional eigenvalue problem, in closed form with a quadrature
@@ -133,37 +133,49 @@ class MinkowskiNorm:
             a = self.A
             s = a[0, 0] * gx * gx + 2.0 * a[0, 1] * gx * gy + a[1, 1] * gy * gy
             return np.sqrt(np.maximum(s, 0.0))
-        q = self.q
-        ax, ay = np.abs(gx), np.abs(gy)
-        m = np.maximum(ax, ay)
-        # the larger of ax/m, ay/m is exactly 1, and so is its q-th power
-        with np.errstate(invalid="ignore", divide="ignore"):
-            v = m * np.power(1.0 + np.power(np.minimum(ax, ay) / m, q), 1.0 / q)
-        return np.where(m == 0.0, 0.0, v)
+        return self._lq(gx, gy)[0]
 
     def value_wgrad2(self, gx, gy) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Return (F, W1, W2) with W = F * grad F = grad(F^2)/2, finite at 0.
 
         F is bitwise the value of ``value2``.  For lq with q != 2, W reuses
-        the terms of that formula: with m = max(|gx|, |gy|), r = min / m,
-        big = 1 + r^q and u = big^(1/q), F = m u; W is F u / big on the
-        larger component and that times r^(q-1) on the smaller, each
-        signed like its component of g.  At q = 2, W is (g / F) F, not g:
-        lq:2 at p != 2 (the solver's nonlinear path) is pinned to that
-        rounding.  The p = 2 solver kernel does not call this for a
-        quadratic gauge; it reads ``quadratic_form`` instead.
+        the terms of ``_lq``: W is F u / big on the larger component and
+        that times r^(q-1) on the smaller, each signed like its component
+        of g.  At q = 2, W is (g / F) F, not g: lq:2 at p != 2 (the
+        solver's nonlinear path) is pinned to that rounding.  The p = 2
+        solver kernel does not call this for a quadratic gauge; it reads
+        ``quadratic_form`` instead.
         """
         if self.family == "ellipse":
             a = self.A
             f = self.value2(gx, gy)
             return f, a[0, 0] * gx + a[0, 1] * gy, a[0, 1] * gx + a[1, 1] * gy
-        q = self.q
-        if q == 2.0:
+        if self.q == 2.0:
             f = self.value2(gx, gy)
             safe = np.where(f > 0.0, f, 1.0)  # g = 0 where F = 0
             return f, gx / safe * f, gy / safe * f
+        f, r, big, u, y_larger = self._lq(gx, gy)
+        w_max = u  # the larger component's W, F u / big
+        w_max *= f
+        w_max /= big
+        w_min = np.power(r, self.q - 1.0, out=r)
+        w_min *= w_max
+        w1 = np.where(y_larger, w_min, w_max)
+        w2 = np.where(y_larger, w_max, w_min)
+        np.copysign(w1, gx, out=w1)
+        np.copysign(w2, gy, out=w2)
+        return f, w1, w2
+
+    def _lq(self, gx, gy):
+        """The lq formula, in place: (F, r, big, u, y_larger).
+
+        With m = max(|gx|, |gy|), r = min / m (0 at g = 0), big = 1 + r^q
+        and u = big^(1/q), F = m u: the larger of |gx| / m, |gy| / m is
+        exactly 1, and so is its q-th power.  ``y_larger`` flags
+        |gx| < |gy|.  Four new float arrays, even for 0-d input.
+        """
+        q = self.q
         shape = np.broadcast(gx, gy).shape
-        # arrays even for 0-d input, so that every step below runs in place
         ax = np.abs(gx, out=np.empty(shape))
         ay = np.abs(gy, out=np.empty(shape))
         y_larger = ax < ay
@@ -171,21 +183,12 @@ class MinkowskiNorm:
         r = np.minimum(ax, ay, out=ax)
         with np.errstate(invalid="ignore"):
             r /= f
-        np.fmax(r, 0.0, out=r)  # 0/0 at g = 0: r = 0 makes F and W zero there
+        np.fmax(r, 0.0, out=r)  # 0/0 at g = 0
         big = np.power(r, q, out=ay)
         big += 1.0
         u = np.power(big, 1.0 / q, out=np.empty(shape))
         f *= u
-        w_max = u  # the larger component's W, F u / big
-        w_max *= f
-        w_max /= big
-        w_min = np.power(r, q - 1.0, out=r)
-        w_min *= w_max
-        w1 = np.where(y_larger, w_min, w_max)
-        w2 = np.where(y_larger, w_max, w_min)
-        np.copysign(w1, gx, out=w1)
-        np.copysign(w2, gy, out=w2)
-        return f, w1, w2
+        return f, r, big, u, y_larger
 
     # -- derived quantities --------------------------------------------------
 

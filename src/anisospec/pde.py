@@ -39,14 +39,15 @@ rule stopped it:
 
 Non-differentiability of F at a vanishing gradient is removed by the
 subtracted regularization F_eps = sqrt(F^2 + eps^2) - eps, which keeps
-F_eps(0) = 0; reported energies are re-evaluated at eps = 0.  The
-quadratic path needs none (eps = 0), and there the energy kernel is the
-closed form: per triangle, F^2 = g . A g and F grad F = A g, read off the
-gauge's matrix (``MinkowskiNorm.quadratic_form``: A for an ellipse, the
-identity for lq:2), with no root, absolute value, min/max or division.
-Every other (p, eps, gauge) evaluates F and F grad F by the gauge's
-``value_wgrad2`` and raises them to p.  (p, eps, gauge) alone picks the
-formula.
+F_eps(0) = 0; only the descent's kernel ``_grad_energy_with_grad``
+evaluates it, and ``grad_energy`` is the eps = 0 energy that reports
+lambda and T_dual.  The quadratic path needs none (eps = 0), and there
+both evaluate the closed form: per triangle, F^2 = g . A g and
+F grad F = A g, read off the gauge's matrix (``quadratic_form``: A for
+an ellipse, the identity for lq:2), with no root, absolute value, min/max
+or division.  Elsewhere they raise the gauge's ``value_wgrad2`` and
+``value2`` to p.  (p, gauge) alone picks the formula.  Grids and their
+free-node masks come from ``geometry``.
 """
 
 from __future__ import annotations
@@ -61,7 +62,7 @@ from scipy.ndimage import map_coordinates
 from scipy.special import betainc
 
 from .config import DEFAULTS
-from .geometry import ConvexPolygon, CoarseGridError
+from .geometry import CoarseGridError, ConvexPolygon, Grid, build_grid
 from .norms import MinkowskiNorm, pi_p
 
 WINDOW = 25  # iterations spanned by the convergence criterion
@@ -77,52 +78,6 @@ class ConvergenceError(RuntimeError):
     def __init__(self, message, result=None):
         super().__init__(message)
         self.result = result
-
-
-@dataclass(frozen=True, eq=False)
-class Grid:
-    """Uniform grid covering the domain's bounding box exactly.
-
-    The spacing is snapped per axis (hx = width / round(width / h), same
-    for hy) so that grid nodes land exactly on the bounding box; straight
-    edges parallel to an axis then carry no systematic half-cell boundary
-    offset.  ``mask`` flags the free (interior) nodes; every other node
-    carries a hard zero Dirichlet value.  Free nodes keep more than
-    0.25 (hx + hy), about half a cell, of clearance to the boundary, so
-    the ring of zero nodes straddles the true boundary instead of sitting
-    uniformly outside it.  A convex polygon meets each grid column in one
-    interval, so the free nodes of a column are one run of consecutive
-    nodes (see ``build_grid``).
-    """
-
-    hx: float
-    hy: float
-    x: np.ndarray
-    y: np.ndarray
-    mask: np.ndarray
-
-    @property
-    def h(self) -> float:
-        return max(self.hx, self.hy)
-
-    @property
-    def nx(self) -> int:
-        return len(self.x)
-
-    @property
-    def ny(self) -> int:
-        return len(self.y)
-
-    @property
-    def cell_area(self) -> float:
-        return self.hx * self.hy
-
-    def same_layout(self, other: "Grid") -> bool:
-        return (self.mask.shape == other.mask.shape
-                and math.isclose(self.hx, other.hx)
-                and math.isclose(self.hy, other.hy)
-                and math.isclose(self.x[0], other.x[0])
-                and math.isclose(self.y[0], other.y[0]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -147,76 +102,6 @@ class GridField:
                    header="x,y,value", comments="")
 
 
-def build_grid(poly: ConvexPolygon, h: float, min_axis: int = 16) -> Grid:
-    """Grid whose free nodes keep half a cell of clearance to the boundary.
-
-    The first zero node along any grid line lies within half a spacing of
-    the true boundary on either side, which keeps the effective Dirichlet
-    boundary centered on the exact one.  The mask is exactly
-    ``poly.clearance(node) > 0.25 (hx + hy)`` at every node, built column
-    by column from the edge half-planes (``_free_nodes``) rather than by
-    evaluating every node of the bounding box against every edge.
-    """
-    if not (h > 0):
-        raise CoarseGridError("grid spacing must be positive")
-    xmin, xmax, ymin, ymax = poly.bounding_box
-    ncx = max(int(round((xmax - xmin) / h)), 4)
-    ncy = max(int(round((ymax - ymin) / h)), 4)
-    hx = (xmax - xmin) / ncx
-    hy = (ymax - ymin) / ncy
-    x = xmin + hx * np.arange(ncx + 1)
-    y = ymin + hy * np.arange(ncy + 1)
-    mask = _free_nodes(poly, x, y, 0.25 * (hx + hy))
-    if min(mask.any(axis=1).sum(), mask.any(axis=0).sum()) < min_axis:
-        raise CoarseGridError(
-            f"h={h:g} leaves fewer than {min_axis} interior nodes per axis "
-            f"of {poly.provenance}")
-    return Grid(hx=hx, hy=hy, x=x, y=y, mask=mask)
-
-
-def _free_nodes(poly: ConvexPolygon, x: np.ndarray, y: np.ndarray,
-                thr: float) -> np.ndarray:
-    """The mask clearance > thr on the nodes (x_i, y_j), one column at a time.
-
-    Node (x, y) is free iff c_e - x n_x - y n_y > thr for every edge e.  In
-    the column at x an edge with n_y > 0 bounds y from above by
-    (c_e - thr - x n_x) / n_y, an edge with n_y < 0 bounds it from below,
-    and an edge with n_y = 0 keeps or drops the whole column, so the free
-    nodes of a column lie strictly inside one interval.  Each bound
-    carries a band of 64 eps times the size of the margin's terms (over
-    |n_y|), which covers the rounding of both this formula and the
-    per-node one; the few nodes inside a band are decided by
-    ``poly.clearance`` itself, so the mask equals clearance(nodes) > thr.
-    Cost: O(columns x edges + nodes) comparisons, with no point array.
-    """
-    normals, offsets, _ = poly._edges
-    n_x, n_y = normals[:, 0], normals[:, 1]
-    band = 64.0 * _EPS * (np.abs(offsets) + thr + np.abs(x).max() * np.abs(n_x)
-                          + np.abs(y).max() * np.abs(n_y))
-
-    def bounds(edges):
-        # each edge's bound on y in each column, and its band
-        b = (offsets[edges] - thr) - x[:, None] * n_x[edges]
-        b /= n_y[edges]
-        return b, band[edges] / np.abs(n_y[edges])
-
-    # free for certain above lo_in and below hi_in; outside for certain
-    # below lo_out or above hi_out
-    b, w = bounds(n_y > 0.0)
-    hi_in, hi_out = (b - w).min(axis=1), (b + w).min(axis=1)
-    b, w = bounds(n_y < 0.0)
-    lo_in, lo_out = (b + w).max(axis=1), (b - w).max(axis=1)
-    flat = n_y == 0.0
-    margin = (offsets[flat] - thr) - x[:, None] * n_x[flat]
-    lo_in[(margin <= band[flat]).any(axis=1)] = np.inf
-    lo_out[(margin < -band[flat]).any(axis=1)] = np.inf
-    mask = (y > lo_in[:, None]) & (y < hi_in[:, None])
-    i, j = np.nonzero((y >= lo_out[:, None]) & (y <= hi_out[:, None]) & ~mask)
-    if len(i):
-        mask[i, j] = poly.clearance(np.column_stack([x[i], y[j]])) > thr
-    return mask
-
-
 # -- energy kernels -----------------------------------------------------------
 
 
@@ -233,6 +118,11 @@ def _pow(x: np.ndarray, p: float) -> np.ndarray:
     if p == 1.0:
         return x
     return np.power(x, p)
+
+
+def _mass(psi: np.ndarray, grid: Grid, p: float) -> float:
+    """The Rayleigh denominator: the integral of psi^p, for psi >= 0."""
+    return float(grid.cell_area * _pow(psi[grid.mask], p).sum())
 
 
 def _quadratic_form(norm: MinkowskiNorm, p: float, eps: float):
@@ -258,16 +148,12 @@ def _quadratic_fp(a, gx, gy) -> np.ndarray:
     return fp
 
 
-def _fp(norm: MinkowskiNorm, gx, gy, p: float, eps: float) -> np.ndarray:
-    a = _quadratic_form(norm, p, eps)
+def _fp(norm: MinkowskiNorm, gx, gy, p: float) -> np.ndarray:
+    """F^p, the unregularized (eps = 0) energy density."""
+    a = _quadratic_form(norm, p, 0.0)
     if a is not None:
         return _quadratic_fp(a, gx, gy)
-    f = norm.value2(gx, gy)
-    if eps == 0.0:
-        return _pow(f, p)
-    s = f * f
-    fe = s / (np.sqrt(s + eps * eps) + eps)  # = sqrt(s+eps^2)-eps, stably
-    return _pow(fe, p)
+    return _pow(norm.value2(gx, gy), p)
 
 
 def _fp_grad(norm: MinkowskiNorm, gx, gy, p: float, eps: float):
@@ -307,13 +193,13 @@ def _fp_grad(norm: MinkowskiNorm, gx, gy, p: float, eps: float):
     return fp, w1, w2
 
 
-def grad_energy(psi: np.ndarray, grid: Grid, norm: MinkowskiNorm, p: float,
-                eps: float = 0.0) -> float:
-    """sum over triangles of area * F_eps(grad psi)^p (the Dirichlet part)."""
+def grad_energy(psi: np.ndarray, grid: Grid, norm: MinkowskiNorm,
+                p: float) -> float:
+    """sum over triangles of area * F(grad psi)^p, the energy at eps = 0."""
     gxl, gyl, gxu, gyu = _tri_gradients(psi, grid.hx, grid.hy)
     w = 0.5 * grid.cell_area
-    return float(w * (_fp(norm, gxl, gyl, p, eps).sum()
-                      + _fp(norm, gxu, gyu, p, eps).sum()))
+    return float(w * (_fp(norm, gxl, gyl, p).sum()
+                      + _fp(norm, gxu, gyu, p).sum()))
 
 
 def _grad_energy_with_grad(psi, grid, norm, p, eps):
@@ -452,16 +338,11 @@ class _EigenProblem(_DescentProblem):
 
     def prepare(self, psi):
         psi = self.feasible(psi.copy())
-        d = self.denom(psi)
+        d = _mass(psi, self.grid, self.p)
         if d <= 0.0:
             psi = self.feasible(_bbox_seed(self.grid))
-            d = self.denom(psi)
+            d = _mass(psi, self.grid, self.p)
         return psi / d ** (1.0 / self.p)
-
-    def denom(self, psi) -> float:
-        # iterates are clamped nonnegative, so |psi| is psi
-        v = psi[self.grid.mask]
-        return float(self.grid.cell_area * _pow(v, self.p).sum())
 
     def value_grad(self, psi):
         num, gn = _grad_energy_with_grad(psi, self.grid, self.norm, self.p,
@@ -479,7 +360,7 @@ class _EigenProblem(_DescentProblem):
             # numerator and denominator are quadratic forms along the ray,
             # and the cross terms follow from the quotient slope: with the
             # iterate normalized, <gradN, d> = slope + 2 f e / cell terms
-            n_d = grad_energy(d, self.grid, self.norm, self.p, self.eps)
+            n_d = grad_energy(d, self.grid, self.norm, self.p)
             w = self.grid.cell_area
             m = self.grid.mask
             e = w * float((psi[m] * d[m]).sum())
@@ -496,7 +377,7 @@ class _EigenProblem(_DescentProblem):
 
     def ray_point(self, psi, d, alpha):
         cand, _ = super().ray_point(psi, d, alpha)
-        dc = self.denom(cand)
+        dc = _mass(cand, self.grid, self.p)
         if dc <= 0.0:
             return None, 0.0
         s = dc ** (1.0 / self.p)
@@ -521,7 +402,7 @@ class _TorsionProblem(_DescentProblem):
 
     def step_candidates(self, psi, d, f, slope, alpha0):
         if self.quadratic:
-            n_d = grad_energy(d, self.grid, self.norm, self.p, self.eps)
+            n_d = grad_energy(d, self.grid, self.norm, self.p)
             if n_d > 0:
                 return [-slope / n_d]
         if alpha0 is not None and alpha0 > 0:
@@ -774,6 +655,14 @@ class TorsionResult:
     stop: str
 
 
+def check_p_tol(p: float, tol: float) -> None:
+    """ValueError unless p is finite and above 1 and tol finite and above 0."""
+    if not (math.isfinite(p) and p > 1.0):
+        raise ValueError(f"p must be finite and exceed 1, got {p:g}")
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"tol must be finite and positive, got {tol:g}")
+
+
 def _eps_for(poly: ConvexPolygon, norm: MinkowskiNorm, p: float) -> float:
     if _quadratic_form(norm, p, 0.0) is not None:
         return 0.0  # the energy is already smooth (quadratic)
@@ -788,8 +677,7 @@ def _coarse_to_fine(problem_cls, poly: ConvexPolygon, norm: MinkowskiNorm,
     feasible start.  Returns (finest grid, iterate, total iterations, and
     the finest level's residual, converged and stop).
     """
-    if not (p > 1.0):
-        raise ValueError("p must exceed 1")
+    check_p_tol(p, tol)
     grids = _grid_hierarchy(poly, h)
     eps = _eps_for(poly, norm, p)
     psi = np.zeros((grids[-1].nx, grids[-1].ny))
@@ -835,9 +723,7 @@ def solve_eigen(poly: ConvexPolygon, norm: MinkowskiNorm, p: float, h: float,
         u, lam = np.zeros_like(psi), math.nan
     else:
         u = psi / umax
-        num = grad_energy(u, grid, norm, p, eps=0.0)
-        den = grid.cell_area * float(_pow(u[grid.mask], p).sum())
-        lam = num / den
+        lam = grad_energy(u, grid, norm, p) / _mass(u, grid, p)
     result = EigenResult(lambda_=lam, u=GridField(grid, u), iterations=total_it,
                          residual=residual, p=p, norm_id=norm.spec_string(),
                          domain_id=poly.provenance,
@@ -871,7 +757,7 @@ def solve_torsion(poly: ConvexPolygon, norm: MinkowskiNorm, p: float, h: float,
         mv = t_int = t_dual = math.nan
     else:
         t_int = grid.cell_area * float(psi[grid.mask].sum())
-        t_dual = grad_energy(psi, grid, norm, p, eps=0.0)
+        t_dual = grad_energy(psi, grid, norm, p)
     result = TorsionResult(v=GridField(grid, psi), T=t_int, Mv=mv,
                            T_dual=t_dual, iterations=total_it, residual=residual,
                            p=p, norm_id=norm.spec_string(),

@@ -72,6 +72,17 @@ class TestSolverCommands:
                      "--p", "0.5"]) == EXIT_USAGE
         capsys.readouterr()
 
+    @pytest.mark.parametrize("flag,value", [
+        ("--p", "inf"), ("--p", "nan"), ("--tol", "-1"), ("--tol", "0"),
+        ("--tol", "nan"), ("--tol", "inf")])
+    @pytest.mark.parametrize("command", ["eigen", "torsion"])
+    def test_bad_p_or_tol_exit_2(self, capsys, command, flag, value):
+        # rejected before any solve: no stopping rule can hold there
+        assert main([command, "--domain", "rect:1,1", "--norm", "lq:2",
+                     "--h", "0.0625", flag, value]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert f"{flag[2:]} must be finite" in err
+
     def test_unknown_flag_exit_2(self, capsys):
         assert main(["eigen", "--nope"]) == EXIT_USAGE
         assert main(["verify", "--h", "1"]) == EXIT_USAGE  # not "--help"
@@ -129,6 +140,23 @@ h = 0.0625
         cfg.write_text("[case]\nnot a key value\n")
         assert main(["verify", "--config", str(cfg)]) == EXIT_USAGE
         capsys.readouterr()
+
+    @pytest.mark.parametrize("line", ["tol = -1", "tol = 0", "p = 1"])
+    def test_bad_case_rejected_before_any_solve(self, capsys, tmp_path,
+                                                monkeypatch, line):
+        # a bad last case is a config error, not a crash after the others
+        # are solved; a later key of a case overrides an earlier one
+        solved = []
+        monkeypatch.setattr(cli, "_run_one", solved.append)
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(MINI_CFG + "[case]\ndomain = rect:1,1\nnorm = lq:2\n"
+                       f"p = 2\nh = 0.0625\n{line}\n")
+        out_dir = tmp_path / "out"
+        assert main(["verify", "--config", str(cfg), "--out",
+                     str(out_dir)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "config error" in err and "must be finite" in err
+        assert solved == [] and not out_dir.exists()
 
     def test_strict_inconclusive_exit_3(self, capsys, tmp_path, monkeypatch):
         real = run_case
@@ -230,6 +258,14 @@ class TestConfig:
                      "--jobs", "2"]) == EXIT_OK
         assert "jobs = 2\n" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("jobs", ["0", "-2"])
+    def test_jobs_flag_below_one_rejected(self, capsys, jobs):
+        # the config's rule: "jobs = 0" would not parse back
+        assert main(["verify", "--dump-config", "--jobs", jobs]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"--jobs must be at least 1, got {jobs}" in captured.err
+
     def test_json_config(self):
         payload = {
             "run": {"jobs": 2, "strict": True},
@@ -329,6 +365,12 @@ class TestSweepCommand:
         capsys.readouterr()
         assert code == EXIT_OK
         assert (tmp_path / "slab_sweep.csv").read_text().startswith("k,r1")
+
+    @pytest.mark.parametrize("flag,value", [("--p", "inf"), ("--p", "nan")])
+    def test_bad_p_exit_2(self, capsys, flag, value):
+        assert main(["sweep", "--k", "1", "--h", "0.0625", flag, value]) \
+            == EXIT_USAGE
+        assert "p must be finite" in capsys.readouterr().err
 
     def test_empty_k_exit_2(self, capsys):
         assert main(["sweep", "--k", ","]) == EXIT_USAGE

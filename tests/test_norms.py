@@ -1,6 +1,7 @@
 """Gauge families: closed forms against independent numeric oracles."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -101,6 +102,21 @@ class TestEval:
         ref = np.where(m == 0.0, 0.0, ref)
         got = MinkowskiNorm.lq(q).value2(x, y)
         assert np.array_equal(got.view(np.int64), ref.view(np.int64))
+
+    @pytest.mark.parametrize("q", [2.0, 4.0])
+    def test_lq_value_peak_memory(self, q):
+        # in units of one float field: the in-place formula holds four
+        # fields and a flag array at once; out of place it peaked at 5.1
+        rng = np.random.default_rng(7)
+        gx, gy = rng.normal(size=(2, 257, 4097))
+        norm = MinkowskiNorm.lq(q)
+        tracemalloc.start()
+        try:
+            norm.value2(gx, gy)
+            peak = tracemalloc.get_traced_memory()[1] / gx.nbytes
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4.5, peak
 
     @pytest.mark.parametrize("shape", [(3,), (4, 3), (1,), (5, 1)])
     def test_planar_input_only(self, shape):

@@ -1,0 +1,62 @@
+"""Each formula has one owner: a static scan of the package sources.
+
+The polygon's edge half-planes are private to ``geometry``, which builds
+the grid masks from them, so no other module reads ``_edges``; and
+``geometry`` sits below ``pde``, so it never imports it.  The solver's
+eps = 0 energy takes no regularization.
+"""
+
+import ast
+import inspect
+from pathlib import Path
+
+import anisospec
+from anisospec import pde
+
+PACKAGE = Path(anisospec.__file__).resolve().parent
+
+
+def _trees():
+    for path in sorted(PACKAGE.glob("*.py")):
+        yield path.name, ast.parse(path.read_text(), filename=str(path))
+
+
+def _imported_modules(tree):
+    """Dotted names a module imports, relative ones resolved to the package."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = "anisospec" if node.level else ""
+            if node.module:
+                base = f"{base}.{node.module}" if base else node.module
+            yield base
+            yield from (f"{base}.{alias.name}" for alias in node.names)
+
+
+def test_only_geometry_reads_edges():
+    readers = sorted(name for name, tree in _trees()
+                     for node in ast.walk(tree)
+                     if isinstance(node, ast.Attribute) and node.attr == "_edges")
+    assert set(readers) == {"geometry.py"}, readers
+
+
+def test_geometry_does_not_import_pde():
+    tree = dict(_trees())["geometry.py"]
+    imported = set(_imported_modules(tree))
+    assert not {"anisospec.pde", "pde"} & imported, sorted(imported)
+
+
+def test_scan_sees_imports_and_edges():
+    # the scan itself: it resolves relative imports and finds attributes
+    tree = ast.parse("from . import pde\nfrom .pde import build_grid\n"
+                     "import anisospec.pde\nx = poly._edges\n")
+    assert {"anisospec.pde", "anisospec.pde.build_grid"} \
+        <= set(_imported_modules(tree))
+    assert any(isinstance(n, ast.Attribute) and n.attr == "_edges"
+               for n in ast.walk(tree))
+
+
+def test_energy_has_no_regularization_parameter():
+    assert "eps" not in inspect.signature(pde.grad_energy).parameters
+    assert "eps" not in inspect.signature(pde._fp).parameters

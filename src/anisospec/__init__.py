@@ -6,15 +6,14 @@ erosion), Cheeger-constant bounds and estimates, and a harness that
 audits the full family of sharp inequalities tying them together.
 """
 
-from .cheeger import CheegerResult, cheeger_bounds, cheeger_estimate
+from .cheeger import CheegerResult, cheeger_estimate
 from .config import DEFAULTS, INEQUALITY_IDS, ToleranceTable
 from .geometry import (ConvexPolygon, DistanceField, GeometryError,
                        CoarseGridError, Grid, build_grid, distance_field,
                        parse_domain, wulff_domain)
 from .harness import (CaseSpec, InequalityReport, convergence_study,
                       default_catalog, run_case, slab_sweep)
-from .norms import (GaugeError, MinkowskiNorm, pi_p, pi_p_quadrature,
-                    wulff_polygon)
+from .norms import GaugeError, MinkowskiNorm, pi_p, wulff_polygon
 from .pde import (ConvergenceError, EigenResult, GridField,
                   PFunctionResult, TorsionResult, efficiency_ratio,
                   mass_bound_check, p_function, phi_check, phi_profile,
@@ -27,10 +26,9 @@ __all__ = [
     "ConvexPolygon", "DEFAULTS", "DistanceField", "EigenResult", "GaugeError",
     "GeometryError", "Grid", "GridField", "INEQUALITY_IDS",
     "InequalityReport", "MinkowskiNorm", "PFunctionResult", "ToleranceTable",
-    "TorsionResult", "build_grid", "cheeger_bounds",
-    "cheeger_estimate", "convergence_study", "default_catalog",
-    "distance_field", "efficiency_ratio", "mass_bound_check", "p_function",
-    "parse_domain", "phi_check", "phi_profile", "pi_p", "pi_p_quadrature",
-    "run_case", "slab_sweep", "solve_eigen",
+    "TorsionResult", "build_grid", "cheeger_estimate", "convergence_study",
+    "default_catalog", "distance_field", "efficiency_ratio",
+    "mass_bound_check", "p_function", "parse_domain", "phi_check",
+    "phi_profile", "pi_p", "run_case", "slab_sweep", "solve_eigen",
     "solve_torsion", "wulff_domain", "wulff_polygon",
 ]

@@ -14,11 +14,12 @@ and h_F = 1/r, where r is the unique root of
 with kappa_F the area of the Wulff shape.  The eroded area decreases
 continuously from |domain| to 0 on [0, R_F] while kappa_F r^2 grows, so a
 single bracketed root solve gives ``h_est``, the exact constant of the
-polygon (up to the root solver's rounding).  The rigorous inradius bounds
+polygon (up to the root solver's rounding).  ``cheeger_estimate`` also
+returns the rigorous inradius bounds
 
     1 / R_F  <=  h_F  <=  min(N / R_F, P_F / area)
 
-are reported alongside it.
+as its ``lower`` and ``upper``, from the same cached inradius LP.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 
 from scipy.optimize import brentq
 
-from .geometry import ConvexPolygon, _chebyshev_cached
+from .geometry import ConvexPolygon
 from .norms import MinkowskiNorm
 
 N_DIM = 2
@@ -44,23 +45,17 @@ class CheegerResult:
     inradius: float
 
 
-def cheeger_bounds(poly: ConvexPolygon,
-                   norm: MinkowskiNorm) -> tuple[float, float]:
-    """(1/R_F, min(N/R_F, P_F/|area|)); the second upper term uses K = domain."""
-    r_f, _ = _chebyshev_cached(poly, norm)
-    upper = min(N_DIM / r_f, poly.perimeter_F(norm) / poly.area)
-    return 1.0 / r_f, upper
-
-
 def cheeger_estimate(poly: ConvexPolygon,
                      norm: MinkowskiNorm) -> CheegerResult:
     """Solve |erode(r)| = kappa_F r^2 on [0, R_F]; h_F = 1/r.
 
     An empty erosion counts as area 0, so the gap is |domain| > 0 at r = 0
-    and -kappa_F R_F^2 < 0 at r = R_F, and the bracket always holds.
+    and -kappa_F R_F^2 < 0 at r = R_F, and the bracket always holds.  The
+    bounds are 1/R_F and min(N/R_F, P_F/|area|); the second upper term
+    takes K = domain.
     """
-    r_f, _ = _chebyshev_cached(poly, norm)
-    lower, upper = cheeger_bounds(poly, norm)
+    r_f, _ = poly.inradius_F(norm)
+    upper = min(N_DIM / r_f, poly.perimeter_F(norm) / poly.area)
     kappa = norm.wulff_area()
 
     def gap(r: float) -> float:
@@ -70,5 +65,5 @@ def cheeger_estimate(poly: ConvexPolygon,
 
     # brentq's default xtol is absolute (2e-12); scale it with the domain
     r_star = brentq(gap, 0.0, r_f, xtol=1e-15 * r_f)
-    return CheegerResult(h_est=1.0 / r_star, r_star=float(r_star), lower=lower,
-                         upper=upper, inradius=r_f)
+    return CheegerResult(h_est=1.0 / r_star, r_star=float(r_star),
+                         lower=1.0 / r_f, upper=upper, inradius=r_f)

@@ -342,8 +342,10 @@ def _cmd_verify(args) -> int:
         return EXIT_OK
 
     payloads = [(spec, cfg.tolerances) for spec in cfg.cases]
-    if cfg.jobs > 1:
-        with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
+    # the pool forks all its workers at the first submit: no more than cases
+    workers = min(cfg.jobs, len(payloads))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             reports = list(pool.map(_run_one, payloads))
     else:
         reports = [_run_one(p) for p in payloads]

@@ -6,17 +6,18 @@ perimeter, erosion and inradius computations exact polygon arithmetic:
 
 * anisotropic perimeter  P_F = sum over edges of length * F(outer normal)
 * anisotropic inradius   R_F = Chebyshev center in the polar metric,
-  solved exactly as a tiny linear program
+  solved exactly as a tiny linear program, once per (polygon, gauge):
+  ``inradius_F`` is cached, and erosion reads its incenter
 * inner parallel bodies  (erosion by r times the Wulff shape) via
   half-plane clipping with per-edge offsets r * F(normal)
 * rolling bodies         K_r = (erode r) ⊕ r*Wulff via the planar
   mixed-area identities
 
 The module owns the solvers' grids: ``build_grid`` masks the free nodes
-by the edge half-planes.  The gridded anisotropic distance field
-evaluates the exact formula d_F(x) = min over edges of (c_e - x.n_e) /
-F(n_e) at each free node, not fast marching, so its error is set by the
-grid alone.
+by the edge half-planes, with ``clearance`` as the per-node margin.  The
+gridded anisotropic distance field evaluates the exact formula d_F(x) =
+min over edges of (c_e - x.n_e) / F(n_e) at each free node, not fast
+marching, so its error is set by the grid alone.
 """
 
 from __future__ import annotations
@@ -134,28 +135,23 @@ class ConvexPolygon:
 
     # -- point queries -----------------------------------------------------------
 
-    def _least_margin(self, points, scale=None) -> np.ndarray:
-        """min over edges of (c_e - x.n_e) / scale_e, 64 edges at a time."""
+    def clearance(self, points: np.ndarray) -> np.ndarray:
+        """Signed Euclidean distance to the boundary (positive inside).
+
+        min over edges of c_e - x.n_e, taken 64 edges at a time.  Valid as
+        a distance only for points inside the polygon; outside it is just
+        the most violated half-plane margin.  This is the per-node formula
+        that defines a grid's free nodes: ``build_grid`` decides most nodes
+        from per-column intervals and calls it only for the nodes within
+        rounding of an interval end.
+        """
         points = np.asarray(points, float)
         normals, offsets, _ = self._edges
         out = np.full(points.shape[:-1], np.inf)
         for s in range(0, len(normals), 64):
             block = offsets[s:s + 64] - points @ normals[s:s + 64].T
-            if scale is not None:
-                block /= scale[s:s + 64]
             np.minimum(out, block.min(axis=-1), out=out)
         return out
-
-    def clearance(self, points: np.ndarray) -> np.ndarray:
-        """Signed Euclidean distance to the boundary (positive inside).
-
-        Valid as a distance only for points inside the polygon; outside it
-        is just the most violated half-plane margin.  This is the per-node
-        formula that defines a grid's free nodes: ``build_grid`` decides
-        most nodes from per-column intervals and calls it only for the
-        nodes within rounding of an interval end.
-        """
-        return self._least_margin(points)
 
     # -- anisotropic functionals ----------------------------------------------
 
@@ -164,12 +160,15 @@ class ConvexPolygon:
         normals, _, lengths = self._edges
         return float(np.dot(lengths, np.asarray(norm(normals))))
 
+    @lru_cache(maxsize=256)
     def inradius_F(self, norm: MinkowskiNorm) -> tuple[float, np.ndarray]:
         """Exact anisotropic inradius and an incenter, via linear programming.
 
         For a convex polygon the polar distance from x to the boundary is
         min over edges of (c_e - x.n_e) / F(n_e), so the inradius is the
-        Chebyshev-center LP  max r  s.t.  x.n_e + r F(n_e) <= c_e.
+        Chebyshev-center LP  max r  s.t.  x.n_e + r F(n_e) <= c_e.  The
+        result is cached per (polygon, gauge) pair, so the incenter is a
+        shared read-only array.
         """
         normals, offsets, _ = self._edges
         fn = np.asarray(norm(normals))
@@ -179,12 +178,9 @@ class ConvexPolygon:
                       method="highs")
         if not res.success:
             raise GeometryError(f"inradius LP failed: {res.message}")
-        return float(res.x[2]), res.x[:2].copy()
-
-    def distance_to_boundary_F(self, norm: MinkowskiNorm,
-                               points: np.ndarray) -> np.ndarray:
-        """Exact polar-gauge distance to the boundary for interior points."""
-        return self._least_margin(points, np.asarray(norm(self._edges[0])))
+        center = res.x[:2].copy()
+        center.setflags(write=False)
+        return float(res.x[2]), center
 
     # -- erosion and rolling bodies ----------------------------------------------
 
@@ -199,7 +195,7 @@ class ConvexPolygon:
             raise GeometryError("erosion radius must be nonnegative")
         if r == 0.0:
             return self
-        r_f, center = _chebyshev_cached(self, norm)
+        r_f, center = self.inradius_F(norm)
         if r >= r_f * (1.0 - 1e-13):
             return None
         normals, offsets, _ = self._edges
@@ -240,12 +236,6 @@ class ConvexPolygon:
         area_e = eroded.area
         per_e = eroded.perimeter_F(norm)
         return (area_e + r * per_e + r * r * kappa, per_e + 2.0 * r * kappa)
-
-
-@lru_cache(maxsize=256)
-def _chebyshev_cached(poly: ConvexPolygon,
-                      norm: MinkowskiNorm) -> tuple[float, np.ndarray]:
-    return poly.inradius_F(norm)
 
 
 def _clip_halfplanes(vertices: np.ndarray, normals: np.ndarray,

@@ -1,11 +1,11 @@
 """Case harness: inequality audits, slab-limit sweeps, convergence studies.
 
 ``run_case`` solves one (domain, gauge, p) case end to end - eigenvalue,
-torsion, distance field, Cheeger constant - then scores the full set of
-sixteen geometric/spectral inequalities with explicit slack against the
-per-id tolerance budget.  Solver non-convergence marks the case
-``inconclusive`` instead of failed, so numerical trouble never
-masquerades as a counterexample.
+torsion, distance field, Cheeger constant - computing each reported value
+once, then scores the sixteen geometric/spectral inequalities from those
+values with explicit slack against the per-id tolerance budget.  Solver
+non-convergence marks the case ``inconclusive`` instead of failed, so
+numerical trouble never masquerades as a counterexample.
 
 Reports are plain dict/JSON-serializable structures whose serialized
 form is byte-identical across reruns of the same spec (no timestamps,
@@ -17,17 +17,17 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .cheeger import N_DIM, CheegerResult, cheeger_estimate
+from .cheeger import N_DIM, cheeger_estimate
 from .config import DEFAULTS, INEQUALITY_NAMES, ToleranceTable
 from .geometry import ConvexPolygon, distance_field, parse_domain
 from .norms import MinkowskiNorm, pi_p
-from .pde import (ConvergenceError, EigenResult, TorsionResult,
-                  check_p_tol, efficiency_ratio, mass_bound_check, p_function,
-                  phi_check, solve_eigen, solve_torsion)
+from .pde import (ConvergenceError, check_p_tol, efficiency_ratio,
+                  mass_bound_check, p_function, phi_check, solve_eigen,
+                  solve_torsion)
 
 @dataclass(frozen=True)
 class CaseSpec:
@@ -118,24 +118,23 @@ def _record(ineq_id: str, lhs: float, rhs: float, tols: ToleranceTable,
     return rec
 
 
-def evaluate_inequalities(poly: ConvexPolygon, gauge: MinkowskiNorm, p: float,
-                          eigen: EigenResult, torsion: TorsionResult,
-                          cheeger: CheegerResult, h: float,
+def evaluate_inequalities(p: float, geometry: dict, solver: dict, h: float,
                           tols: ToleranceTable) -> tuple[dict, ...]:
-    """Score the sixteen checks from solved fields and exact geometry."""
-    lam = eigen.lambda_
-    mv = torsion.Mv
-    t_rig = torsion.T
-    area = poly.area
-    per = poly.perimeter_F(gauge)
-    r_f = cheeger.inradius
-    kappa = gauge.wulff_area()
+    """Score the sixteen checks from a report's own ``geometry`` and
+    ``solver`` blocks, so every record is built from the reported numbers."""
+    lam = solver["lambda"]
+    mv = solver["Mv"]
+    t_rig = solver["T"]
+    area = geometry["area"]
+    per = geometry["perimeter_F"]
+    r_f = geometry["inradius_F"]
+    kappa = geometry["wulff_area"]
     r_vol = math.sqrt(area / kappa)
     q = p / (p - 1.0)
     half_pi = 0.5 * pi_p(p)
-    h_est = cheeger.h_est
-    eff = efficiency_ratio(eigen, area, p)
-    mass = mass_bound_check(eigen, area, p)
+    h_est = geometry["cheeger_estimate"]
+    eff = solver["efficiency"]
+    mass = solver["mass_ratio"]
 
     recs = [
         _record("hersch", half_pi**p / r_f**p, lam, tols, h),
@@ -146,7 +145,8 @@ def evaluate_inequalities(poly: ConvexPolygon, gauge: MinkowskiNorm, p: float,
                      f"here p*pi_p = {p * pi_p(p):.6g} vs 2N = {2 * N_DIM}"),
         _record("reverse_cheeger", lam, half_pi**p * h_est**p, tols, h),
         _record("perimeter_upper", lam, (half_pi * per / area) ** p, tols, h),
-        _record("payne", slab_constant(p), lam * mv ** (p - 1.0), tols, h),
+        _record("payne", solver["payne_slab_constant"], lam * mv ** (p - 1.0),
+                tols, h),
         _record("functional_chain", lam * (t_rig / area) ** (p - 1.0),
                 (area * mv / t_rig) ** (p - 1.0), tols, h, parts=[
                     {"name": "torsion mean below max",
@@ -211,13 +211,8 @@ def run_case(spec: CaseSpec,
     xmin, xmax, ymin, ymax = poly.bounding_box
     h_dist = min(h, min(xmax - xmin, ymax - ymin)
                  / DEFAULTS["distance_axis_nodes"])
-    field = distance_field(poly, gauge, h_dist)
+    dist = distance_field(poly, gauge, h_dist)
     ch = cheeger_estimate(poly, gauge)
-
-    records = evaluate_inequalities(poly, gauge, spec.p, eigen, torsion, ch, h,
-                                    tols)
-    pf = p_function(eigen, gauge, spec.p)
-    phi_viol = phi_check(eigen, torsion, spec.p)
 
     case = {
         "id": spec.case_id,
@@ -233,8 +228,8 @@ def run_case(spec: CaseSpec,
         "inradius_F": ch.inradius,
         "wulff_area": gauge.wulff_area(),
         "diameter": poly.diameter,
-        "grid_inradius": field.inradius,
-        "grid_argmax": [float(field.argmax[0]), float(field.argmax[1])],
+        "grid_inradius": dist.inradius,
+        "grid_argmax": [float(dist.argmax[0]), float(dist.argmax[1])],
         "cheeger_estimate": ch.h_est,
         "cheeger_lower": ch.lower,
         "cheeger_upper": ch.upper,
@@ -253,11 +248,12 @@ def run_case(spec: CaseSpec,
         "torsion_converged": torsion.converged,
         "efficiency": efficiency_ratio(eigen, poly.area, spec.p),
         "mass_ratio": mass_bound_check(eigen, poly.area, spec.p),
-        "p_function_max": pf.max_interior,
-        "phi_violation": phi_viol,
+        "p_function_max": p_function(eigen, gauge, spec.p).max_interior,
+        "phi_violation": phi_check(eigen, torsion, spec.p),
         "payne_slab_constant": slab_constant(spec.p),
         "h": h,
     }
+    records = evaluate_inequalities(spec.p, geometry, solver, h, tols)
     if inconclusive:
         status = "inconclusive"
     else:

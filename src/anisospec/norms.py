@@ -23,8 +23,7 @@ it directly, without ``value2`` or ``value_wgrad2``.  The sup-based
 polar is kept in the test suite as an independent oracle.
 
 The module also provides ``pi_p``, the generalized pi governing the
-one-dimensional eigenvalue problem, in closed form with a quadrature
-cross-check routine.
+one-dimensional eigenvalue problem, in closed form.
 """
 
 from __future__ import annotations
@@ -33,7 +32,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.special import gamma
 
 
@@ -242,23 +240,3 @@ def pi_p(p: float) -> float:
         raise GaugeError("pi_p requires p > 1")
     return 2.0 * math.pi * (p - 1.0) ** (1.0 / p) / (p * math.sin(math.pi / p))
 
-
-def pi_p_quadrature(p: float) -> float:
-    """Adaptive quadrature of the defining integral of ``pi_p``.
-
-    Integrates 2*(1 - t^p/(p-1))^(-1/p) dt over [0, (p-1)^(1/p)].  After
-    the substitution t = (p-1)^(1/p) * tau the endpoint singularity is the
-    algebraic weight (1-tau)^(-1/p), which QUADPACK handles exactly.
-    """
-    if not (p > 1.0):
-        raise GaugeError("pi_p requires p > 1")
-
-    def smooth_part(tau: float) -> float:
-        if tau >= 1.0:
-            return p ** (-1.0 / p)
-        num = 1.0 - tau**p
-        return (num / (1.0 - tau)) ** (-1.0 / p)
-
-    val, _ = quad(smooth_part, 0.0, 1.0, weight="alg", wvar=(0.0, -1.0 / p),
-                  epsabs=1e-13, epsrel=1e-13, limit=200)
-    return 2.0 * (p - 1.0) ** (1.0 / p) * val

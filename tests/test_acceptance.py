@@ -20,9 +20,10 @@ from anisospec.cheeger import cheeger_estimate
 from anisospec.geometry import ConvexPolygon, wulff_domain
 from anisospec.harness import (CaseSpec, convergence_study, default_catalog,
                                run_case, slab_sweep)
-from anisospec.norms import MinkowskiNorm, pi_p, pi_p_quadrature
+from anisospec.norms import MinkowskiNorm, pi_p
 from anisospec.pde import (efficiency_ratio, p_function, solve_eigen,
                            solve_torsion)
+from oracles import pi_p_quadrature
 
 LQ2 = MinkowskiNorm.lq(2)
 SQUARE = ConvexPolygon.rectangle(1, 1)

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from anisospec.cheeger import cheeger_bounds, cheeger_estimate
+from anisospec.cheeger import cheeger_estimate
 from anisospec.geometry import ConvexPolygon, wulff_domain
 from anisospec.norms import MinkowskiNorm
 
@@ -25,20 +25,19 @@ def rect_cheeger_euclid(a: float, k: float) -> float:
 
 class TestBounds:
     def test_unit_square(self):
-        lower, upper = cheeger_bounds(ConvexPolygon.rectangle(0.5, 0.5), LQ2)
-        assert lower == pytest.approx(2.0, abs=1e-9)
-        assert upper == pytest.approx(4.0, abs=1e-9)
+        res = cheeger_estimate(ConvexPolygon.rectangle(0.5, 0.5), LQ2)
+        assert res.lower == pytest.approx(2.0, abs=1e-9)
+        assert res.upper == pytest.approx(4.0, abs=1e-9)
 
     def test_long_rectangle(self):
-        lower, upper = cheeger_bounds(ConvexPolygon.rectangle(1, 16), LQ2)
-        assert lower == pytest.approx(1.0, abs=1e-9)
-        assert upper == pytest.approx(min(2.0, 68.0 / 64.0), abs=1e-9)
+        res = cheeger_estimate(ConvexPolygon.rectangle(1, 16), LQ2)
+        assert res.lower == pytest.approx(1.0, abs=1e-9)
+        assert res.upper == pytest.approx(min(2.0, 68.0 / 64.0), abs=1e-9)
 
     def test_wulff(self):
-        w = wulff_domain(LQ2, 1.0, 512)
-        lower, upper = cheeger_bounds(w, LQ2)
-        assert lower == pytest.approx(1.0, abs=1e-3)
-        assert upper == pytest.approx(2.0, abs=1e-3)
+        res = cheeger_estimate(wulff_domain(LQ2, 1.0, 512), LQ2)
+        assert res.lower == pytest.approx(1.0, abs=1e-3)
+        assert res.upper == pytest.approx(2.0, abs=1e-3)
 
 
 class TestEstimate:

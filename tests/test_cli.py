@@ -228,6 +228,37 @@ h = 0.0625
         assert (serial / "aggregate.csv").read_text() \
             == (par / "aggregate.csv").read_text()
 
+    def test_pool_no_larger_than_catalog(self, capsys, tmp_path, monkeypatch):
+        # the pool forks all of its workers at the first submit, so it is
+        # sized to the cases; a stub records the size and maps serially
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+        cfg = tmp_path / "mini.cfg"
+        cfg.write_text(MINI_CFG)
+        assert main(["verify", "--config", str(cfg), "--jobs", "64"]) \
+            == EXIT_OK
+        assert sizes == [2]
+        one = tmp_path / "one.cfg"
+        one.write_text("[case]".join(MINI_CFG.split("[case]")[:2]))
+        assert main(["verify", "--config", str(one), "--jobs", "64"]) \
+            == EXIT_OK
+        assert sizes == [2]  # a single case runs in this process
+        capsys.readouterr()
+
 
 class TestConfig:
     def test_round_trip(self):

@@ -6,13 +6,15 @@ import warnings
 import numpy as np
 import pytest
 
+import anisospec.geometry as geometry
 import anisospec.harness as harness
 from anisospec.config import INEQUALITY_IDS, ToleranceTable
+from anisospec.geometry import ConvexPolygon
 from anisospec.harness import (CaseSpec, aggregate_csv_rows, convergence_study,
                                default_catalog, run_case, slab_sweep,
                                sweep_csv_rows)
 from anisospec.norms import MinkowskiNorm
-from anisospec.pde import ConvergenceError
+from anisospec.pde import ConvergenceError, GridField
 
 FAST = CaseSpec("rect:1,1", "lq:2", 2.0, h=1.0 / 24.0)
 
@@ -97,6 +99,40 @@ class TestRunCase:
         assert len(rows) == 17
         # the case field is quoted so embedded commas stay one field
         assert rows[1].split('",')[0] == '"rect:1,1|lq:2|p=2'
+
+
+def _count_calls(monkeypatch, owner, attr) -> list:
+    """Replace ``owner.attr`` by a wrapper that logs one entry per call."""
+    calls = []
+    real = getattr(owner, attr)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, attr, counted)
+    return calls
+
+
+class TestEachQuantityOnce:
+    def test_run_case_counts(self, monkeypatch):
+        # efficiency and mass ratio: one power integral each; P_F once for
+        # the report and once for the Cheeger bound; one inradius LP
+        integrals = _count_calls(monkeypatch, GridField, "integral")
+        perimeters = _count_calls(monkeypatch, ConvexPolygon, "perimeter_F")
+        lps = _count_calls(monkeypatch, geometry, "linprog")
+        run_case(FAST)
+        assert (len(integrals), len(perimeters), len(lps)) == (2, 2, 1)
+
+    def test_slab_sweep_one_lp_per_k(self, monkeypatch):
+        lps = _count_calls(monkeypatch, geometry, "linprog")
+        slab_sweep(1.0, MinkowskiNorm.lq(2), 2.0, [1, 2], h=1.0 / 16.0)
+        assert len(lps) == 2
+
+    def test_cached_incenter_is_read_only(self):
+        _, center = ConvexPolygon.rectangle(1, 2).inradius_F(MinkowskiNorm.lq(2))
+        with pytest.raises(ValueError):
+            center[0] = 1.0
 
 
 @pytest.fixture(scope="module")

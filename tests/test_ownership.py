@@ -2,8 +2,9 @@
 
 The polygon's edge half-planes are private to ``geometry``, which builds
 the grid masks from them, so no other module reads ``_edges``; and
-``geometry`` sits below ``pde``, so it never imports it.  The solver's
-eps = 0 energy takes no regularization.
+``geometry`` sits below ``pde``, so it never imports it.  No module
+imports another module's underscore names.  The solver's eps = 0 energy
+takes no regularization.
 """
 
 import ast
@@ -34,6 +35,15 @@ def _imported_modules(tree):
             yield from (f"{base}.{alias.name}" for alias in node.names)
 
 
+def _private_imports(tree):
+    """Underscore names a module imports from a package module."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").startswith("anisospec")):
+            yield from (f"{node.module}.{alias.name}" for alias in node.names
+                        if alias.name.startswith("_"))
+
+
 def test_only_geometry_reads_edges():
     readers = sorted(name for name, tree in _trees()
                      for node in ast.walk(tree)
@@ -47,6 +57,12 @@ def test_geometry_does_not_import_pde():
     assert not {"anisospec.pde", "pde"} & imported, sorted(imported)
 
 
+def test_no_cross_module_private_imports():
+    found = sorted(f"{name}: {imp}" for name, tree in _trees()
+                   for imp in _private_imports(tree))
+    assert not found, found
+
+
 def test_scan_sees_imports_and_edges():
     # the scan itself: it resolves relative imports and finds attributes
     tree = ast.parse("from . import pde\nfrom .pde import build_grid\n"
@@ -55,6 +71,11 @@ def test_scan_sees_imports_and_edges():
         <= set(_imported_modules(tree))
     assert any(isinstance(n, ast.Attribute) and n.attr == "_edges"
                for n in ast.walk(tree))
+    tree = ast.parse("from __future__ import annotations\n"
+                     "from .geometry import ConvexPolygon, _cached\n"
+                     "from anisospec.pde import _fp\nfrom numpy import _x\n")
+    assert list(_private_imports(tree)) == ["geometry._cached",
+                                            "anisospec.pde._fp"]
 
 
 def test_energy_has_no_regularization_parameter():

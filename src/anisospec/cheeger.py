@@ -36,13 +36,19 @@ N_DIM = 2
 
 @dataclass(frozen=True, eq=False)
 class CheegerResult:
-    """Cheeger constant, the radius r* = 1/h_est, and the rigorous bounds."""
+    """Cheeger constant, the radius r* = 1/h_est, and the rigorous bounds.
+
+    ``perimeter_F`` (P_F of the domain) and ``wulff_area`` (kappa_F) are
+    the inputs of the upper bound and of the root equation.
+    """
 
     h_est: float
     r_star: float
     lower: float
     upper: float
     inradius: float
+    perimeter_F: float
+    wulff_area: float
 
 
 def cheeger_estimate(poly: ConvexPolygon,
@@ -55,7 +61,8 @@ def cheeger_estimate(poly: ConvexPolygon,
     takes K = domain.
     """
     r_f, _ = poly.inradius_F(norm)
-    upper = min(N_DIM / r_f, poly.perimeter_F(norm) / poly.area)
+    per = poly.perimeter_F(norm)
+    upper = min(N_DIM / r_f, per / poly.area)
     kappa = norm.wulff_area()
 
     def gap(r: float) -> float:
@@ -66,4 +73,5 @@ def cheeger_estimate(poly: ConvexPolygon,
     # brentq's default xtol is absolute (2e-12); scale it with the domain
     r_star = brentq(gap, 0.0, r_f, xtol=1e-15 * r_f)
     return CheegerResult(h_est=1.0 / r_star, r_star=float(r_star),
-                         lower=1.0 / r_f, upper=upper, inradius=r_f)
+                         lower=1.0 / r_f, upper=upper, inradius=r_f,
+                         perimeter_F=per, wulff_area=kappa)

@@ -224,9 +224,9 @@ def run_case(spec: CaseSpec,
     }
     geometry = {
         "area": poly.area,
-        "perimeter_F": poly.perimeter_F(gauge),
+        "perimeter_F": ch.perimeter_F,
         "inradius_F": ch.inradius,
-        "wulff_area": gauge.wulff_area(),
+        "wulff_area": ch.wulff_area,
         "diameter": poly.diameter,
         "grid_inradius": dist.inradius,
         "grid_argmax": [float(dist.argmax[0]), float(dist.argmax[1])],
@@ -317,7 +317,7 @@ def slab_sweep(a: float, gauge: MinkowskiNorm, p: float, ks: list[float],
             "k": float(k),
             "r1": eigen.lambda_ * r_f**p / half_pi**p,
             "r2": ch.h_est * r_f,
-            "r3": poly.perimeter_F(gauge) * r_f / poly.area,
+            "r3": ch.perimeter_F * r_f / poly.area,
             "r4": eigen.lambda_ * torsion.Mv ** (p - 1.0) / slab_constant(p),
         })
     return rows

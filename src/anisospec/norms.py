@@ -195,9 +195,10 @@ class MinkowskiNorm:
 
         A is the ellipse's matrix, and the identity for lq:2; no other lq
         gauge has a quadratic square, so it returns None.  The solver's
-        quadratic path (p = 2) is decided by this alone, and its energy
-        kernel evaluates F^2 = g . A g and F grad F = A g from these
-        entries.
+        quadratic path (p = 2) is decided by this alone: there the energy
+        is a sum over the grid's x-, y- and anti-diagonal edges of squared
+        differences, with weights a11 hy/hx + a12, a22 hx/hy + a12 and
+        -a12 built from these entries.
         """
         if self.family == "ellipse":
             a = self.A

@@ -17,7 +17,8 @@ conjugate-gradient directions preconditioned by the inverse grid
 Laplacian of the bounding box (applied by fast sine transforms),
 nonnegativity clamping for eigenfields, and coarse-to-fine seeding
 across a grid hierarchy.  On the quadratic path (p = 2 with a quadratic
-gauge) each step is the exact minimizer along the ray.  Elsewhere a
+gauge) each step is the exact minimizer along the ray, accepted unless
+the value rises by more than its rounding (``TIE``).  Elsewhere a
 bracketing Wolfe line search picks it: a trial is accepted once it
 strictly decreases the value and the slope along the ray has shrunk to
 ``WOLFE_C2`` times the initial one.  On both paths every trial point
@@ -41,12 +42,12 @@ Non-differentiability of F at a vanishing gradient is removed by the
 subtracted regularization F_eps = sqrt(F^2 + eps^2) - eps, which keeps
 F_eps(0) = 0; only the descent's kernel ``_grad_energy_with_grad``
 evaluates it, and ``grad_energy`` is the eps = 0 energy that reports
-lambda and T_dual.  The quadratic path needs none (eps = 0), and there
-both evaluate the closed form: per triangle, F^2 = g . A g and
-F grad F = A g, read off the gauge's matrix (``quadratic_form``: A for
-an ellipse, the identity for lq:2), with no root, absolute value, min/max
-or division.  Elsewhere they raise the gauge's ``value_wgrad2`` and
-``value2`` to p.  (p, gauge) alone picks the formula.  Grids and their
+lambda and T_dual.  Off the quadratic path both work per triangle and
+raise the gauge's ``value_wgrad2`` and ``value2`` to p.  The quadratic
+path needs no regularization (eps = 0); there both call ``_edge_energy``,
+the edge-weight form of P1 stiffness for F^2 = g . A g (A from the
+gauge's ``quadratic_form``), with no per-triangle pass and no call into
+``norms``.  (p, gauge) alone picks the formula.  Grids and their
 free-node masks come from ``geometry``.
 """
 
@@ -70,6 +71,7 @@ EPS_FACTOR = 1e-8  # gradient regularization per unit of domain diameter
 WOLFE_C2 = 0.3  # accepted |slope| as a share of the initial one
 MAX_TRIALS = 60  # trial points per direction of the Wolfe line search
 _EPS = float(np.finfo(float).eps)
+TIE = 4.0 * _EPS  # relative rise the rounding of an exact ray step can show
 
 
 class ConvergenceError(RuntimeError):
@@ -134,49 +136,65 @@ def _quadratic_form(norm: MinkowskiNorm, p: float, eps: float):
     return norm.quadratic_form() if p == 2.0 and eps == 0.0 else None
 
 
-def _quadratic_fp(a, gx, gy) -> np.ndarray:
-    """a11 gx^2 + 2 a12 gx gy + a22 gy^2, in place on two arrays."""
+def _edge_energy(psi: np.ndarray, grid: Grid, a, g=None) -> float:
+    """The quadratic path's energy, a sum over the grid's edges.
+
+    With F^2 = g . A g (``a`` = (a11, a12, a22)), a triangle's differences
+    Dx and Dy along its legs and Dd = Dx - Dy along its anti-diagonal give
+    Dx Dy = (Dx^2 + Dy^2 - Dd^2) / 2, so its area times F^2 is
+    (cx Dx^2 + cy Dy^2 - a12 Dd^2) / 2 with cx = a11 hy/hx + a12 and
+    cy = a22 hx/hy + a12.  An x- or y-edge lies in two triangles, or in
+    one on the border of the box, and an anti-diagonal in both triangles
+    of its cell, so the energy is sum c D^2 over three edge families (a
+    weighted graph Laplacian), with the border terms halved; it holds for
+    fields that do not vanish on the border too.  Each family is one
+    array of differences: no per-triangle gradient and no per-triangle
+    scatter.  When ``g`` is given, the gradient is added into it, 2 c D
+    onto each edge's head and -2 c D onto its tail (halved on the border).
+    The value does not depend on ``g``, so the energy with and without
+    the gradient is the same bit for bit.
+    """
     a11, a12, a22 = a
-    fp = a11 * gx
-    fp *= gx
-    t = (2.0 * a12) * gx
-    t *= gy
-    fp += t
-    np.multiply(a22, gy, out=t)
-    t *= gy
-    fp += t
-    return fp
+    r = grid.hy / grid.hx
+    families = (  # (weight, head, tail, border lines of the differences)
+        (a11 * r + a12, np.s_[1:, :], np.s_[:-1, :],
+         (np.s_[:, 0], np.s_[:, -1])),
+        (a22 / r + a12, np.s_[:, 1:], np.s_[:, :-1],
+         (np.s_[0, :], np.s_[-1, :])),
+        (-a12, np.s_[1:, :-1], np.s_[:-1, 1:], ()),
+    )
+    val = 0.0
+    for c, head, tail, border in families:
+        if c == 0.0:
+            continue  # a12 = 0: no anti-diagonal term
+        d = psi[head] - psi[tail]
+        sq = d * d
+        for b in border:
+            sq[b] *= 0.5
+        val += c * float(sq.sum())  # a BLAS dot may vary with its threads
+        del sq
+        if g is not None:
+            d *= 2.0 * c
+            for b in border:
+                d[b] *= 0.5
+            g[head] += d
+            g[tail] -= d
+    return val
 
 
 def _fp(norm: MinkowskiNorm, gx, gy, p: float) -> np.ndarray:
-    """F^p, the unregularized (eps = 0) energy density."""
-    a = _quadratic_form(norm, p, 0.0)
-    if a is not None:
-        return _quadratic_fp(a, gx, gy)
+    """F^p, the eps = 0 energy density, off the quadratic path."""
     return _pow(norm.value2(gx, gy), p)
 
 
 def _fp_grad(norm: MinkowskiNorm, gx, gy, p: float, eps: float):
     """(F_eps^p, c W1, c W2) with c = p F_eps^(p-1) / sqrt(F^2 + eps^2).
 
-    On the quadratic path (``_quadratic_form``) c = 2 and W = A g, so this
-    is the closed form (g . A g, 2 A g), with no root, absolute value,
-    min/max or division.  Otherwise it works in place on the arrays that
-    ``value_wgrad2`` returns, with the operations of the closed form in
-    their order, so the values are those of the out-of-place formula bit
-    for bit.
+    Off the quadratic path only (``_edge_energy`` covers it).  Works in
+    place on the arrays that ``value_wgrad2`` returns, with the operations
+    of the closed form in their order, so the values are those of the
+    out-of-place formula bit for bit.
     """
-    a = _quadratic_form(norm, p, eps)
-    if a is not None:
-        fp = _quadratic_fp(a, gx, gy)
-        a11, a12, a22 = a
-        w1 = (2.0 * a11) * gx
-        w2 = (2.0 * a12) * gx
-        t = (2.0 * a12) * gy
-        w1 += t
-        np.multiply(2.0 * a22, gy, out=t)
-        w2 += t
-        return fp, w1, w2
     s, w1, w2 = norm.value_wgrad2(gx, gy)
     s *= s
     r = s + eps * eps
@@ -196,6 +214,9 @@ def _fp_grad(norm: MinkowskiNorm, gx, gy, p: float, eps: float):
 def grad_energy(psi: np.ndarray, grid: Grid, norm: MinkowskiNorm,
                 p: float) -> float:
     """sum over triangles of area * F(grad psi)^p, the energy at eps = 0."""
+    a = _quadratic_form(norm, p, 0.0)
+    if a is not None:
+        return _edge_energy(psi, grid, a)
     gxl, gyl, gxu, gyu = _tri_gradients(psi, grid.hx, grid.hy)
     w = 0.5 * grid.cell_area
     return float(w * (_fp(norm, gxl, gyl, p).sum()
@@ -203,11 +224,14 @@ def grad_energy(psi: np.ndarray, grid: Grid, norm: MinkowskiNorm,
 
 
 def _grad_energy_with_grad(psi, grid, norm, p, eps):
+    g = np.zeros_like(psi)
+    a = _quadratic_form(norm, p, eps)
+    if a is not None:
+        return _edge_energy(psi, grid, a, g), g
     gxl, gyl, gxu, gyu = _tri_gradients(psi, grid.hx, grid.hy)
     w = 0.5 * grid.cell_area
     cx = w / grid.hx
     cy = w / grid.hy
-    g = np.zeros_like(psi)
     # halves one at a time: stacked, oracle-solve RSS rose 269 -> 360 MB
     fpl, ax, ay = _fp_grad(norm, gxl, gyl, p, eps)
     sum_l = fpl.sum()
@@ -449,7 +473,7 @@ def _descend(problem: _DescentProblem, psi0: np.ndarray, tol: float,
     freed before any trial point is evaluated; each trial point costs one
     ``value_grad``, and the accepted one's value and gradient start the
     next iteration.  Every accepted step strictly decreases the value (on
-    the quadratic path a tie also counts).
+    the quadratic path a tie, or a rise within ``TIE`` |f|, also counts).
 
     Returns (psi, iterations, residual, converged, stop), where ``stop``
     names the rule that ended the descent (see the module docstring) and
@@ -507,12 +531,14 @@ def _ray_step(problem, psi, d, f, slope0, alpha_prev):
 
     Each candidate step costs one ``trial``.  Returns (alpha, iterate,
     value, gradient) of the first candidate that does not increase the
-    value, or None when none does.  A value tie counts as a decrease:
-    after the exact step it is float rounding, not a stall.
+    value, or None when none does.  A tie counts as a decrease, and so
+    does a rise of at most ``TIE`` |f|: after the exact step the true
+    change is not positive, and a rise that small is the rounding of the
+    value (its sums, and the eigen iterate's normalization), not a stall.
     """
     for alpha in problem.step_candidates(psi, d, f, slope0, alpha_prev):
         cand, fc, gc, _ = problem.trial(psi, d, alpha)
-        if fc <= f:
+        if fc <= f + TIE * abs(f):
             return alpha, cand, fc, gc
     return None
 

@@ -116,13 +116,16 @@ def _count_calls(monkeypatch, owner, attr) -> list:
 
 class TestEachQuantityOnce:
     def test_run_case_counts(self, monkeypatch):
-        # efficiency and mass ratio: one power integral each; P_F once for
-        # the report and once for the Cheeger bound; one inradius LP
+        # efficiency and mass ratio: one power integral each; P_F and
+        # kappa_F once, in the Cheeger solve, which carries them to the
+        # report; one inradius LP
         integrals = _count_calls(monkeypatch, GridField, "integral")
         perimeters = _count_calls(monkeypatch, ConvexPolygon, "perimeter_F")
+        kappas = _count_calls(monkeypatch, MinkowskiNorm, "wulff_area")
         lps = _count_calls(monkeypatch, geometry, "linprog")
         run_case(FAST)
-        assert (len(integrals), len(perimeters), len(lps)) == (2, 2, 1)
+        assert (len(integrals), len(perimeters), len(kappas), len(lps)) \
+            == (2, 1, 1, 1)
 
     def test_slab_sweep_one_lp_per_k(self, monkeypatch):
         lps = _count_calls(monkeypatch, geometry, "linprog")

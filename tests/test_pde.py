@@ -8,7 +8,8 @@ import pytest
 from scipy.special import jn_zeros
 
 from anisospec import harness, pde
-from anisospec.geometry import CoarseGridError, ConvexPolygon, wulff_domain
+from anisospec.geometry import (CoarseGridError, ConvexPolygon, Grid,
+                                wulff_domain)
 from anisospec.norms import MinkowskiNorm, pi_p
 from anisospec.pde import (ConvergenceError, build_grid, efficiency_ratio,
                            grad_energy, mass_bound_check, p_function,
@@ -53,7 +54,7 @@ SQUARE_T = square_torsion_integral()         # 0.562282...
 # gradient sign(g) (|g| / F)^(q-1) F.  Off the quadratic path (p != 2 or
 # eps != 0) the quadratic-gauge reports are pinned to its arithmetic: the
 # solver's kernel must reproduce it bit for bit there.  On the quadratic path
-# (p = 2, eps = 0) the pin is the quadratic form written out of place.
+# (p = 2, eps = 0) the pin is the edge form of g . A g written out of place.
 
 
 def _ref_pow(x, p):
@@ -90,19 +91,42 @@ def _ref_fp_grad(norm, gx, gy, p, eps):
     return fp, c * w1, c * w2
 
 
-def _ref_quadratic_fp_grad(norm, gx, gy, p, eps):
-    """(g . A g, 2 A g) in the kernel's operation order; p = 2, eps = 0."""
-    assert p == 2.0 and eps == 0.0
+def _ref_edge_energy_with_grad(psi, grid, norm):
+    """The edge form of g . A g (p = 2, eps = 0), out of place.
+
+    Sum over x-, y- and anti-diagonal edges of c b D^2 with the weights
+    cx = a11 hy/hx + a12, cy = a22 hx/hy + a12 and -a12, b = 1/2 on the
+    box border, and 2 c b D onto each edge's head and off its tail, in the
+    kernel's operation order.  The anti-diagonal term is kept at a12 = 0.
+    """
     a = np.eye(2) if norm.family == "lq" else norm.A
-    a11, a12, a22 = a[0, 0], a[0, 1], a[1, 1]
-    fp = a11 * gx * gx + 2.0 * a12 * gx * gy + a22 * gy * gy
-    return fp, 2.0 * a11 * gx + 2.0 * a12 * gy, 2.0 * a12 * gx + 2.0 * a22 * gy
+    a11, a12, a22 = float(a[0, 0]), float(a[0, 1]), float(a[1, 1])
+    r = grid.hy / grid.hx
+    dx = psi[1:, :] - psi[:-1, :]
+    dy = psi[:, 1:] - psi[:, :-1]
+    dd = psi[1:, :-1] - psi[:-1, 1:]
+    bx = np.ones_like(dx)
+    bx[:, [0, -1]] = 0.5
+    by = np.ones_like(dy)
+    by[[0, -1], :] = 0.5
+    bd = np.ones_like(dd)
+    val = 0.0
+    g = np.zeros_like(psi)
+    for c, d, b, head, tail in (
+            (a11 * r + a12, dx, bx, np.s_[1:, :], np.s_[:-1, :]),
+            (a22 / r + a12, dy, by, np.s_[:, 1:], np.s_[:, :-1]),
+            (-a12, dd, bd, np.s_[1:, :-1], np.s_[:-1, 1:])):
+        val = val + c * float((d * d * b).sum())
+        grad = d * (2.0 * c) * b
+        g[head] = g[head] + grad
+        g[tail] = g[tail] - grad
+    return val, g
 
 
-def _ref_grad_energy_with_grad(psi, grid, norm, p, eps, fp_grad=_ref_fp_grad):
+def _ref_grad_energy_with_grad(psi, grid, norm, p, eps):
     gxl, gyl, gxu, gyu = _tri_gradients(psi, grid.hx, grid.hy)
-    fpl, ax, ay = fp_grad(norm, gxl, gyl, p, eps)
-    fpu, bx, by = fp_grad(norm, gxu, gyu, p, eps)
+    fpl, ax, ay = _ref_fp_grad(norm, gxl, gyl, p, eps)
+    fpu, bx, by = _ref_fp_grad(norm, gxu, gyu, p, eps)
     w = 0.5 * grid.cell_area
     val = float(w * (fpl.sum() + fpu.sum()))
     cx = w / grid.hx
@@ -140,25 +164,37 @@ class TestKernel:
     @pytest.mark.parametrize("eps", [0.0, 1e-3])
     def test_quadratic_gauges_bitwise(self, name, p, eps):
         norm = KERNEL_NORMS[name]
-        quadratic = p == 2.0 and eps == 0.0
-        fp_grad = _ref_quadratic_fp_grad if quadratic else _ref_fp_grad
         for seed, poly in enumerate((ConvexPolygon.rectangle(1, 2), HEXAGON)):
             grid = build_grid(poly, poly.diameter / 40)
             psi = _seeded_field(grid, seed)
             val, g = _grad_energy_with_grad(psi, grid, norm, p, eps)
-            ref_val, ref_g = _ref_grad_energy_with_grad(psi, grid, norm, p,
-                                                        eps, fp_grad)
+            if p == 2.0 and eps == 0.0:
+                ref_val, ref_g = _ref_edge_energy_with_grad(psi, grid, norm)
+            else:
+                ref_val, ref_g = _ref_grad_energy_with_grad(psi, grid, norm,
+                                                            p, eps)
             assert val == ref_val
             assert np.array_equal(g, ref_g)
 
     @pytest.mark.parametrize("name", ["lq2", "ellipse-4-0-1",
                                       "ellipse-2-0.5-1"])
     def test_quadratic_kernel_matches_general_formula(self, name):
-        # the closed form g . A g agrees with F(g)^2 through value_wgrad2
+        # the edge form agrees with F(g)^2 through value_wgrad2 per triangle:
+        # on masked fields, on a field that does not vanish on the border,
+        # and on a grid with hx far from hy
         norm = KERNEL_NORMS[name]
+        cases = []
         for seed, poly in enumerate((ConvexPolygon.rectangle(1, 2), HEXAGON)):
             grid = build_grid(poly, poly.diameter / 40)
-            psi = _seeded_field(grid, seed)
+            cases.append((grid, _seeded_field(grid, seed)))
+        rng = np.random.default_rng(5)
+        unmasked = build_grid(HEXAGON, HEXAGON.diameter / 40)
+        cases.append((unmasked, rng.standard_normal(unmasked.mask.shape)))
+        x, y = np.arange(41) * 0.05, np.arange(27) * 0.08
+        stretched = Grid(hx=0.05, hy=0.08, x=x, y=y,
+                         mask=np.ones((41, 27), dtype=bool))
+        cases.append((stretched, rng.standard_normal(stretched.mask.shape)))
+        for grid, psi in cases:
             val, g = _grad_energy_with_grad(psi, grid, norm, 2.0, 0.0)
             ref_val, ref_g = _ref_grad_energy_with_grad(psi, grid, norm, 2.0,
                                                         0.0)
@@ -178,6 +214,24 @@ class TestKernel:
             assert val == pytest.approx(0.5 * float((psi * g).sum()),
                                         rel=1e-12)
             assert grad_energy(psi, grid, norm, 2.0) == val
+
+    @pytest.mark.parametrize("name", ["lq2", "ellipse-4-0-1",
+                                      "ellipse-2-0.5-1"])
+    def test_quadratic_kernel_peak_memory(self, name):
+        # the edge form holds one difference array, its square and the
+        # gradient: at most 3.5 fields on the rect(1,16) grid at h = 1/128
+        norm = KERNEL_NORMS[name]
+        grid = build_grid(ConvexPolygon.rectangle(1, 16), 1.0 / 128.0)
+        assert grid.mask.shape == (257, 4097)
+        psi = _seeded_field(grid, 11)
+        _grad_energy_with_grad(psi, grid, norm, 2.0, 0.0)  # warm any caches
+        tracemalloc.start()
+        try:
+            _grad_energy_with_grad(psi, grid, norm, 2.0, 0.0)
+            peak = tracemalloc.get_traced_memory()[1] / psi.nbytes
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.5, peak
 
     @pytest.mark.parametrize("name", list(KERNEL_NORMS))
     @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
@@ -418,6 +472,31 @@ class TestEigenProperties:
         assert vals[0] < vals[1] < vals[2]
 
 
+class TestTransposedTwins:
+    # transposing (x, y) maps the grid's anti-diagonals onto themselves, so
+    # a domain and gauge and their transposes are exact twins of the discrete
+    # problem; with a12 != 0 this checks the anti-diagonal coupling
+    @pytest.mark.parametrize("poly,twin", [
+        (ConvexPolygon.rectangle(1, 4), ConvexPolygon.rectangle(4, 1)),
+        (HEXAGON, ConvexPolygon(HEXAGON.vertices[::-1, ::-1].copy(),
+                                "regular:6,1 transposed")),
+    ], ids=["rect-1-4", "regular-6-1"])
+    def test_twins_agree(self, poly, twin):
+        norm = MinkowskiNorm.ellipse(2, 0.5, 1)
+        norm_t = MinkowskiNorm.ellipse(1, 0.5, 2)
+        h = poly.diameter / 128
+        assert twin.diameter == poly.diameter
+        assert np.array_equal(build_grid(poly, h).mask,
+                              build_grid(twin, h).mask.T)
+        lam = solve_eigen(poly, norm, 2.0, h).lambda_
+        lam_t = solve_eigen(twin, norm_t, 2.0, h).lambda_
+        assert lam == pytest.approx(lam_t, rel=1e-12)
+        tor = solve_torsion(poly, norm, 2.0, h)
+        tor_t = solve_torsion(twin, norm_t, 2.0, h)
+        assert tor.T == pytest.approx(tor_t.T, rel=1e-8)
+        assert tor.Mv == pytest.approx(tor_t.Mv, rel=1e-8)
+
+
 class TestTorsionOracles:
     def test_disk(self):
         disk = wulff_domain(LQ2, 1.0, 512)
@@ -467,6 +546,23 @@ class TestTorsionOracles:
         assert res.stop == "line_search"
         assert math.isfinite(res.residual) and res.residual > 1e-8
         assert res.residual != np.finfo(float).eps
+
+    @pytest.mark.parametrize("rise,accepted", [(-1.0, True), (0.0, True),
+                                               (0.5, True), (2.0, False)])
+    def test_ray_step_takes_rounding_rise(self, monkeypatch, rise, accepted):
+        # after the exact ray step a rise of at most TIE |f| is the value's
+        # rounding and counts as a tie; a larger one fails the step
+        f = 4.93
+        fc = f * (1.0 + rise * pde.TIE)
+        problem = _TorsionProblem(build_grid(SQUARE, 1.0 / 16.0), LQ2, 2.0,
+                                  0.0)
+        psi = np.zeros_like(problem.free)
+        monkeypatch.setattr(_TorsionProblem, "step_candidates",
+                            lambda self, *args: [1.0])
+        monkeypatch.setattr(_TorsionProblem, "trial",
+                            lambda self, psi, d, alpha: (psi, fc, psi, -1.0))
+        found = pde._ray_step(problem, psi, psi, f, -1.0, None)
+        assert (found is not None) is accepted
 
     def test_failed_wolfe_search_not_converged(self, monkeypatch):
         # the nonlinear path: every trial point after each level's start

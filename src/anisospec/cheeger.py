@@ -20,13 +20,14 @@ returns the rigorous inradius bounds
     1 / R_F  <=  h_F  <=  min(N / R_F, P_F / area)
 
 as its ``lower`` and ``upper``, from the same cached inradius LP.
+``brentq`` is imported inside ``cheeger_estimate``, as ``geometry``
+imports its LP and hull solvers, so that a process that only solves the
+PDEs never loads scipy.optimize.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-from scipy.optimize import brentq
 
 from .geometry import ConvexPolygon
 from .norms import MinkowskiNorm
@@ -60,6 +61,8 @@ def cheeger_estimate(poly: ConvexPolygon,
     bounds are 1/R_F and min(N/R_F, P_F/|area|); the second upper term
     takes K = domain.
     """
+    from scipy.optimize import brentq
+
     r_f, _ = poly.inradius_F(norm)
     per = poly.perimeter_F(norm)
     upper = min(N_DIM / r_f, per / poly.area)

@@ -18,6 +18,12 @@ by the edge half-planes, with ``clearance`` as the per-node margin.  The
 gridded anisotropic distance field evaluates the exact formula d_F(x) =
 min over edges of (c_e - x.n_e) / F(n_e) at each free node, not fast
 marching, so its error is set by the grid alone.
+
+``linprog`` and ``ConvexHull`` are imported inside ``inradius_F`` and
+``erode``, their only callers.  The eigen and torsion solvers use this
+module's grids but neither function, so a process that only solves the
+PDEs never pays for importing scipy.optimize and scipy.spatial, or the
+scipy.linalg and scipy.sparse they load.
 """
 
 from __future__ import annotations
@@ -27,8 +33,6 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
-from scipy.optimize import linprog
-from scipy.spatial import ConvexHull, QhullError
 
 from .norms import MinkowskiNorm, wulff_polygon
 
@@ -170,6 +174,8 @@ class ConvexPolygon:
         result is cached per (polygon, gauge) pair, so the incenter is a
         shared read-only array.
         """
+        from scipy.optimize import linprog
+
         normals, offsets, _ = self._edges
         fn = np.asarray(norm(normals))
         a_ub = np.column_stack([normals, fn])
@@ -195,6 +201,8 @@ class ConvexPolygon:
             raise GeometryError("erosion radius must be nonnegative")
         if r == 0.0:
             return self
+        from scipy.spatial import ConvexHull, QhullError
+
         r_f, center = self.inradius_F(norm)
         if r >= r_f * (1.0 - 1e-13):
             return None

@@ -59,7 +59,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.fft import dstn, idstn
-from scipy.ndimage import map_coordinates
 from scipy.special import betainc
 
 from .config import DEFAULTS
@@ -289,11 +288,40 @@ def _make_precond(grid: Grid, free: np.ndarray):
     return apply
 
 
+def _linear_stencil(fine: np.ndarray, start: float, h: float):
+    """Per-axis lower coarse node floor(t) and ndimage's order-1 weights."""
+    t = (fine - start) / h
+    i0 = np.floor(t)
+    w0 = 1.0 - (t - i0)
+    return i0.astype(np.intp), (w0, 1.0 - w0)
+
+
 def _prolong(values: np.ndarray, coarse: Grid, fine: Grid) -> np.ndarray:
-    ii = (fine.x - coarse.x[0]) / coarse.hx
-    jj = (fine.y - coarse.y[0]) / coarse.hy
-    ci, cj = np.meshgrid(ii, jj, indexing="ij")
-    out = map_coordinates(values, [ci, cj], order=1, mode="nearest")
+    """Bilinear interpolation of a coarse-level field onto the fine grid.
+
+    Bit-identical to ``scipy.ndimage.map_coordinates(values, coords,
+    order=1, mode="nearest")`` at the fine nodes.  Per axis the coarse
+    coordinate t has the nodes i0 = floor t and i0 + 1, with ndimage's
+    weights w0 = 1 - (t - i0) and w1 = 1 - w0.  Nearest mode clamps the
+    node indices to the coarse axis, not t, which is ``np.take``'s
+    ``mode="clip"``.  The value is summed in ndimage's corner order from a
+    +0.0 accumulator, so a -0.0 product reads +0.0:
+
+        0.0 + c00 wx0 wy0 + c01 wx0 wy1 + c10 wx1 wy0 + c11 wx1 wy1,
+
+    each product taken as (c wx) wy.  The rows are gathered and weighted
+    at coarse-row length, then the columns.  Non-free fine nodes are zero.
+    """
+    ix, wx = _linear_stencil(fine.x, coarse.x[0], coarse.hx)
+    iy, wy = _linear_stencil(fine.y, coarse.y[0], coarse.hy)
+    out = np.zeros((fine.nx, fine.ny))
+    col = np.empty_like(out)
+    for di in (0, 1):
+        rows = np.take(values, ix + di, axis=0, mode="clip") * wx[di][:, None]
+        for dj in (0, 1):
+            np.take(rows, iy + dj, axis=1, out=col, mode="clip")
+            col *= wy[dj]
+            out += col
     out[~fine.mask] = 0.0
     return out
 

@@ -5,10 +5,13 @@
 * ``distance_to_boundary_F``: the exact polar-gauge distance from interior
   points of a convex polygon to its boundary, built from the vertices
   alone, against the gridded ``geometry.distance_field``.
+* ``prolong_map_coordinates``: bilinear prolongation by
+  ``scipy.ndimage.map_coordinates``, against ``pde._prolong``.
 """
 
 import numpy as np
 from scipy.integrate import quad
+from scipy.ndimage import map_coordinates
 
 from anisospec.geometry import ConvexPolygon
 from anisospec.norms import MinkowskiNorm
@@ -48,4 +51,14 @@ def distance_to_boundary_F(poly: ConvexPolygon, norm: MinkowskiNorm,
     out = np.full(len(points), np.inf)
     for vertex, n, f in zip(v, normals, np.asarray(norm(normals))):
         np.minimum(out, (vertex - points) @ n / f, out=out)
+    return out
+
+
+def prolong_map_coordinates(values: np.ndarray, coarse, fine) -> np.ndarray:
+    """Order-1, nearest-mode ``map_coordinates`` of ``values`` (on the
+    ``coarse`` grid) at the nodes of ``fine``, zero off its free nodes."""
+    ci, cj = np.meshgrid((fine.x - coarse.x[0]) / coarse.hx,
+                         (fine.y - coarse.y[0]) / coarse.hy, indexing="ij")
+    out = map_coordinates(values, [ci, cj], order=1, mode="nearest")
+    out[~fine.mask] = 0.0
     return out

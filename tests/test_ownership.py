@@ -4,11 +4,19 @@ The polygon's edge half-planes are private to ``geometry``, which builds
 the grid masks from them, so no other module reads ``_edges``; and
 ``geometry`` sits below ``pde``, so it never imports it.  No module
 imports another module's underscore names.  The solver's eps = 0 energy
-takes no regularization.
+takes no regularization.  A process that only solves the PDEs loads
+neither scipy.optimize nor scipy.spatial (the Cheeger root and the
+inradius LP and hull import them where they run), and nothing in the
+package imports scipy.ndimage.
 """
 
 import ast
 import inspect
+import json
+import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import anisospec
@@ -81,3 +89,44 @@ def test_scan_sees_imports_and_edges():
 def test_energy_has_no_regularization_parameter():
     assert "eps" not in inspect.signature(pde.grad_energy).parameters
     assert "eps" not in inspect.signature(pde._fp).parameters
+
+
+def test_no_module_imports_ndimage():
+    found = sorted(f"{name}: {imp}" for name, tree in _trees()
+                   for imp in _imported_modules(tree)
+                   if imp.startswith("scipy.ndimage"))
+    assert not found, found
+
+
+SOLVE_ONLY_PROBE = """
+import json, sys
+import anisospec, anisospec.cli
+from anisospec.cheeger import cheeger_estimate
+from anisospec.geometry import ConvexPolygon, parse_domain
+from anisospec.norms import MinkowskiNorm
+from anisospec.pde import solve_eigen, solve_torsion
+
+gauge = MinkowskiNorm.parse("lq:2")
+poly = parse_domain("rect:1,1", norm=gauge)
+solve_eigen(poly, gauge, 2.0, 1.0 / 16.0)
+solve_torsion(poly, gauge, 2.0, 1.0 / 16.0)
+heavy = ("scipy.optimize", "scipy.spatial", "scipy.ndimage")
+loaded = [name for name in heavy if name in sys.modules]
+h_est = cheeger_estimate(ConvexPolygon.rectangle(0.5, 0.5), gauge).h_est
+print(json.dumps({"loaded": loaded, "h_est": h_est}))
+"""
+
+
+def test_solve_path_loads_no_optimize_spatial_or_ndimage():
+    # a fresh interpreter: this one has imported them for other tests
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(PACKAGE.parent), env.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", SOLVE_ONLY_PROBE], env=env,
+                         capture_output=True, text=True, timeout=120,
+                         check=True)
+    result = json.loads(out.stdout.splitlines()[-1])
+    assert result["loaded"] == []
+    # the Cheeger path still imports its solvers where it runs
+    assert math.isclose(result["h_est"], 2.0 + math.sqrt(math.pi),
+                        rel_tol=1e-12)

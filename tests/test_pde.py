@@ -9,13 +9,14 @@ from scipy.special import jn_zeros
 
 from anisospec import harness, pde
 from anisospec.geometry import (CoarseGridError, ConvexPolygon, Grid,
-                                wulff_domain)
+                                parse_domain, wulff_domain)
 from anisospec.norms import MinkowskiNorm, pi_p
 from anisospec.pde import (ConvergenceError, build_grid, efficiency_ratio,
                            grad_energy, mass_bound_check, p_function,
                            phi_check, phi_profile, solve_eigen, solve_torsion,
-                           _grad_energy_with_grad, _tri_gradients,
-                           _TorsionProblem)
+                           _grad_energy_with_grad, _grid_hierarchy, _prolong,
+                           _tri_gradients, _TorsionProblem)
+from oracles import prolong_map_coordinates
 
 LQ2 = MinkowskiNorm.lq(2)
 LQ4 = MinkowskiNorm.lq(4)
@@ -364,6 +365,78 @@ class TestGrid:
 
         val = grad_energy(f, FakeGrid, LQ4, 3.0)
         assert val == pytest.approx(1.0, rel=1e-12)
+
+
+def _signed_field(shape, seed):
+    """Normal values, a fifth of them replaced by -0.0 and a tenth by +0.0."""
+    rng = np.random.default_rng(seed)
+    values = rng.standard_normal(shape)
+    values[rng.random(shape) < 0.2] = -0.0
+    values[rng.random(shape) < 0.1] = 0.0
+    return values
+
+
+def _assert_bitwise(a, b):
+    # int64 views: the sign of zero counts
+    assert a.shape == b.shape
+    assert np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def _hierarchy_pairs(domain, gauge, h=None):
+    """(coarse, fine) level pairs of a solve's grid hierarchy; h defaults
+    to the catalog's diam/128."""
+    poly, norm, default_h = harness.CaseSpec(domain, gauge, 2.0, h=h).build()
+    grids = _grid_hierarchy(poly, default_h)
+    return list(zip(grids[1:], grids[:-1]))
+
+
+DEFAULT_HIERARCHIES = list(dict.fromkeys(
+    (spec.domain, spec.norm) for spec in harness.default_catalog()))
+
+
+class TestProlong:
+    """``_prolong`` is bit for bit ndimage's order-1, nearest-mode
+    ``map_coordinates``."""
+
+    @pytest.mark.parametrize("domain,gauge,h", [
+        *((d, g, None) for d, g in DEFAULT_HIERARCHIES),
+        ("rect:1,16", "lq:2", 1.0 / 32.0),
+        ("wulff:1,512", "lq:2", 1.0 / 32.0)])
+    def test_hierarchy_bitwise(self, domain, gauge, h):
+        for seed, (coarse, fine) in enumerate(
+                _hierarchy_pairs(domain, gauge, h)):
+            values = _signed_field((coarse.nx, coarse.ny), seed)
+            _assert_bitwise(_prolong(values, coarse, fine),
+                            prolong_map_coordinates(values, coarse, fine))
+
+    def test_covers_default_catalog_and_non_nested_pair(self):
+        assert len(DEFAULT_HIERARCHIES) == 12
+        # only rect:1,4 solves on one level: a coarser grid would leave
+        # fewer than 24 nodes across its width
+        single = {d for d, g in DEFAULT_HIERARCHIES
+                  if not _hierarchy_pairs(d, g)}
+        assert single == {"rect:1,4"}
+        shapes = [((c.nx, c.ny), (f.nx, f.ny))
+                  for c, f in _hierarchy_pairs("rect:1,1", "ellipse:4,0,1")]
+        # 46 coarse cells do not nest in 91 fine ones
+        assert ((47, 47), (92, 92)) in shapes
+
+    def test_nodes_outside_the_coarse_axis(self):
+        # nearest mode clamps the indices, not the coordinate: a node
+        # beyond either end mixes the end value with itself, in ndimage's
+        # weights, so it need not equal that value bit for bit
+        rng = np.random.default_rng(7)
+        for seed in range(40):
+            ncx, ncy, nfx, nfy = rng.integers(1, 30, 4)
+            coarse = Grid(0.3, 0.7, 0.2 + 0.3 * np.arange(ncx),
+                          -0.5 + 0.7 * np.arange(ncy),
+                          np.ones((ncx, ncy), bool))
+            fine = Grid(0.1, 0.1, np.sort(rng.uniform(-3.0, 12.0, nfx)),
+                        np.sort(rng.uniform(-4.0, 24.0, nfy)),
+                        rng.random((nfx, nfy)) < 0.8)
+            values = _signed_field((ncx, ncy), seed)
+            _assert_bitwise(_prolong(values, coarse, fine),
+                            prolong_map_coordinates(values, coarse, fine))
 
 
 class TestEigenOracles:

@@ -5,11 +5,16 @@ shapes) enter as fine polygonal approximations.  That choice keeps the
 perimeter, erosion and inradius computations exact polygon arithmetic:
 
 * anisotropic perimeter  P_F = sum over edges of length * F(outer normal)
-* anisotropic inradius   R_F = Chebyshev center in the polar metric,
-  solved exactly as a tiny linear program, once per (polygon, gauge):
-  ``inradius_F`` is cached, and erosion reads its incenter
-* inner parallel bodies  (erosion by r times the Wulff shape) via
-  half-plane clipping with per-edge offsets r * F(normal)
+* inner parallel bodies  (erosion by r times the Wulff shape) from the
+  erosion skeleton: every edge moves inward at speed F(normal), so the
+  vertices move on straight lines between the radii where edges vanish
+  (Eppstein & Erickson, "Raising roofs, crashing cycles, and playing
+  pool", 1999, for the weighted straight skeleton).  The skeleton is
+  built once per (polygon, gauge) and also gives
+* anisotropic inradius   R_F = the radius at which the erosion collapses,
+  with the collapse point as an incenter, and
+* the eroded area        an exact quadratic in r between events, which the
+  Cheeger root solve reads (``eroded_area``)
 * rolling bodies         K_r = (erode r) ⊕ r*Wulff via the planar
   mixed-area identities
 
@@ -17,13 +22,8 @@ The module owns the solvers' grids: ``build_grid`` masks the free nodes
 by the edge half-planes, with ``clearance`` as the per-node margin.  The
 gridded anisotropic distance field evaluates the exact formula d_F(x) =
 min over edges of (c_e - x.n_e) / F(n_e) at each free node, not fast
-marching, so its error is set by the grid alone.
-
-``linprog`` and ``ConvexHull`` are imported inside ``inradius_F`` and
-``erode``, their only callers.  The eigen and torsion solvers use this
-module's grids but neither function, so a process that only solves the
-PDEs never pays for importing scipy.optimize and scipy.spatial, or the
-scipy.linalg and scipy.sparse they load.
+marching, with the same edge loop as ``clearance``, so its error is set
+by the grid alone.  Everything here is numpy: no scipy solver loads.
 """
 
 from __future__ import annotations
@@ -37,6 +37,8 @@ import numpy as np
 from .norms import MinkowskiNorm, wulff_polygon
 
 _DEDUP_TOL = 1e-12
+# edges whose vanishing radii differ by rounding alone vanish together
+_EVENT_RTOL = 16.0 * np.finfo(float).eps
 
 
 class GeometryError(ValueError):
@@ -48,13 +50,35 @@ class CoarseGridError(GeometryError):
 
 
 def _dedup_ccw(vertices: np.ndarray, tol: float) -> np.ndarray:
-    keep = [vertices[0]]
-    for v in vertices[1:]:
-        if np.max(np.abs(v - keep[-1])) > tol:
-            keep.append(v)
-    if len(keep) > 1 and np.max(np.abs(keep[0] - keep[-1])) <= tol:
-        keep.pop()
-    return np.asarray(keep)
+    """Drop each vertex within ``tol`` (max norm) of the last one kept.
+
+    The first vertex is kept, and the last one kept goes too when it lies
+    within ``tol`` of the first.  A vertex whose predecessor was dropped
+    is compared with the last vertex kept, not with its neighbour, so
+    only the vertices from a near-duplicate to the next one kept walk in
+    Python; a polygon with no near-duplicates takes one array pass.
+    """
+    n = len(vertices)
+    far = np.abs(np.diff(vertices, axis=0)).max(axis=1) > tol
+    keep = np.concatenate([[True], far])
+    nxt = 1  # every vertex before ``nxt`` is decided
+    for s in np.flatnonzero(~far) + 1:
+        if s < nxt:
+            continue
+        last, j = s - 1, s
+        while j < n:
+            keep[j] = bool(np.abs(vertices[j] - vertices[last]).max() > tol)
+            if keep[j]:
+                last = j
+                if j + 1 >= n or far[j]:
+                    break
+            j += 1
+        nxt = j + 1
+    kept = np.flatnonzero(keep)
+    if len(kept) > 1 and np.abs(vertices[kept[0]]
+                                - vertices[kept[-1]]).max() <= tol:
+        kept = kept[:-1]
+    return vertices[kept]
 
 
 def _turns(v: np.ndarray) -> np.ndarray:
@@ -142,20 +166,35 @@ class ConvexPolygon:
     def clearance(self, points: np.ndarray) -> np.ndarray:
         """Signed Euclidean distance to the boundary (positive inside).
 
-        min over edges of c_e - x.n_e, taken 64 edges at a time.  Valid as
-        a distance only for points inside the polygon; outside it is just
-        the most violated half-plane margin.  This is the per-node formula
-        that defines a grid's free nodes: ``build_grid`` decides most nodes
-        from per-column intervals and calls it only for the nodes within
-        rounding of an interval end.
+        min over edges of c_e - x.n_e, in blocks of 64 edges by 1024
+        points.  Valid as a distance only for points inside the polygon;
+        outside it is just the most violated half-plane margin.  This is
+        the per-node formula that defines a grid's free nodes:
+        ``build_grid`` decides most nodes from per-column intervals and
+        calls it only for the nodes within rounding of an interval end.
         """
+        return self._least_margin(points)
+
+    def _least_margin(self, points: np.ndarray,
+                      norm: MinkowskiNorm | None = None) -> np.ndarray:
+        """min over edges of c_e - x.n_e, divided by F(n_e) if ``norm`` is
+        given: blocks of 64 edges by 1024 points, so the scratch matrix
+        stays at 0.5 MB however many points come, and the minimum runs
+        down its columns."""
         points = np.asarray(points, float)
+        flat = points.reshape(-1, 2)
         normals, offsets, _ = self._edges
-        out = np.full(points.shape[:-1], np.inf)
-        for s in range(0, len(normals), 64):
-            block = offsets[s:s + 64] - points @ normals[s:s + 64].T
-            np.minimum(out, block.min(axis=-1), out=out)
-        return out
+        speeds = None if norm is None else np.asarray(norm(normals))
+        out = np.full(len(flat), np.inf)
+        for p in range(0, len(flat), 1024):
+            least = out[p:p + 1024]
+            for s in range(0, len(normals), 64):
+                block = normals[s:s + 64] @ flat[p:p + 1024].T
+                np.subtract(offsets[s:s + 64, None], block, out=block)
+                if speeds is not None:
+                    block /= speeds[s:s + 64, None]
+                np.minimum(least, block.min(axis=0), out=least)
+        return out.reshape(points.shape[:-1])
 
     # -- anisotropic functionals ----------------------------------------------
 
@@ -165,28 +204,34 @@ class ConvexPolygon:
         return float(np.dot(lengths, np.asarray(norm(normals))))
 
     @lru_cache(maxsize=256)
-    def inradius_F(self, norm: MinkowskiNorm) -> tuple[float, np.ndarray]:
-        """Exact anisotropic inradius and an incenter, via linear programming.
-
-        For a convex polygon the polar distance from x to the boundary is
-        min over edges of (c_e - x.n_e) / F(n_e), so the inradius is the
-        Chebyshev-center LP  max r  s.t.  x.n_e + r F(n_e) <= c_e.  The
-        result is cached per (polygon, gauge) pair, so the incenter is a
-        shared read-only array.
-        """
-        from scipy.optimize import linprog
-
+    def _skeleton(self, norm: MinkowskiNorm) -> "_Skeleton":
+        """The erosion skeleton, built once per (polygon, gauge) pair."""
         normals, offsets, _ = self._edges
-        fn = np.asarray(norm(normals))
-        a_ub = np.column_stack([normals, fn])
-        res = linprog(c=[0.0, 0.0, -1.0], A_ub=a_ub, b_ub=offsets,
-                      bounds=[(None, None), (None, None), (0.0, None)],
-                      method="highs")
-        if not res.success:
-            raise GeometryError(f"inradius LP failed: {res.message}")
-        center = res.x[:2].copy()
-        center.setflags(write=False)
-        return float(res.x[2]), center
+        return _erosion_skeleton(self.vertices, normals, offsets,
+                                 np.asarray(norm(normals), dtype=float))
+
+    def inradius_F(self, norm: MinkowskiNorm) -> tuple[float, np.ndarray]:
+        """Exact anisotropic inradius and an incenter.
+
+        The polar distance from x to the boundary is min over edges of
+        (c_e - x.n_e) / F(n_e), so the largest ball r*Wulff inside the
+        polygon has r = R_F, the radius at which the erosion collapses.
+        The incenter is the collapse point, or the midpoint of the segment
+        the erosion collapses to; it is a shared read-only array.
+        """
+        sk = self._skeleton(norm)
+        return float(sk.radii[-1]), sk.center
+
+    def eroded_area(self, norm: MinkowskiNorm) -> tuple[np.ndarray, np.ndarray]:
+        """The area of the erosion by r*Wulff as a piecewise quadratic in r.
+
+        Returns breakpoints 0 = r_0 < ... < r_m = R_F and an (m, 3) array
+        a with |erode(r)| = a_k0 + a_k1 t + a_k2 t^2, t = r - r_k, on
+        [r_k, r_k+1]; each piece is exact, from the shoelace formula on
+        the skeleton's moving vertices.
+        """
+        sk = self._skeleton(norm)
+        return sk.radii, sk.area
 
     # -- erosion and rolling bodies ----------------------------------------------
 
@@ -195,37 +240,16 @@ class ConvexPolygon:
 
         Returns None when the intersection has empty interior (always the
         case once r reaches the anisotropic inradius).  erode(0) returns
-        the polygon itself.
+        the polygon itself.  The vertices are the skeleton's at r.
         """
         if r < 0:
             raise GeometryError("erosion radius must be nonnegative")
         if r == 0.0:
             return self
-        from scipy.spatial import ConvexHull, QhullError
-
-        r_f, center = self.inradius_F(norm)
-        if r >= r_f * (1.0 - 1e-13):
+        sk = self._skeleton(norm)
+        if r >= sk.radii[-1] * (1.0 - 1e-13):
             return None
-        normals, offsets, _ = self._edges
-        shifted = offsets - r * np.asarray(norm(normals))
-        # the incenter keeps margin (R_F - r) F(n) > 0, so polar duality
-        # applies: active planes = hull vertices of n_e / margin_e
-        margins = shifted - normals @ center
-        try:
-            hull = ConvexHull(normals / margins[:, None])
-            act = hull.vertices  # CCW
-            n1, c1 = normals[act], margins[act]
-            n2 = normals[np.roll(act, -1)]
-            c2 = margins[np.roll(act, -1)]
-            det = n1[:, 0] * n2[:, 1] - n1[:, 1] * n2[:, 0]
-            verts = np.stack([(c1 * n2[:, 1] - c2 * n1[:, 1]) / det,
-                              (n1[:, 0] * c2 - n2[:, 0] * c1) / det],
-                             axis=-1) + center
-        except (QhullError, FloatingPointError):
-            verts = _clip_halfplanes(self.vertices, normals, shifted)
-        if verts is None:
-            return None
-        verts = _clean_convex(verts, max(self.diameter, 1.0))
+        verts = _clean_convex(sk.vertices(r), max(self.diameter, 1.0))
         if verts is None:
             return None
         return ConvexPolygon(verts, f"{self.provenance}~erode:{r:g}")
@@ -246,36 +270,126 @@ class ConvexPolygon:
         return (area_e + r * per_e + r * r * kappa, per_e + 2.0 * r * kappa)
 
 
-def _clip_halfplanes(vertices: np.ndarray, normals: np.ndarray,
-                     offsets: np.ndarray) -> np.ndarray | None:
-    """Sutherland-Hodgman clip of a convex polygon by x.n <= c half-planes."""
-    poly = vertices
-    for n, c in zip(normals, offsets):
-        if len(poly) < 3:
-            return None
-        s = poly @ n - c
-        if np.all(s <= 0.0):
-            continue
-        if np.all(s >= 0.0):
-            return None
-        out = []
-        m = len(poly)
-        for i in range(m):
-            j = (i + 1) % m
-            si, sj = s[i], s[j]
-            if si <= 0.0:
-                out.append(poly[i])
-            if (si > 0.0) != (sj > 0.0):
-                t = si / (si - sj)
-                out.append(poly[i] + t * (poly[j] - poly[i]))
-        if len(out) < 3:
-            return None
-        poly = np.asarray(out)
-    return poly
+@dataclass(frozen=True, eq=False)
+class _Skeleton:
+    """The erosion of a convex polygon by r*Wulff for every r in [0, R_F].
+
+    Each edge line moves inward at speed F(n_e), so each vertex, the
+    meeting point of two consecutive edges that are still active, moves
+    on a straight line.  Vertex i starts edge ``edge[i]``, lives for
+    ``born[i] <= r < died[i]`` and sits at ``pos[i] + (r - born[i]) *
+    vel[i]`` (points as complex numbers x + iy).  ``radii`` are the event
+    radii, where edges vanish, ending at the collapse radius R_F, and
+    ``area`` the quadratic of the eroded area on each interval between
+    them (see ``ConvexPolygon.eroded_area``).
+    """
+
+    radii: np.ndarray
+    area: np.ndarray
+    center: np.ndarray
+    edge: np.ndarray
+    born: np.ndarray
+    died: np.ndarray
+    pos: np.ndarray
+    vel: np.ndarray
+
+    def vertices(self, r: float) -> np.ndarray:
+        """The CCW vertices of the erosion at radius r."""
+        alive = (self.born <= r) & (r < self.died)
+        z = (self.pos[alive] + (r - self.born[alive]) * self.vel[alive])[
+            np.argsort(self.edge[alive], kind="stable")]
+        return np.column_stack([z.real, z.imag])
+
+
+def _erosion_skeleton(vertices: np.ndarray, normals: np.ndarray,
+                      offsets: np.ndarray, speeds: np.ndarray) -> _Skeleton:
+    """Follow the vertices of the erosion from r = 0 to its collapse.
+
+    Points and unit normals are complex numbers; with w = conj(n_a) n_b,
+    Re w and Im w are the cosine and sine of the turn from n_a to n_b.
+    On each interval the active edges keep their neighbours.  Vertex k,
+    where active edge k meets its predecessor a, moves with the velocity
+    q solving n_a.q = -F(n_a), n_k.q = -F(n_k), so every edge length
+    falls or grows linearly, and the interval ends when the first one
+    reaches 0.  Edges that vanish at the same radius, up to rounding
+    (``_EVENT_RTOL``), go together; the erosion has collapsed once fewer
+    than three edges remain or two consecutive ones turn by pi or more.
+
+    The point with n_a.x = c_a and n_b.x = c_b is taken as
+    n_a (c_a + i (c_b - c_a Re w) / Im w): both equations then hold to
+    rounding even for nearly parallel edges, whose meeting point is
+    ill-conditioned only along the edges, which moves no area.  For the
+    same reason a vertex born at an event is placed where its own two
+    edge lines meet, not where the vanished edge ended.  Positions are
+    taken relative to the vertex mean, which keeps the shoelace sums free
+    of the domain's offset.
+    """
+    origin = vertices.mean(axis=0)
+    offsets = offsets - normals @ origin
+    unit = normals[:, 0] + 1j * normals[:, 1]
+    act = np.arange(len(vertices))    # vertex k starts edge act[k]
+    start = (vertices[:, 0] - origin[0]) + 1j * (vertices[:, 1] - origin[1])
+    born = np.zeros(len(act))         # vertex k sits at start + (r - born) vel
+    fresh = np.zeros(len(act), dtype=bool)  # born at r, not yet placed
+    vel, last = np.zeros_like(start), (start, np.ones(len(act)))
+    r, radii, area, dead = 0.0, [0.0], [], []
+    while len(act) >= 3:
+        back = np.arange(-1, len(act) - 1)  # index of the previous vertex
+        ahead = back + 2                    # and of the next one
+        ahead[-1] = 0
+        prev = act[back]
+        n_a, n_b = unit[prev], unit[act].conj()
+        w = n_a.conj() * unit[act]
+        if (w.imag <= 0.0).any():
+            break
+        f_a, f_b = speeds[prev], speeds[act]
+        vel = n_a * (-f_a + 1j * ((f_a * w.real - f_b) / w.imag))
+        if fresh.any():
+            c_a = offsets[prev[fresh]] - r * f_a[fresh]
+            c_b = offsets[act[fresh]] - r * f_b[fresh]
+            start[fresh] = n_a[fresh] * (c_a + 1j * (
+                (c_b - c_a * w.real[fresh]) / w.imag[fresh]))
+        pos = start + (r - born) * vel
+        pn, qn = pos[ahead], vel[ahead]
+        shrink = (n_b * (vel - qn)).imag
+        life = np.full(len(act), np.inf)
+        np.divide((n_b * (pn - pos)).imag, shrink, out=life, where=shrink > 0.0)
+        step = max(float(life.min()), 0.0)
+        if not math.isfinite(step):
+            raise GeometryError("erosion does not shrink")
+        if step > 0.0:
+            area.append([0.5 * np.vdot(pos, pn).imag,
+                         0.5 * (np.vdot(pos, qn) + np.vdot(vel, pn)).imag,
+                         0.5 * np.vdot(vel, qn).imag])
+            radii.append(r + step)
+        gone = life <= step + _EVENT_RTOL * (r + step)
+        r += step
+        last = (pos + step * vel, w.imag)
+        # vertex k dies with edge k, and is reborn when its predecessor goes
+        fresh = gone | gone[back]
+        dead.append((act[fresh], born[fresh], start[fresh], vel[fresh],
+                     np.full(int(fresh.sum()), r)))
+        born[fresh] = r
+        keep = ~gone
+        act, born, start, fresh = act[keep], born[keep], start[keep], fresh[keep]
+        vel = vel[keep]
+    dead.append((act, born, start, vel, np.full(len(act), r)))
+    # the collapse point, or the midpoint of the collapse segment, from
+    # the best-conditioned corners of the last interval
+    ends, turn = last
+    sharp = ends[turn >= 0.5 * turn.max()]
+    center = origin + 0.5 * np.array([sharp.real.min() + sharp.real.max(),
+                                      sharp.imag.min() + sharp.imag.max()])
+    center.setflags(write=False)
+    edge, born, start, vel, died = (np.concatenate(c) for c in zip(*dead))
+    return _Skeleton(radii=np.array(radii), area=np.array(area).reshape(-1, 3),
+                     center=center, edge=edge, born=born, died=died,
+                     pos=start + complex(*origin), vel=vel)
 
 
 def _clean_convex(verts: np.ndarray, scale: float) -> np.ndarray | None:
-    """Dedup and prune collinear-by-noise vertices; None if degenerate."""
+    """Dedup and prune collinear-by-noise vertices; None if fewer than
+    three remain."""
     verts = _dedup_ccw(verts, 1e-12 * scale)
     for _ in range(len(verts)):
         if len(verts) < 3:
@@ -287,7 +401,7 @@ def _clean_convex(verts: np.ndarray, scale: float) -> np.ndarray | None:
         verts = verts[np.roll(~bad, 1)]
     else:
         return None
-    return None if _shoelace(verts) <= 1e-12 * scale * scale else verts
+    return verts
 
 
 def wulff_domain(norm: MinkowskiNorm, r: float = 1.0, n: int = 256) -> ConvexPolygon:
@@ -476,19 +590,12 @@ def distance_field(poly: ConvexPolygon, norm: MinkowskiNorm,
 
     For an interior point of a convex polygon the infimum over an edge's
     whole line is (c_e - x.n_e) / F(n_e), and the least of these over the
-    edges is attained on the boundary, so d_F is that minimum exactly.
-    The grid is ``build_grid``'s, with at least 32 free nodes per axis.
+    edges is attained on the boundary, so d_F is that minimum exactly,
+    taken in the same blocks as ``clearance``.  The grid is ``build_grid``'s, with at least 32 free nodes per axis.
     """
     grid = build_grid(poly, h, min_axis=32)
     i, j = np.nonzero(grid.mask)  # the free nodes in C order
-    pts = np.column_stack([grid.x[i], grid.y[j]])
-    normals, offsets, _ = poly._edges
-    fn = np.asarray(norm(normals))
-    # one edge at a time: a points x edges matrix takes 26 MB on the
-    # 256-gon Wulff domain at the catalog's spacing
-    best = np.full(len(pts), np.inf)
-    for n, c, f in zip(normals, offsets, fn):
-        np.minimum(best, (c - pts @ n) / f, out=best)
+    best = poly._least_margin(np.column_stack([grid.x[i], grid.y[j]]), norm)
 
     values = np.zeros(grid.mask.shape)
     values[i, j] = best

@@ -7,11 +7,23 @@
   alone, against the gridded ``geometry.distance_field``.
 * ``prolong_map_coordinates``: bilinear prolongation by
   ``scipy.ndimage.map_coordinates``, against ``pde._prolong``.
+* ``inradius_linprog``, ``erode_hull`` and ``cheeger_radius_brentq``: the
+  anisotropic inradius as a Chebyshev-center linear program, the erosion
+  as the polar dual of a convex hull, and the Cheeger radius as a
+  bracketed root of the hull erosion's area, against the erosion
+  skeleton behind ``ConvexPolygon.inradius_F``, ``erode`` and
+  ``cheeger_estimate``.
+* ``dedup_ccw_loop``: the vertex-by-vertex near-duplicate filter, against
+  ``geometry._dedup_ccw``.
 """
+
+import itertools
 
 import numpy as np
 from scipy.integrate import quad
 from scipy.ndimage import map_coordinates
+from scipy.optimize import brentq, linprog
+from scipy.spatial import ConvexHull
 
 from anisospec.geometry import ConvexPolygon
 from anisospec.norms import MinkowskiNorm
@@ -62,3 +74,93 @@ def prolong_map_coordinates(values: np.ndarray, coarse, fine) -> np.ndarray:
     out = map_coordinates(values, [ci, cj], order=1, mode="nearest")
     out[~fine.mask] = 0.0
     return out
+
+
+def edge_lines(poly: ConvexPolygon, norm: MinkowskiNorm):
+    """Unit outer normals n_e, offsets c_e (x.n_e <= c_e inside), F(n_e)."""
+    v = poly.vertices
+    d = np.roll(v, -1, axis=0) - v
+    normals = np.stack([d[:, 1], -d[:, 0]], axis=-1)
+    normals /= np.hypot(d[:, 0], d[:, 1])[:, None]
+    return normals, np.einsum("ij,ij->i", normals, v), np.asarray(norm(normals))
+
+
+def inradius_linprog(poly: ConvexPolygon, norm: MinkowskiNorm):
+    """max r s.t. x.n_e + r F(n_e) <= c_e: (R_F, a center).
+
+    HiGHS solves the LP to its feasibility tolerance (1e-7), and near
+    collinear edges can make it report the wrong one of two nearly equal
+    constraints as binding.  So the answer is the best feasible vertex
+    among those of the (at most eight) constraints HiGHS leaves closest
+    to binding, within 1e-6: each triple solved exactly, and each pair by
+    least squares, which covers a collapse to a segment between two
+    parallel edges.
+    """
+    normals, offsets, fn = edge_lines(poly, norm)
+    a_ub = np.column_stack([normals, fn])
+    res = linprog(c=[0.0, 0.0, -1.0], A_ub=a_ub, b_ub=offsets,
+                  bounds=[(None, None), (None, None), (0.0, None)],
+                  method="highs")
+    assert res.success, res.message
+    scale = 1.0 + np.abs(offsets).max()
+    slack = offsets - a_ub @ res.x
+    near = np.argsort(slack)[:8]
+    near = near[slack[near] <= 1e-6 * scale]
+    best = None
+    for k in (2, 3):
+        for rows in itertools.combinations(near, k):
+            rows = list(rows)
+            z = np.linalg.lstsq(a_ub[rows], offsets[rows], rcond=None)[0]
+            if (np.all(offsets - a_ub @ z >= -1e-14 * scale)
+                    and (best is None or z[2] > best[2])):
+                best = z
+    assert best is not None
+    return float(best[2]), best[:2]
+
+
+def erode_hull(poly: ConvexPolygon, norm: MinkowskiNorm, r: float):
+    """CCW vertices of {x.n_e <= c_e - r F(n_e)}, 0 < r < R_F.
+
+    Around the LP center every shifted half-plane keeps a margin
+    m_e >= (R_F - r) F(n_e) > 0, so by polar duality the active planes
+    are the hull vertices of n_e / m_e, and consecutive ones meet at the
+    erosion's vertices (solved by LU with pivoting, whose small residual
+    keeps the vertices of nearly parallel planes on both lines).
+    """
+    normals, offsets, fn = edge_lines(poly, norm)
+    _, center = inradius_linprog(poly, norm)
+    margins = offsets - r * fn - normals @ center
+    act = ConvexHull(normals / margins[:, None]).vertices  # CCW
+    pairs = np.stack([normals[act], np.roll(normals[act], -1, axis=0)], axis=1)
+    rhs = np.stack([margins[act], np.roll(margins[act], -1)], axis=-1)
+    return np.linalg.solve(pairs, rhs[..., None])[..., 0] + center
+
+
+def shoelace(v: np.ndarray) -> float:
+    """Area of a CCW polygon, with the coordinates taken from its mean."""
+    x, y = (v - v.mean(axis=0)).T
+    return 0.5 * float(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1)))
+
+
+def cheeger_radius_brentq(poly: ConvexPolygon, norm: MinkowskiNorm) -> float:
+    """The root r* of |erode_hull(r)| = kappa_F r^2 on ]0, R_F[ by brentq."""
+    r_f, _ = inradius_linprog(poly, norm)
+    kappa = norm.wulff_area()
+
+    def gap(r: float) -> float:
+        area = shoelace(erode_hull(poly, norm, r)) if r < r_f else 0.0
+        return area - kappa * r * r
+
+    return brentq(gap, 0.0, r_f, xtol=1e-15 * r_f)
+
+
+def dedup_ccw_loop(vertices: np.ndarray, tol: float) -> np.ndarray:
+    """Keep each vertex farther than ``tol`` (max norm) from the last kept;
+    drop the last kept one if it is within ``tol`` of the first."""
+    keep = [vertices[0]]
+    for v in vertices[1:]:
+        if np.max(np.abs(v - keep[-1])) > tol:
+            keep.append(v)
+    if len(keep) > 1 and np.max(np.abs(keep[0] - keep[-1])) <= tol:
+        keep.pop()
+    return np.asarray(keep)

@@ -1,10 +1,13 @@
-"""Property tests of the exact Cheeger root solve, the exact distance field
-and the grid mask.
+"""Property tests of the erosion skeleton (inradius, erosion and Cheeger
+root), the exact distance field and the grid mask.
 
-Domains: hulls of random points, thin rectangles down to 1:64 and
-near-degenerate triangles; gauges: l^q with q in [1.1, 8] and rotated
-ellipses.  The grid mask is also checked on regular n-gons and Wulff
-polygons, rotated by multiples of 90 degrees plus tiny angles.
+Domains: hulls of random points, thin rectangles down to 1:64,
+near-degenerate triangles and hulls with near-collinear vertices added;
+gauges: l^q with q in [1.1, 8] and rotated ellipses.  The skeleton is
+checked against independent scipy oracles: a linear program, a convex
+hull and a bracketed root.  The grid mask is also checked on regular
+n-gons and Wulff polygons, rotated by multiples of 90 degrees plus tiny
+angles.
 """
 
 import math
@@ -18,10 +21,13 @@ from scipy.spatial import ConvexHull, QhullError
 
 from anisospec.cheeger import cheeger_estimate
 from anisospec.geometry import (CoarseGridError, ConvexPolygon, GeometryError,
-                                distance_field, parse_domain, wulff_domain)
+                                _dedup_ccw, distance_field, parse_domain,
+                                wulff_domain)
 from anisospec.norms import MinkowskiNorm
 from anisospec.pde import _grid_hierarchy, build_grid
-from oracles import distance_to_boundary_F
+from oracles import (cheeger_radius_brentq, dedup_ccw_loop,
+                     distance_to_boundary_F, edge_lines, erode_hull,
+                     inradius_linprog, shoelace)
 
 coord = st.floats(-1.0, 1.0, allow_nan=False)
 
@@ -49,7 +55,27 @@ slivers = st.builds(
                                  "sliver"),
     st.floats(-1.5, 1.5), st.floats(0.02, 0.2))
 
-domains = st.one_of(hull_polygons(), thin_rectangles, slivers)
+
+@st.composite
+def near_collinear(draw):
+    """A hull with vertices added just outside some of its edges."""
+    poly = draw(hull_polygons())
+    v = poly.vertices
+    out = []
+    for a, b in zip(v, np.roll(v, -1, axis=0)):
+        out.append(a)
+        if draw(st.booleans()):
+            d = b - a
+            bulge = 10.0 ** draw(st.floats(-12.0, -6.0))
+            out.append(0.5 * (a + b) + bulge * np.array([d[1], -d[0]]))
+    try:
+        return ConvexPolygon(np.array(out), "near-collinear")
+    except GeometryError:  # a bulge that dents a neighbouring corner
+        assume(False)
+
+
+domains = st.one_of(hull_polygons(), thin_rectangles, slivers,
+                    near_collinear())
 
 
 def _rotated_ellipse(theta: float, s1: float, s2: float) -> MinkowskiNorm:
@@ -72,6 +98,84 @@ def test_cheeger_within_bounds_and_faber_krahn(poly, norm):
     assert res.lower <= res.h_est <= res.upper
     r_vol = math.sqrt(poly.area / norm.wulff_area())
     assert res.h_est >= 2.0 / r_vol * (1.0 - 1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(domains, gauges)
+def test_inradius_is_the_lp(poly, norm):
+    r_f, center = poly.inradius_F(norm)
+    r_lp, _ = inradius_linprog(poly, norm)
+    assert r_f == pytest.approx(r_lp, rel=1e-12)
+    # the incenter holds the ball: its polar distance to every edge line
+    normals, offsets, fn = edge_lines(poly, norm)
+    assert ((offsets - normals @ center) / fn).min() >= r_f * (1.0 - 1e-12)
+
+
+@pytest.mark.parametrize("spec", ["lq:2", "lq:4", "ellipse:2,0.5,1"])
+def test_events_apart_by_a_few_1e_11_stay_apart(spec):
+    # an 8 x 2 rectangle whose top edge tilts by 1e-10: the short left edge
+    # vanishes about 4e-11 R before the erosion collapses at the right end
+    norm = MinkowskiNorm.parse(spec)
+    poly = ConvexPolygon(np.array([[-4.0, -1.0], [4.0, -1.0],
+                                   [4.0, 1.0 + 1e-10], [-4.0, 1.0]]))
+    radii, _ = poly.eroded_area(norm)
+    assert len(radii) == 3
+    r_f, _ = poly.inradius_F(norm)
+    assert r_f == pytest.approx(inradius_linprog(poly, norm)[0], rel=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(domains, gauges, st.floats(0.0, 1.0, exclude_min=True,
+                                  exclude_max=True))
+def test_erosion_is_the_hull_dual(poly, norm, u):
+    r_lp, _ = inradius_linprog(poly, norm)
+    r = u * r_lp
+    assume(r < r_lp * (1.0 - 1e-9))
+    exact = shoelace(erode_hull(poly, norm, r))
+    eroded = poly.erode(norm, r)
+    assert (eroded.area if eroded is not None else 0.0) == pytest.approx(
+        exact, abs=1e-12 * poly.area)
+    # the piecewise quadratic the Cheeger root solve reads
+    radii, coef = poly.eroded_area(norm)
+    k = int(np.searchsorted(radii, r, side="right")) - 1
+    t = r - radii[k]
+    assert coef[k, 0] + t * (coef[k, 1] + t * coef[k, 2]) == pytest.approx(
+        exact, abs=1e-12 * poly.area)
+
+
+@settings(max_examples=60, deadline=None)
+@given(domains, gauges)
+def test_cheeger_root_is_brentq(poly, norm):
+    r_star = cheeger_estimate(poly, norm).r_star
+    assert r_star == pytest.approx(cheeger_radius_brentq(poly, norm),
+                                   rel=1e-12)
+    area = poly.erode(norm, r_star).area
+    assert abs(area - norm.wulff_area() * r_star**2) <= 1e-12 * poly.area
+
+
+@st.composite
+def vertex_chains(draw):
+    """Vertices, each followed by a chain of steps near the tolerance 1e-3,
+    and maybe a last vertex within about that of the first."""
+    out = []
+    for _ in range(draw(st.integers(1, 8))):
+        q = np.array(draw(st.tuples(coord, coord)))
+        out.append(q)
+        for _ in range(draw(st.integers(0, 4))):
+            ang = draw(st.floats(0.0, 2.0 * math.pi))
+            q = q + draw(st.floats(0.2e-3, 1.5e-3)) * np.array(
+                [math.cos(ang), math.sin(ang)])
+            out.append(q)
+    if draw(st.booleans()):
+        out.append(out[0] + draw(st.floats(0.0, 1.5e-3)) * np.array([1.0, -1.0]))
+    return np.array(out)
+
+
+@settings(max_examples=300, deadline=None)
+@given(vertex_chains())
+def test_dedup_is_the_loop(vertices):
+    assert np.array_equal(_dedup_ccw(vertices, 1e-3),
+                          dedup_ccw_loop(vertices, 1e-3))
 
 
 @settings(max_examples=40, deadline=None)

@@ -5,8 +5,8 @@ import warnings
 
 import numpy as np
 import pytest
-import scipy.optimize
 
+import anisospec.geometry as geometry
 import anisospec.harness as harness
 from anisospec.config import INEQUALITY_IDS, ToleranceTable
 from anisospec.geometry import ConvexPolygon
@@ -118,20 +118,19 @@ class TestEachQuantityOnce:
     def test_run_case_counts(self, monkeypatch):
         # efficiency and mass ratio: one power integral each; P_F and
         # kappa_F once, in the Cheeger solve, which carries them to the
-        # report; one inradius LP (``inradius_F`` imports ``linprog`` from
-        # scipy.optimize when it runs, so the count is taken there)
+        # report; one erosion skeleton, which gives R_F and the Cheeger root
         integrals = _count_calls(monkeypatch, GridField, "integral")
         perimeters = _count_calls(monkeypatch, ConvexPolygon, "perimeter_F")
         kappas = _count_calls(monkeypatch, MinkowskiNorm, "wulff_area")
-        lps = _count_calls(monkeypatch, scipy.optimize, "linprog")
+        skeletons = _count_calls(monkeypatch, geometry, "_erosion_skeleton")
         run_case(FAST)
-        assert (len(integrals), len(perimeters), len(kappas), len(lps)) \
+        assert (len(integrals), len(perimeters), len(kappas), len(skeletons)) \
             == (2, 1, 1, 1)
 
-    def test_slab_sweep_one_lp_per_k(self, monkeypatch):
-        lps = _count_calls(monkeypatch, scipy.optimize, "linprog")
+    def test_slab_sweep_one_skeleton_per_k(self, monkeypatch):
+        skeletons = _count_calls(monkeypatch, geometry, "_erosion_skeleton")
         slab_sweep(1.0, MinkowskiNorm.lq(2), 2.0, [1, 2], h=1.0 / 16.0)
-        assert len(lps) == 2
+        assert len(skeletons) == 2
 
     def test_cached_incenter_is_read_only(self):
         _, center = ConvexPolygon.rectangle(1, 2).inradius_F(MinkowskiNorm.lq(2))

@@ -4,10 +4,10 @@ The polygon's edge half-planes are private to ``geometry``, which builds
 the grid masks from them, so no other module reads ``_edges``; and
 ``geometry`` sits below ``pde``, so it never imports it.  No module
 imports another module's underscore names.  The solver's eps = 0 energy
-takes no regularization.  A process that only solves the PDEs loads
-neither scipy.optimize nor scipy.spatial (the Cheeger root and the
-inradius LP and hull import them where they run), and nothing in the
-package imports scipy.ndimage.
+takes no regularization.  No package module imports scipy.optimize,
+scipy.spatial or scipy.ndimage, and a process that solves the PDEs, the
+Cheeger problem and whole cases loads none of them, nor scipy.sparse or
+scipy.linalg.
 """
 
 import ast
@@ -91,18 +91,20 @@ def test_energy_has_no_regularization_parameter():
     assert "eps" not in inspect.signature(pde._fp).parameters
 
 
-def test_no_module_imports_ndimage():
+def test_no_module_imports_ndimage_optimize_or_spatial():
     found = sorted(f"{name}: {imp}" for name, tree in _trees()
                    for imp in _imported_modules(tree)
-                   if imp.startswith("scipy.ndimage"))
+                   if imp.startswith(("scipy.ndimage", "scipy.optimize",
+                                      "scipy.spatial")))
     assert not found, found
 
 
-SOLVE_ONLY_PROBE = """
+PROBE = """
 import json, sys
 import anisospec, anisospec.cli
 from anisospec.cheeger import cheeger_estimate
 from anisospec.geometry import ConvexPolygon, parse_domain
+from anisospec.harness import CaseSpec, run_case
 from anisospec.norms import MinkowskiNorm
 from anisospec.pde import solve_eigen, solve_torsion
 
@@ -110,10 +112,13 @@ gauge = MinkowskiNorm.parse("lq:2")
 poly = parse_domain("rect:1,1", norm=gauge)
 solve_eigen(poly, gauge, 2.0, 1.0 / 16.0)
 solve_torsion(poly, gauge, 2.0, 1.0 / 16.0)
-heavy = ("scipy.optimize", "scipy.spatial", "scipy.ndimage")
-loaded = [name for name in heavy if name in sys.modules]
 h_est = cheeger_estimate(ConvexPolygon.rectangle(0.5, 0.5), gauge).h_est
-print(json.dumps({"loaded": loaded, "h_est": h_est}))
+status = run_case(CaseSpec("wulff:1,256", "ellipse:4,0,1", 2.0,
+                           h=1.0 / 24.0)).status
+heavy = ("scipy.optimize", "scipy.spatial", "scipy.ndimage", "scipy.sparse",
+         "scipy.linalg")
+loaded = [name for name in heavy if name in sys.modules]
+print(json.dumps({"loaded": loaded, "h_est": h_est, "status": status}))
 """
 
 
@@ -122,11 +127,11 @@ def test_solve_path_loads_no_optimize_spatial_or_ndimage():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(PACKAGE.parent), env.get("PYTHONPATH")]))
-    out = subprocess.run([sys.executable, "-c", SOLVE_ONLY_PROBE], env=env,
+    out = subprocess.run([sys.executable, "-c", PROBE], env=env,
                          capture_output=True, text=True, timeout=120,
                          check=True)
     result = json.loads(out.stdout.splitlines()[-1])
     assert result["loaded"] == []
-    # the Cheeger path still imports its solvers where it runs
     assert math.isclose(result["h_est"], 2.0 + math.sqrt(math.pi),
                         rel_tol=1e-12)
+    assert result["status"] == "pass"

@@ -6,8 +6,8 @@ perimeter, erosion and inradius computations exact polygon arithmetic:
 
 * anisotropic perimeter  P_F = sum over edges of length * F(outer normal)
 * inner parallel bodies  (erosion by r times the Wulff shape) from the
-  erosion skeleton: every edge moves inward at speed F(normal), so the
-  vertices move on straight lines between the radii where edges vanish
+  erosion skeleton: every edge moves inward at speed F(normal) up to its
+  vanish radius, and the erosion at r intersects the edges alive at r
   (Eppstein & Erickson, "Raising roofs, crashing cycles, and playing
   pool", 1999, for the weighted straight skeleton).  The skeleton is
   built once per (polygon, gauge) and also gives
@@ -60,7 +60,7 @@ def _dedup_ccw(vertices: np.ndarray, tol: float) -> np.ndarray:
     """
     n = len(vertices)
     far = np.abs(np.diff(vertices, axis=0)).max(axis=1) > tol
-    keep = np.concatenate([[True], far])
+    keep = np.concatenate([[True], far])[:n]  # an empty input keeps nothing
     nxt = 1  # every vertex before ``nxt`` is decided
     for s in np.flatnonzero(~far) + 1:
         if s < nxt:
@@ -240,7 +240,12 @@ class ConvexPolygon:
 
         Returns None when the intersection has empty interior (always the
         case once r reaches the anisotropic inradius).  erode(0) returns
-        the polygon itself.  The vertices are the skeleton's at r.
+        the polygon itself.  The edges with vanish radius above r, each
+        moved in by r F(n_e), meet at ``_corner``s.  Near an event,
+        rounding can leave an edge within the constructor's duplicate
+        tolerance (it goes) or turn a corner the wrong way (the shorter of
+        its edges goes); the corners are then retaken from the remaining
+        exact lines.
         """
         if r < 0:
             raise GeometryError("erosion radius must be nonnegative")
@@ -249,10 +254,31 @@ class ConvexPolygon:
         sk = self._skeleton(norm)
         if r >= sk.radii[-1] * (1.0 - 1e-13):
             return None
-        verts = _clean_convex(sk.vertices(r), max(self.diameter, 1.0))
-        if verts is None:
-            return None
-        return ConvexPolygon(verts, f"{self.provenance}~erode:{r:g}")
+        normals, offsets, _ = self._edges
+        alive = sk.vanish > r
+        origin = self.vertices.mean(axis=0)  # as in the skeleton
+        unit = normals[alive, 0] + 1j * normals[alive, 1]
+        lines = offsets - normals @ origin - r * np.asarray(norm(normals))
+        lines = lines[alive]
+        while len(unit) >= 3:
+            prev = np.roll(unit, 1)
+            w = prev.conj() * unit
+            if (w.imag <= 0.0).any():
+                return None
+            z = _corner(prev, w, np.roll(lines, 1), lines)
+            verts = np.column_stack([z.real, z.imag]) + origin
+            edges = np.roll(verts, -1, axis=0) - verts  # edge k is line k
+            drop = np.abs(edges).max(axis=1) <= _DEDUP_TOL
+            if not drop.any():
+                wrong = np.flatnonzero(_turns(verts) <= 0.0)
+                if not len(wrong):
+                    return ConvexPolygon(verts, f"{self.provenance}~erode:{r:g}")
+                # the corner after edge k joins edges k and k + 1
+                length = np.hypot(edges[:, 0], edges[:, 1])
+                nxt = (wrong + 1) % len(unit)
+                drop[np.where(length[wrong] <= length[nxt], wrong, nxt)] = True
+            unit, lines = unit[~drop], lines[~drop]
+        return None
 
     def rolling_body(self, norm: MinkowskiNorm, r: float) -> tuple[float, float]:
         """Area and anisotropic perimeter of (erode r) ⊕ r*Wulff.
@@ -274,55 +300,48 @@ class ConvexPolygon:
 class _Skeleton:
     """The erosion of a convex polygon by r*Wulff for every r in [0, R_F].
 
-    Each edge line moves inward at speed F(n_e), so each vertex, the
-    meeting point of two consecutive edges that are still active, moves
-    on a straight line.  Vertex i starts edge ``edge[i]``, lives for
-    ``born[i] <= r < died[i]`` and sits at ``pos[i] + (r - born[i]) *
-    vel[i]`` (points as complex numbers x + iy).  ``radii`` are the event
-    radii, where edges vanish, ending at the collapse radius R_F, and
-    ``area`` the quadratic of the eroded area on each interval between
-    them (see ``ConvexPolygon.eroded_area``).
+    Each edge line moves inward at speed F(n_e) until its ``vanish``
+    radius (R_F for the edges left at the collapse), so the erosion at r
+    is the intersection of the edge half-planes with vanish > r.
+    ``radii`` are the event radii, where edges vanish, ending at R_F,
+    ``area`` the quadratic of the eroded area between them (see
+    ``ConvexPolygon.eroded_area``) and ``center`` the incenter.
     """
 
     radii: np.ndarray
     area: np.ndarray
     center: np.ndarray
-    edge: np.ndarray
-    born: np.ndarray
-    died: np.ndarray
-    pos: np.ndarray
-    vel: np.ndarray
+    vanish: np.ndarray
 
-    def vertices(self, r: float) -> np.ndarray:
-        """The CCW vertices of the erosion at radius r."""
-        alive = (self.born <= r) & (r < self.died)
-        z = (self.pos[alive] + (r - self.born[alive]) * self.vel[alive])[
-            np.argsort(self.edge[alive], kind="stable")]
-        return np.column_stack([z.real, z.imag])
+
+def _corner(n_a: np.ndarray, w: np.ndarray, c_a: np.ndarray,
+            c_b: np.ndarray) -> np.ndarray:
+    """The point x with n_a.x = c_a and n_b.x = c_b, w = conj(n_a) n_b.
+
+    Points and unit normals are complex numbers, and Re w and Im w are the
+    cosine and sine of the turn from n_a to n_b (Im w > 0).  The point is
+    n_a (c_a + i (c_b - c_a Re w) / Im w): both equations hold to rounding
+    even for nearly parallel lines, whose meeting point is ill-conditioned
+    only along the lines, which moves no area.
+    """
+    return n_a * (c_a + 1j * ((c_b - c_a * w.real) / w.imag))
 
 
 def _erosion_skeleton(vertices: np.ndarray, normals: np.ndarray,
                       offsets: np.ndarray, speeds: np.ndarray) -> _Skeleton:
     """Follow the vertices of the erosion from r = 0 to its collapse.
 
-    Points and unit normals are complex numbers; with w = conj(n_a) n_b,
-    Re w and Im w are the cosine and sine of the turn from n_a to n_b.
     On each interval the active edges keep their neighbours.  Vertex k,
     where active edge k meets its predecessor a, moves with the velocity
     q solving n_a.q = -F(n_a), n_k.q = -F(n_k), so every edge length
     falls or grows linearly, and the interval ends when the first one
-    reaches 0.  Edges that vanish at the same radius, up to rounding
-    (``_EVENT_RTOL``), go together; the erosion has collapsed once fewer
-    than three edges remain or two consecutive ones turn by pi or more.
-
-    The point with n_a.x = c_a and n_b.x = c_b is taken as
-    n_a (c_a + i (c_b - c_a Re w) / Im w): both equations then hold to
-    rounding even for nearly parallel edges, whose meeting point is
-    ill-conditioned only along the edges, which moves no area.  For the
-    same reason a vertex born at an event is placed where its own two
-    edge lines meet, not where the vanished edge ended.  Positions are
-    taken relative to the vertex mean, which keeps the shoelace sums free
-    of the domain's offset.
+    reaches 0: that is the edge's vanish radius.  Edges that vanish at
+    the same radius, up to rounding (``_EVENT_RTOL``), go together; the
+    erosion has collapsed once fewer than three edges remain or two
+    consecutive ones turn by pi or more.  A vertex born at an event is
+    placed where its own two edge lines meet (``_corner``), not where the
+    vanished edge ended.  Positions are taken relative to the vertex mean,
+    which keeps the shoelace sums free of the domain's offset.
     """
     origin = vertices.mean(axis=0)
     offsets = offsets - normals @ origin
@@ -331,8 +350,8 @@ def _erosion_skeleton(vertices: np.ndarray, normals: np.ndarray,
     start = (vertices[:, 0] - origin[0]) + 1j * (vertices[:, 1] - origin[1])
     born = np.zeros(len(act))         # vertex k sits at start + (r - born) vel
     fresh = np.zeros(len(act), dtype=bool)  # born at r, not yet placed
-    vel, last = np.zeros_like(start), (start, np.ones(len(act)))
-    r, radii, area, dead = 0.0, [0.0], [], []
+    vanish, last = np.empty(len(act)), (start, np.ones(len(act)))
+    r, radii, area = 0.0, [0.0], []
     while len(act) >= 3:
         back = np.arange(-1, len(act) - 1)  # index of the previous vertex
         ahead = back + 2                    # and of the next one
@@ -345,10 +364,9 @@ def _erosion_skeleton(vertices: np.ndarray, normals: np.ndarray,
         f_a, f_b = speeds[prev], speeds[act]
         vel = n_a * (-f_a + 1j * ((f_a * w.real - f_b) / w.imag))
         if fresh.any():
-            c_a = offsets[prev[fresh]] - r * f_a[fresh]
-            c_b = offsets[act[fresh]] - r * f_b[fresh]
-            start[fresh] = n_a[fresh] * (c_a + 1j * (
-                (c_b - c_a * w.real[fresh]) / w.imag[fresh]))
+            start[fresh] = _corner(n_a[fresh], w[fresh],
+                                   offsets[prev[fresh]] - r * f_a[fresh],
+                                   offsets[act[fresh]] - r * f_b[fresh])
         pos = start + (r - born) * vel
         pn, qn = pos[ahead], vel[ahead]
         shrink = (n_b * (vel - qn)).imag
@@ -365,15 +383,13 @@ def _erosion_skeleton(vertices: np.ndarray, normals: np.ndarray,
         gone = life <= step + _EVENT_RTOL * (r + step)
         r += step
         last = (pos + step * vel, w.imag)
+        vanish[act[gone]] = r
         # vertex k dies with edge k, and is reborn when its predecessor goes
         fresh = gone | gone[back]
-        dead.append((act[fresh], born[fresh], start[fresh], vel[fresh],
-                     np.full(int(fresh.sum()), r)))
         born[fresh] = r
         keep = ~gone
         act, born, start, fresh = act[keep], born[keep], start[keep], fresh[keep]
-        vel = vel[keep]
-    dead.append((act, born, start, vel, np.full(len(act), r)))
+    vanish[act] = r
     # the collapse point, or the midpoint of the collapse segment, from
     # the best-conditioned corners of the last interval
     ends, turn = last
@@ -381,27 +397,8 @@ def _erosion_skeleton(vertices: np.ndarray, normals: np.ndarray,
     center = origin + 0.5 * np.array([sharp.real.min() + sharp.real.max(),
                                       sharp.imag.min() + sharp.imag.max()])
     center.setflags(write=False)
-    edge, born, start, vel, died = (np.concatenate(c) for c in zip(*dead))
     return _Skeleton(radii=np.array(radii), area=np.array(area).reshape(-1, 3),
-                     center=center, edge=edge, born=born, died=died,
-                     pos=start + complex(*origin), vel=vel)
-
-
-def _clean_convex(verts: np.ndarray, scale: float) -> np.ndarray | None:
-    """Dedup and prune collinear-by-noise vertices; None if fewer than
-    three remain."""
-    verts = _dedup_ccw(verts, 1e-12 * scale)
-    for _ in range(len(verts)):
-        if len(verts) < 3:
-            return None
-        bad = _turns(verts) <= 1e-14 * scale * scale
-        if not bad.any():
-            break
-        # drop the vertex at the apex of each flat/reflex corner
-        verts = verts[np.roll(~bad, 1)]
-    else:
-        return None
-    return verts
+                     center=center, vanish=vanish)
 
 
 def wulff_domain(norm: MinkowskiNorm, r: float = 1.0, n: int = 256) -> ConvexPolygon:
@@ -563,8 +560,6 @@ def _free_nodes(poly: ConvexPolygon, x: np.ndarray, y: np.ndarray,
     if len(i):
         mask[i, j] = poly.clearance(np.column_stack([x[i], y[j]])) > thr
     return mask
-
-
 
 
 @dataclass(frozen=True, eq=False)

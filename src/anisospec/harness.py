@@ -303,7 +303,8 @@ def slab_sweep(a: float, gauge: MinkowskiNorm, p: float, ks: list[float],
     rows = []
     for k in ks:
         poly = ConvexPolygon.rectangle(a, k)
-        r_f, _ = poly.inradius_F(gauge)
+        ch = cheeger_estimate(poly, gauge)
+        r_f = ch.inradius
         expect_rf = a * float(gauge.polar_eval(np.array([1.0, 0.0])))
         if abs(r_f - expect_rf) > 1e-9 * max(expect_rf, 1.0):
             warnings.warn(f"slab sweep at k={k:g}: inradius {r_f:g} is not "
@@ -312,7 +313,6 @@ def slab_sweep(a: float, gauge: MinkowskiNorm, p: float, ks: list[float],
                           "dominates", stacklevel=2)
         eigen = solve_eigen(poly, gauge, p, h_eff, tol=tol)
         torsion = solve_torsion(poly, gauge, p, h_eff, tol=tol)
-        ch = cheeger_estimate(poly, gauge)
         rows.append({
             "k": float(k),
             "r1": eigen.lambda_ * r_f**p / half_pi**p,

@@ -98,12 +98,6 @@ class MinkowskiNorm:
             raise GaugeError(f"malformed gauge spec {spec!r}: {exc}") from None
         raise GaugeError(f"unknown gauge family {head!r}")
 
-    def spec_string(self) -> str:
-        if self.family == "lq":
-            return f"lq:{self.q:g}"
-        a = self.A
-        return f"ellipse:{a[0, 0]:g},{a[0, 1]:g},{a[1, 1]:g}"
-
     # -- evaluation --------------------------------------------------------
 
     def __call__(self, xi) -> np.ndarray | float:

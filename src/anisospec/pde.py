@@ -372,17 +372,18 @@ class _DescentProblem:
         return self.feasible(cand), 1.0
 
     def trial(self, psi, d, alpha):
-        """(iterate, value, gradient, slope) at step ``alpha`` along ``d``.
+        """(iterate, value, gradient, scale s) at step ``alpha`` along ``d``.
 
-        The slope is the derivative of the value along the ray, g . d / s:
-        the eigen quotient is 0-homogeneous, so its gradient at the
-        unnormalized point is g / s.
+        The slope of the value along the ray is g . d / s: the eigen
+        quotient is 0-homogeneous, so its gradient at the unnormalized
+        point is g / s.  (None, inf, None, 0) for a point that cannot be
+        normalized.
         """
         cand, s = self.ray_point(psi, d, alpha)
         if cand is None:
-            return None, math.inf, None, math.nan
+            return None, math.inf, None, s
         fc, gc = self.value_grad(cand)
-        return cand, fc, gc, float((gc * d).sum()) / s
+        return cand, fc, gc, s
 
 
 class _EigenProblem(_DescentProblem):
@@ -438,8 +439,6 @@ class _EigenProblem(_DescentProblem):
 
 
 class _TorsionProblem(_DescentProblem):
-    clamp = False
-
     def prepare(self, psi):
         return self.feasible(psi.copy())
 
@@ -596,7 +595,8 @@ def _wolfe_step(problem, psi, d, f, slope0, alpha_prev):
     f_hi = s_hi = math.nan
     best = None
     for _ in range(MAX_TRIALS):
-        cand, fc, gc, slope = problem.trial(psi, d, alpha)
+        cand, fc, gc, s = problem.trial(psi, d, alpha)
+        slope = math.nan if cand is None else float((gc * d).sum()) / s
         if fc < f:
             if abs(slope) <= WOLFE_C2 * abs(slope0):
                 return alpha, cand, fc, gc
@@ -682,9 +682,6 @@ class EigenResult:
     u: GridField
     iterations: int
     residual: float
-    p: float
-    norm_id: str
-    domain_id: str
     converged: bool
     stop: str
 
@@ -702,9 +699,6 @@ class TorsionResult:
     T_dual: float
     iterations: int
     residual: float
-    p: float
-    norm_id: str
-    domain_id: str
     converged: bool
     stop: str
 
@@ -779,8 +773,7 @@ def solve_eigen(poly: ConvexPolygon, norm: MinkowskiNorm, p: float, h: float,
         u = psi / umax
         lam = grad_energy(u, grid, norm, p) / _mass(u, grid, p)
     result = EigenResult(lambda_=lam, u=GridField(grid, u), iterations=total_it,
-                         residual=residual, p=p, norm_id=norm.spec_string(),
-                         domain_id=poly.provenance,
+                         residual=residual,
                          converged=converged and not null, stop=stop)
     if null:
         raise _not_converged("eigen", poly, result, "produced a null field")
@@ -814,8 +807,6 @@ def solve_torsion(poly: ConvexPolygon, norm: MinkowskiNorm, p: float, h: float,
         t_dual = grad_energy(psi, grid, norm, p)
     result = TorsionResult(v=GridField(grid, psi), T=t_int, Mv=mv,
                            T_dual=t_dual, iterations=total_it, residual=residual,
-                           p=p, norm_id=norm.spec_string(),
-                           domain_id=poly.provenance,
                            converged=converged and not null, stop=stop)
     if null:
         raise _not_converged("torsion", poly, result,

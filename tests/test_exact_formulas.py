@@ -5,9 +5,10 @@ Domains: hulls of random points, thin rectangles down to 1:64,
 near-degenerate triangles and hulls with near-collinear vertices added;
 gauges: l^q with q in [1.1, 8] and rotated ellipses.  The skeleton is
 checked against independent scipy oracles: a linear program, a convex
-hull and a bracketed root.  The grid mask is also checked on regular
-n-gons and Wulff polygons, rotated by multiples of 90 degrees plus tiny
-angles.
+hull and a bracketed root; the erosion also on Wulff polygons and at
+radii within a relative 1e-9 to 1e-13 of the skeleton's events.  The
+grid mask is also checked on regular n-gons and Wulff polygons, rotated
+by multiples of 90 degrees plus tiny angles.
 """
 
 import math
@@ -77,6 +78,11 @@ def near_collinear(draw):
 domains = st.one_of(hull_polygons(), thin_rectangles, slivers,
                     near_collinear())
 
+wulff_polygons = st.builds(
+    lambda spec, n: wulff_domain(MinkowskiNorm.parse(spec), 1.0, n),
+    st.sampled_from(["lq:1.2", "lq:4", "ellipse:4,0,1"]),
+    st.integers(16, 512))
+
 
 def _rotated_ellipse(theta: float, s1: float, s2: float) -> MinkowskiNorm:
     c, s = math.cos(theta), math.sin(theta)
@@ -124,13 +130,7 @@ def test_events_apart_by_a_few_1e_11_stay_apart(spec):
     assert r_f == pytest.approx(inradius_linprog(poly, norm)[0], rel=1e-12)
 
 
-@settings(max_examples=60, deadline=None)
-@given(domains, gauges, st.floats(0.0, 1.0, exclude_min=True,
-                                  exclude_max=True))
-def test_erosion_is_the_hull_dual(poly, norm, u):
-    r_lp, _ = inradius_linprog(poly, norm)
-    r = u * r_lp
-    assume(r < r_lp * (1.0 - 1e-9))
+def _assert_erosion_is_the_hull_dual(poly, norm, r):
     exact = shoelace(erode_hull(poly, norm, r))
     eroded = poly.erode(norm, r)
     assert (eroded.area if eroded is not None else 0.0) == pytest.approx(
@@ -141,6 +141,46 @@ def test_erosion_is_the_hull_dual(poly, norm, u):
     t = r - radii[k]
     assert coef[k, 0] + t * (coef[k, 1] + t * coef[k, 2]) == pytest.approx(
         exact, abs=1e-12 * poly.area)
+
+
+# r as a fraction of R_F, or as a skeleton event radius (its index taken
+# modulo the number of events) moved by a relative 1e-9 down to 1e-13
+erosion_radii = st.one_of(
+    st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    st.tuples(st.integers(0, 1000),
+              st.sampled_from([s * d for d in (1e-9, 1e-11, 1e-12, 1e-13)
+                               for s in (-1.0, 1.0)])))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(domains, wulff_polygons), gauges, erosion_radii)
+def test_erosion_is_the_hull_dual(poly, norm, at):
+    if isinstance(at, float):
+        r_lp, _ = inradius_linprog(poly, norm)
+        r = at * r_lp
+        assume(r < r_lp * (1.0 - 1e-9))
+    else:
+        radii, _ = poly.eroded_area(norm)
+        k, delta = at
+        r = radii[1 + k % (len(radii) - 1)] * (1.0 + delta)
+        assume(r < radii[-1] * (1.0 - 1e-13))
+    _assert_erosion_is_the_hull_dual(poly, norm, r)
+
+
+@pytest.mark.parametrize("poly,gauge,r", [
+    # just below the skeleton's 34th event: corners that a turn heuristic
+    # took for rounding noise
+    (wulff_domain(MinkowskiNorm.lq(1.2)), "lq:4", 0.36339169523496434),
+    # at 0.9971 R_F, an erosion of area 1.65e-5 |domain|
+    (wulff_domain(MinkowskiNorm.ellipse(4, 0, 1)), "lq:1.2",
+     0.95871730791035181),
+    # at R_F (1 - 1e-11): a sliver 2e-11 wide, of area 9.6e-12 |domain|
+    (ConvexPolygon.rectangle(1, 16), "ellipse:2,0.5,1", 0.7071067811794763)],
+    ids=["wulff-lq1.2", "wulff-ellipse", "rect-1-16"])
+def test_erosion_near_an_event_is_the_hull_dual(poly, gauge, r):
+    norm = MinkowskiNorm.parse(gauge)
+    assert poly.erode(norm, r) is not None
+    _assert_erosion_is_the_hull_dual(poly, norm, r)
 
 
 @settings(max_examples=60, deadline=None)
@@ -213,11 +253,6 @@ def _turned(poly: ConvexPolygon, theta: float, shift=(0.0, 0.0)):
     v = poly.vertices @ np.array([[c, s], [-s, c]]) + np.asarray(shift)
     return ConvexPolygon(v, f"{poly.provenance}~turn")
 
-
-wulff_polygons = st.builds(
-    lambda spec, n: wulff_domain(MinkowskiNorm.parse(spec), 1.0, n),
-    st.sampled_from(["lq:1.2", "lq:4", "ellipse:4,0,1"]),
-    st.integers(16, 512))
 
 # a quarter turn plus nothing or a tiny angle: edges with |n_y| near 1e-17
 tiny_turns = st.builds(

@@ -89,6 +89,8 @@ class TestPolygonBasics:
         with pytest.raises(GeometryError):
             ConvexPolygon(np.array([[0, 0], [0, 0], [1, 0]], float))
         with pytest.raises(GeometryError):
+            ConvexPolygon(np.empty((0, 2)))
+        with pytest.raises(GeometryError):
             ConvexPolygon.rectangle(-1, 1)
 
     def test_dedup(self):

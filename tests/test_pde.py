@@ -611,7 +611,7 @@ class TestTorsionOracles:
         # residual, and converges only when it is below sqrt(tol)
         monkeypatch.setattr(_TorsionProblem, "trial",
                             lambda self, psi, d, alpha: (None, math.inf,
-                                                         None, math.nan))
+                                                         None, 0.0))
         with pytest.raises(ConvergenceError) as err:
             solve_torsion(SQUARE, LQ2, 2.0, 1.0 / 32.0)
         res = err.value.result
@@ -633,7 +633,7 @@ class TestTorsionOracles:
         monkeypatch.setattr(_TorsionProblem, "step_candidates",
                             lambda self, *args: [1.0])
         monkeypatch.setattr(_TorsionProblem, "trial",
-                            lambda self, psi, d, alpha: (psi, fc, psi, -1.0))
+                            lambda self, psi, d, alpha: (psi, fc, psi, 1.0))
         found = pde._ray_step(problem, psi, psi, f, -1.0, None)
         assert (found is not None) is accepted
 

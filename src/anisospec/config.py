@@ -16,9 +16,11 @@ slab_h_fraction      1/128      slab sweeps: h = (short side) * this
 
 An inequality check passes when  slack >= -(rel * |rhs| + c * h);  ``rel``
 defaults to 1e-6 everywhere, and the grid coefficient ``c`` separates
-records fed by solver output (c = 1) from records evaluated in exact
-polygon arithmetic (c = 1e-3).  Both can be overridden per id via config
-files.
+records fed by solver output (c = 1) from the five records evaluated in
+exact polygon arithmetic (c = 0: ``inradius_lower``, ``inradius_upper``,
+``faber_krahn``, ``stability`` and ``isoperimetric``, whose inradius,
+Cheeger constant, area and perimeter carry no grid error).  Both can be
+overridden per id via config files.
 """
 
 from __future__ import annotations
@@ -45,12 +47,12 @@ INEQUALITY_TOLERANCES: dict[str, tuple[float, float]] = {
     "functional_chain": (1e-6, 1.0),
     "efficiency_power": (1e-6, 1.0),
     "efficiency_sharp": (1e-6, 1.0),
-    "inradius_lower": (1e-6, 1e-3),
-    "inradius_upper": (1e-6, 1e-3),
-    "faber_krahn": (1e-6, 1e-3),
-    "stability": (1e-6, 1e-3),
+    "inradius_lower": (1e-6, 0.0),
+    "inradius_upper": (1e-6, 0.0),
+    "faber_krahn": (1e-6, 0.0),
+    "stability": (1e-6, 0.0),
     "torsion_max": (1e-6, 1.0),
-    "isoperimetric": (1e-6, 1e-3),
+    "isoperimetric": (1e-6, 0.0),
     "mass_concentration": (1e-6, 1.0),
 }
 

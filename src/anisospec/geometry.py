@@ -89,8 +89,13 @@ def _turns(v: np.ndarray) -> np.ndarray:
 
 
 def _shoelace(v: np.ndarray) -> float:
-    """Signed area of the polygon with vertices ``v`` (positive if CCW)."""
-    x, y = v[:, 0], v[:, 1]
+    """Signed area of the polygon with vertices ``v`` (positive if CCW).
+
+    Summed about the vertex mean, as the skeleton's area quadratics are,
+    so a polygon far from the origin loses no digits to cancellation.
+    """
+    c = v - v.mean(axis=0)
+    x, y = c[:, 0], c[:, 1]
     return 0.5 * float(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1)))
 
 
@@ -492,6 +497,19 @@ class Grid:
                 and math.isclose(self.y[0], other.y[0]))
 
 
+def grid_axes(poly: ConvexPolygon, h: float):
+    """(hx, hy, x, y): the snapped spacings and nodes of ``build_grid``."""
+    if not (h > 0):
+        raise CoarseGridError("grid spacing must be positive")
+    xmin, xmax, ymin, ymax = poly.bounding_box
+    ncx = max(int(round((xmax - xmin) / h)), 4)
+    ncy = max(int(round((ymax - ymin) / h)), 4)
+    hx = (xmax - xmin) / ncx
+    hy = (ymax - ymin) / ncy
+    return (hx, hy, xmin + hx * np.arange(ncx + 1),
+            ymin + hy * np.arange(ncy + 1))
+
+
 def build_grid(poly: ConvexPolygon, h: float, min_axis: int = 16) -> Grid:
     """Grid whose free nodes keep half a cell of clearance to the boundary.
 
@@ -502,15 +520,7 @@ def build_grid(poly: ConvexPolygon, h: float, min_axis: int = 16) -> Grid:
     by column from the edge half-planes (``_free_nodes``) rather than by
     evaluating every node of the bounding box against every edge.
     """
-    if not (h > 0):
-        raise CoarseGridError("grid spacing must be positive")
-    xmin, xmax, ymin, ymax = poly.bounding_box
-    ncx = max(int(round((xmax - xmin) / h)), 4)
-    ncy = max(int(round((ymax - ymin) / h)), 4)
-    hx = (xmax - xmin) / ncx
-    hy = (ymax - ymin) / ncy
-    x = xmin + hx * np.arange(ncx + 1)
-    y = ymin + hy * np.arange(ncy + 1)
+    hx, hy, x, y = grid_axes(poly, h)
     mask = _free_nodes(poly, x, y, 0.25 * (hx + hy))
     if min(mask.any(axis=1).sum(), mask.any(axis=0).sum()) < min_axis:
         raise CoarseGridError(

@@ -1,11 +1,17 @@
 """Case harness: inequality audits, slab-limit sweeps, convergence studies.
 
-``run_case`` solves one (domain, gauge, p) case end to end - eigenvalue,
-torsion, distance field, Cheeger constant - computing each reported value
-once, then scores the sixteen geometric/spectral inequalities from those
-values with explicit slack against the per-id tolerance budget.  Solver
-non-convergence marks the case ``inconclusive`` instead of failed, so
-numerical trouble never masquerades as a counterexample.
+``run_case`` solves one (domain, gauge, p) case end to end - torsion,
+eigenvalue, distance field, Cheeger constant - computing each reported
+value once, then scores the sixteen geometric/spectral inequalities from
+those values with explicit slack against the per-id tolerance budget.
+Solver non-convergence marks the case ``inconclusive`` instead of failed,
+so numerical trouble never masquerades as a counterexample.
+
+Every caller that solves both problems on one grid (``run_case``,
+``slab_sweep``, ``convergence_study``) solves the torsion first and starts
+the eigen descent from its field v on the finest grid: v is the first
+step of the inverse power method from a constant, so it is already close
+to the eigenfield, and the eigen solve needs no coarse levels.
 
 Reports are plain dict/JSON-serializable structures whose serialized
 form is byte-identical across reruns of the same spec (no timestamps,
@@ -190,22 +196,25 @@ def run_case(spec: CaseSpec,
              tols: ToleranceTable | None = None) -> InequalityReport:
     """Solve one case and score every inequality record.
 
-    Solver non-convergence is caught: the partial fields still produce a
-    report, but with status "inconclusive" so failures stay separated
-    from numerics.
+    The torsion is solved first, and the eigen descent starts from its
+    field v on the finest grid.  Solver non-convergence is caught: the
+    partial fields still produce a report (the eigen solve then starts
+    from the partial v), but with status "inconclusive" so failures stay
+    separated from numerics.
     """
     tols = tols or ToleranceTable()
     poly, gauge, h = spec.build()
     inconclusive = False
     try:
-        eigen = solve_eigen(poly, gauge, spec.p, h, tol=spec.tol)
-    except ConvergenceError as exc:
-        eigen = exc.result
-        inconclusive = True
-    try:
         torsion = solve_torsion(poly, gauge, spec.p, h, tol=spec.tol)
     except ConvergenceError as exc:
         torsion = exc.result
+        inconclusive = True
+    try:
+        eigen = solve_eigen(poly, gauge, spec.p, h, tol=spec.tol,
+                            start=torsion.v)
+    except ConvergenceError as exc:
+        eigen = exc.result
         inconclusive = True
 
     xmin, xmax, ymin, ymax = poly.bounding_box
@@ -311,8 +320,8 @@ def slab_sweep(a: float, gauge: MinkowskiNorm, p: float, ks: list[float],
                           f"a*F°(e1)={expect_rf:g}; the limit formulas assume "
                           "an axis-aligned gauge whose short direction "
                           "dominates", stacklevel=2)
-        eigen = solve_eigen(poly, gauge, p, h_eff, tol=tol)
         torsion = solve_torsion(poly, gauge, p, h_eff, tol=tol)
+        eigen = solve_eigen(poly, gauge, p, h_eff, tol=tol, start=torsion.v)
         rows.append({
             "k": float(k),
             "r1": eigen.lambda_ * r_f**p / half_pi**p,
@@ -362,8 +371,9 @@ def convergence_study(spec: CaseSpec,
     poly, gauge, _ = spec.build()
     lam, mvs, ts = [], [], []
     for h in hs:
-        eigen = solve_eigen(poly, gauge, spec.p, h, tol=spec.tol)
         torsion = solve_torsion(poly, gauge, spec.p, h, tol=spec.tol)
+        eigen = solve_eigen(poly, gauge, spec.p, h, tol=spec.tol,
+                            start=torsion.v)
         lam.append(eigen.lambda_)
         mvs.append(torsion.Mv)
         ts.append(torsion.T)

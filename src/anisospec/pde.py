@@ -16,16 +16,19 @@ Minimization is a monotone projected descent on the quotient: nonlinear
 conjugate-gradient directions preconditioned by the inverse grid
 Laplacian of the bounding box (applied by fast sine transforms),
 nonnegativity clamping for eigenfields, and coarse-to-fine seeding
-across a grid hierarchy.  On the quadratic path (p = 2 with a quadratic
-gauge) each step is the exact minimizer along the ray, accepted unless
-the value rises by more than its rounding (``TIE``).  Elsewhere a
-bracketing Wolfe line search picks it: a trial is accepted once it
-strictly decreases the value and the slope along the ray has shrunk to
-``WOLFE_C2`` times the initial one.  On both paths every trial point
-costs one value-and-gradient evaluation, the step receives the slope of
-its direction rather than the old gradient, and the accepted trial's
-value and gradient start the next iteration.  Each solve reports which
-rule stopped it:
+across a grid hierarchy.  An eigen solve may instead start from a given
+field on the finest grid (the harness passes the case's torsion field,
+the first inverse power step from a constant); it then runs that one
+level, and its iteration count is that level's.  On the quadratic path
+(p = 2 with a quadratic gauge) each step is the exact minimizer along
+the ray, accepted unless the value rises by more than its rounding
+(``TIE``).  Elsewhere a bracketing Wolfe line search picks it: a trial
+is accepted once it strictly decreases the value and the slope along the
+ray has shrunk to ``WOLFE_C2`` times the initial one.  On both paths
+every trial point costs one value-and-gradient evaluation, the step
+receives the slope of its direction rather than the old gradient, and
+the accepted trial's value and gradient start the next iteration.  Each
+solve reports which rule stopped it:
 
 * ``"dual"`` - quadratic path only: the preconditioned dual residual,
   the relative energy-norm error of the iterate, is below ``tol``;
@@ -62,7 +65,8 @@ from scipy.fft import dstn, idstn
 from scipy.special import betainc
 
 from .config import DEFAULTS
-from .geometry import CoarseGridError, ConvexPolygon, Grid, build_grid
+from .geometry import (CoarseGridError, ConvexPolygon, Grid, build_grid,
+                       grid_axes)
 from .norms import MinkowskiNorm, pi_p
 
 WINDOW = 25  # iterations spanned by the convergence criterion
@@ -146,12 +150,14 @@ def _edge_energy(psi: np.ndarray, grid: Grid, a, g=None) -> float:
     one on the border of the box, and an anti-diagonal in both triangles
     of its cell, so the energy is sum c D^2 over three edge families (a
     weighted graph Laplacian), with the border terms halved; it holds for
-    fields that do not vanish on the border too.  Each family is one
-    array of differences: no per-triangle gradient and no per-triangle
-    scatter.  When ``g`` is given, the gradient is added into it, 2 c D
-    onto each edge's head and -2 c D onto its tail (halved on the border).
-    The value does not depend on ``g``, so the energy with and without
-    the gradient is the same bit for bit.
+    fields that do not vanish on the border too.  Each family's
+    differences and their squares are written into two buffers allocated
+    once per call (each family uses a contiguous leading part of them):
+    no per-triangle gradient and no per-triangle scatter.  When ``g`` is
+    given, the gradient is added into it, 2 c D onto each edge's head and
+    -2 c D onto its tail (halved on the border).  The value does not
+    depend on ``g``, so the energy with and without the gradient is the
+    same bit for bit.
     """
     a11, a12, a22 = a
     r = grid.hy / grid.hx
@@ -162,16 +168,20 @@ def _edge_energy(psi: np.ndarray, grid: Grid, a, g=None) -> float:
          (np.s_[0, :], np.s_[-1, :])),
         (-a12, np.s_[1:, :-1], np.s_[:-1, 1:], ()),
     )
+    nx, ny = psi.shape
+    size = max((nx - 1) * ny, nx * (ny - 1))  # the largest family
+    d_buf, sq_buf = np.empty(size), np.empty(size)
     val = 0.0
     for c, head, tail, border in families:
         if c == 0.0:
             continue  # a12 = 0: no anti-diagonal term
-        d = psi[head] - psi[tail]
-        sq = d * d
+        shape = psi[head].shape
+        n = shape[0] * shape[1]
+        d = np.subtract(psi[head], psi[tail], out=d_buf[:n].reshape(shape))
+        sq = np.multiply(d, d, out=sq_buf[:n].reshape(shape))
         for b in border:
             sq[b] *= 0.5
         val += c * float(sq.sum())  # a BLAS dot may vary with its threads
-        del sq
         if g is not None:
             d *= 2.0 * c
             for b in border:
@@ -717,18 +727,41 @@ def _eps_for(poly: ConvexPolygon, norm: MinkowskiNorm, p: float) -> float:
     return EPS_FACTOR * poly.diameter
 
 
+def _start_grid(start: GridField, poly: ConvexPolygon, h: float) -> Grid:
+    """``start.grid``, once its layout is checked against ``grid_axes``.
+
+    That is the layout of ``build_grid(poly, h)``, found without building
+    its mask; ValueError when the start lives on another grid.
+    """
+    hx, hy, x, y = grid_axes(poly, h)
+    layout = Grid(hx=hx, hy=hy, x=x, y=y,
+                  mask=np.zeros((len(x), len(y)), dtype=bool))
+    if not start.grid.same_layout(layout):
+        raise ValueError(f"the start field's grid is not the h = {h:g} grid "
+                         f"of {poly.provenance}")
+    return start.grid
+
+
 def _coarse_to_fine(problem_cls, poly: ConvexPolygon, norm: MinkowskiNorm,
-                    p: float, h: float, tol: float, max_iter: int):
+                    p: float, h: float, tol: float, max_iter: int,
+                    start: GridField | None = None):
     """Descend on every grid level from the coarsest, prolonging upwards.
 
     The coarsest level starts from zero, which ``prepare`` turns into a
-    feasible start.  Returns (finest grid, iterate, total iterations, and
-    the finest level's residual, converged and stop).
+    feasible start.  With a finest-level ``start`` (a field on the grid
+    ``build_grid(poly, h)`` would build) the descent runs on its grid
+    alone, from a copy of its values: no coarse grid is built, descended
+    or prolonged.  Returns (finest grid, iterate, the iterations of the
+    levels run, and the finest level's residual, converged and stop).
     """
     check_p_tol(p, tol)
-    grids = _grid_hierarchy(poly, h)
     eps = _eps_for(poly, norm, p)
-    psi = np.zeros((grids[-1].nx, grids[-1].ny))
+    if start is None:
+        grids = _grid_hierarchy(poly, h)
+        psi = np.zeros((grids[-1].nx, grids[-1].ny))
+    else:
+        grids = [_start_grid(start, poly, h)]
+        psi = start.values  # ``prepare`` copies it
     total_it = 0
     for lvl in range(len(grids) - 1, -1, -1):
         grid = grids[lvl]
@@ -751,9 +784,16 @@ def _not_converged(kind: str, poly: ConvexPolygon, result,
 
 def solve_eigen(poly: ConvexPolygon, norm: MinkowskiNorm, p: float, h: float,
                 tol: float = DEFAULTS["tol"],
-                max_iter: int = DEFAULTS["max_iter"]) -> EigenResult:
+                max_iter: int = DEFAULTS["max_iter"],
+                start: GridField | None = None) -> EigenResult:
     """Minimize the discrete Rayleigh quotient; returns max-normalized u.
 
+    Without ``start`` the descent runs coarse to fine.  A ``start`` on the
+    grid ``build_grid(poly, h)`` would build (in practice the torsion
+    field v of the same case) is descended on that grid alone, and
+    ``iterations`` counts that one level; its values are not changed, and
+    a start with no positive free value falls back to the bounding-box
+    seed.  ValueError when the start lives on another grid.
     The reported eigenvalue re-evaluates the quotient of the minimizer at
     eps = 0.  ``tol`` bounds the dual residual on the quadratic path and
     the 25-iteration relative quotient decrease on the nonlinear path (see
@@ -764,7 +804,7 @@ def solve_eigen(poly: ConvexPolygon, norm: MinkowskiNorm, p: float, h: float,
     and lambda = nan).
     """
     grid, psi, total_it, residual, converged, stop = _coarse_to_fine(
-        _EigenProblem, poly, norm, p, h, tol, max_iter)
+        _EigenProblem, poly, norm, p, h, tol, max_iter, start)
     umax = float(psi.max())
     null = not umax > 0.0
     if null:

@@ -15,6 +15,9 @@
   ``cheeger_estimate``.
 * ``dedup_ccw_loop``: the vertex-by-vertex near-duplicate filter, against
   ``geometry._dedup_ccw``.
+* ``edge_energy_per_family``: the quadratic path's edge kernel with a
+  fresh difference array and its square per edge family, against
+  ``pde._edge_energy``, which writes them into two reused buffers.
 """
 
 import itertools
@@ -164,3 +167,34 @@ def dedup_ccw_loop(vertices: np.ndarray, tol: float) -> np.ndarray:
     if len(keep) > 1 and np.max(np.abs(keep[0] - keep[-1])) <= tol:
         keep.pop()
     return np.asarray(keep)
+
+
+def edge_energy_per_family(psi: np.ndarray, grid, a, g=None) -> float:
+    """sum c D^2 over the x-, y- and anti-diagonal edge families, border
+    terms halved, and 2 c D onto each edge's head and off its tail when
+    ``g`` is given; each family's D and D^2 are new arrays."""
+    a11, a12, a22 = a
+    r = grid.hy / grid.hx
+    families = (
+        (a11 * r + a12, np.s_[1:, :], np.s_[:-1, :],
+         (np.s_[:, 0], np.s_[:, -1])),
+        (a22 / r + a12, np.s_[:, 1:], np.s_[:, :-1],
+         (np.s_[0, :], np.s_[-1, :])),
+        (-a12, np.s_[1:, :-1], np.s_[:-1, 1:], ()),
+    )
+    val = 0.0
+    for c, head, tail, border in families:
+        if c == 0.0:
+            continue
+        d = psi[head] - psi[tail]
+        sq = d * d
+        for b in border:
+            sq[b] *= 0.5
+        val += c * float(sq.sum())
+        if g is not None:
+            d *= 2.0 * c
+            for b in border:
+                d[b] *= 0.5
+            g[head] += d
+            g[tail] -= d
+    return val

@@ -1,5 +1,6 @@
 """Case reports, determinism, slab sweeps, and convergence studies."""
 
+import dataclasses
 import math
 import warnings
 
@@ -8,6 +9,7 @@ import pytest
 
 import anisospec.geometry as geometry
 import anisospec.harness as harness
+import anisospec.pde as pde
 from anisospec.config import INEQUALITY_IDS, ToleranceTable
 from anisospec.geometry import ConvexPolygon
 from anisospec.harness import (CaseSpec, aggregate_csv_rows, convergence_study,
@@ -93,6 +95,57 @@ class TestRunCase:
         rep = run_case(FAST)
         assert rep.status == "inconclusive"
 
+    def test_inconclusive_on_torsion_nonconvergence(self, monkeypatch):
+        real = pde.solve_torsion
+
+        def flaky(*args, **kwargs):
+            raise ConvergenceError("forced", real(*args, **kwargs))
+
+        monkeypatch.setattr(harness, "solve_torsion", flaky)
+        rep = run_case(FAST)
+        assert rep.status == "inconclusive"
+        assert rep.solver["eigen_converged"]
+
+    def test_null_torsion_field_falls_back_to_the_bbox_seed(self,
+                                                              monkeypatch):
+        # a failed torsion solve whose partial v is null still seeds the
+        # eigen solve: from the bounding-box seed on the finest grid
+        real = pde.solve_torsion
+        starts = []
+
+        def null_v(*args, **kwargs):
+            res = real(*args, **kwargs)
+            v = GridField(res.v.grid, np.zeros_like(res.v.values))
+            raise ConvergenceError("forced", dataclasses.replace(res, v=v))
+
+        def eigen(*args, **kwargs):
+            starts.append(kwargs["start"])
+            return pde.solve_eigen(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "solve_torsion", null_v)
+        monkeypatch.setattr(harness, "solve_eigen", eigen)
+        rep = run_case(FAST)
+        assert rep.status == "inconclusive"
+        assert len(starts) == 1 and not starts[0].values.any()
+        poly, gauge, h = FAST.build()
+        problem = pde._EigenProblem(starts[0].grid, gauge, FAST.p, 0.0)
+        bbox = problem.feasible(pde._bbox_seed(starts[0].grid))
+        assert np.array_equal(problem.prepare(starts[0].values),
+                              bbox / pde._mass(bbox, starts[0].grid, 2.0)
+                              ** 0.5)
+        assert rep.solver["eigen_converged"]
+        assert rep.solver["lambda"] == pytest.approx(
+            pde.solve_eigen(poly, gauge, FAST.p, h).lambda_, rel=1e-14)
+
+    def test_exact_records_have_no_grid_term(self):
+        # the five records computed in exact polygon arithmetic are
+        # budgeted by the relative part alone
+        tols = ToleranceTable()
+        for ineq_id in ("inradius_lower", "inradius_upper", "faber_krahn",
+                        "stability", "isoperimetric"):
+            for rhs in (-2.5, 0.0, 3.0):
+                assert tols.budget(ineq_id, rhs, 0.05) == 1e-6 * abs(rhs)
+
     def test_aggregate_rows(self, fast_report):
         rows = aggregate_csv_rows([fast_report])
         assert rows[0].startswith("case,inequality")
@@ -126,6 +179,36 @@ class TestEachQuantityOnce:
         run_case(FAST)
         assert (len(integrals), len(perimeters), len(kappas), len(skeletons)) \
             == (2, 1, 1, 1)
+
+    def test_seeded_eigen_runs_one_level(self, monkeypatch):
+        # from the torsion field the eigen solve descends once, on the
+        # field's grid, and builds no grid; unseeded it runs the hierarchy
+        poly, gauge = ConvexPolygon.rectangle(1, 1), MinkowskiNorm.lq(4)
+        h = poly.diameter / 128.0
+        v = pde.solve_torsion(poly, gauge, 1.5, h).v
+        descents = _count_calls(monkeypatch, pde, "_descend")
+        grids = _count_calls(monkeypatch, pde, "build_grid")
+        pde.solve_eigen(poly, gauge, 1.5, h, start=v)
+        assert (len(descents), len(grids)) == (1, 0)
+        descents.clear()
+        pde.solve_eigen(poly, gauge, 1.5, h)
+        assert len(descents) >= 2 and len(grids) >= len(descents)
+
+    def test_run_case_seeds_the_eigen_solve(self, monkeypatch):
+        # the torsion is solved first and its field starts the eigen solve
+        order = []
+        torsion = _count_calls(monkeypatch, harness, "solve_torsion")
+        eigen = _count_calls(monkeypatch, harness, "solve_eigen")
+        real = pde._coarse_to_fine
+
+        def logged(problem_cls, *args):
+            order.append(problem_cls.__name__)
+            return real(problem_cls, *args)
+
+        monkeypatch.setattr(pde, "_coarse_to_fine", logged)
+        run_case(FAST)
+        assert order == ["_TorsionProblem", "_EigenProblem"]
+        assert (len(torsion), len(eigen)) == (1, 1)
 
     def test_slab_sweep_one_skeleton_per_k(self, monkeypatch):
         skeletons = _count_calls(monkeypatch, geometry, "_erosion_skeleton")
@@ -227,17 +310,17 @@ class TestConvergence:
 
         class FakeTorsion:
             def __init__(self, mv, t):
-                self.Mv, self.T = mv, t
+                self.Mv, self.T, self.v = mv, t, None
 
         state = {}
 
-        def fake_eigen(*a, **k):
+        def fake_torsion(*a, **k):  # solved first; the eigen solve reads v
             lam, mv, t = next(vals)
-            state["mt"] = (mv, t)
-            return FakeEigen(lam)
+            state["lam"] = lam
+            return FakeTorsion(mv, t)
 
-        def fake_torsion(*a, **k):
-            return FakeTorsion(*state["mt"])
+        def fake_eigen(*a, **k):
+            return FakeEigen(state["lam"])
 
         monkeypatch.setattr(harness, "solve_eigen", fake_eigen)
         monkeypatch.setattr(harness, "solve_torsion", fake_torsion)

@@ -11,12 +11,13 @@ from anisospec import harness, pde
 from anisospec.geometry import (CoarseGridError, ConvexPolygon, Grid,
                                 parse_domain, wulff_domain)
 from anisospec.norms import MinkowskiNorm, pi_p
-from anisospec.pde import (ConvergenceError, build_grid, efficiency_ratio,
-                           grad_energy, mass_bound_check, p_function,
-                           phi_check, phi_profile, solve_eigen, solve_torsion,
-                           _grad_energy_with_grad, _grid_hierarchy, _prolong,
-                           _tri_gradients, _TorsionProblem)
-from oracles import prolong_map_coordinates
+from anisospec.pde import (ConvergenceError, GridField, build_grid,
+                           efficiency_ratio, grad_energy, mass_bound_check,
+                           p_function, phi_check, phi_profile, solve_eigen,
+                           solve_torsion, _edge_energy, _grad_energy_with_grad,
+                           _grid_hierarchy, _prolong, _tri_gradients,
+                           _TorsionProblem)
+from oracles import edge_energy_per_family, prolong_map_coordinates
 
 LQ2 = MinkowskiNorm.lq(2)
 LQ4 = MinkowskiNorm.lq(4)
@@ -233,6 +234,25 @@ class TestKernel:
         finally:
             tracemalloc.stop()
         assert peak <= 3.5, peak
+
+    @pytest.mark.parametrize("name", ["lq2", "ellipse-2-0.5-1"])
+    def test_edge_kernel_buffers_bitwise(self, name):
+        # the two reused buffers change no bit of the energy or the
+        # gradient against a fresh D and D^2 per edge family: on masked
+        # fields and on fields that do not vanish on the border
+        norm = KERNEL_NORMS[name]
+        a = norm.quadratic_form()
+        rng = np.random.default_rng(3)
+        for poly in (wulff_domain(norm, 1.0, 64),
+                     ConvexPolygon.rectangle(1, 3)):
+            grid = build_grid(poly, 1.0 / 24.0)
+            for psi in (_seeded_field(grid, 4),
+                        rng.standard_normal(grid.mask.shape)):
+                g, ref_g = np.zeros_like(psi), np.zeros_like(psi)
+                val = _edge_energy(psi, grid, a, g)
+                assert val == edge_energy_per_family(psi, grid, a, ref_g)
+                assert np.array_equal(g, ref_g)
+                assert _edge_energy(psi, grid, a) == val
 
     @pytest.mark.parametrize("name", list(KERNEL_NORMS))
     @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
@@ -517,6 +537,51 @@ class TestEigenOracles:
         assert math.isnan(res.T) and math.isnan(res.Mv)
         spec = harness.CaseSpec("rect:1,1", "lq:2", 2.0)
         assert harness.run_case(spec).status == "inconclusive"
+
+
+class TestSeededEigen:
+    """The eigen descent started from a field on the finest grid."""
+
+    @pytest.mark.parametrize("norm,p,rel", [(LQ4, 3.0, 1e-7),
+                                            (ELL, 1.5, 1e-7),
+                                            (LQ2, 2.0, 1e-14)],
+                             ids=["lq4-p3", "ellipse-4-0-1-p1.5", "lq2-p2"])
+    def test_torsion_start_matches_unseeded(self, norm, p, rel):
+        h = SQUARE.diameter / 32.0
+        v = solve_torsion(SQUARE, norm, p, h).v
+        kept = v.values.copy()
+        seeded = solve_eigen(SQUARE, norm, p, h, start=v)
+        assert seeded.u.grid is v.grid
+        assert np.array_equal(v.values, kept)  # the start is not changed
+        unseeded = solve_eigen(SQUARE, norm, p, h)
+        assert seeded.lambda_ == pytest.approx(unseeded.lambda_, rel=rel)
+
+    def test_null_start_is_the_bbox_seed(self):
+        # a start with no positive value falls back to the bounding-box
+        # seed, which is where the unseeded solve starts on a one-level
+        # hierarchy: the same descent, bit for bit
+        h = SQUARE.diameter / 32.0
+        grid = build_grid(SQUARE, h)
+        assert len(_grid_hierarchy(SQUARE, h)) == 1
+        null = GridField(grid, np.zeros((grid.nx, grid.ny)))
+        seeded = solve_eigen(SQUARE, ELL, 1.5, h, start=null)
+        unseeded = solve_eigen(SQUARE, ELL, 1.5, h)
+        assert seeded.lambda_ == unseeded.lambda_
+        assert seeded.iterations == unseeded.iterations
+        assert np.array_equal(seeded.u.values, unseeded.u.values)
+        assert not null.values.any()
+
+    @pytest.mark.parametrize("other", ["coarser", "wider"])
+    def test_start_on_another_grid_rejected(self, other):
+        # rejected before any descent, so the grids can be fine
+        h = SQUARE.diameter / 64.0
+        poly, spacing = ((SQUARE, 2.0 * h) if other == "coarser"
+                         else (ConvexPolygon.rectangle(1, 1.5), h))
+        grid = build_grid(poly, spacing)
+        assert not grid.same_layout(build_grid(SQUARE, h))
+        start = GridField(grid, grid.mask.astype(float))
+        with pytest.raises(ValueError, match="grid"):
+            solve_eigen(SQUARE, LQ2, 2.0, h, start=start)
 
 
 class TestEigenProperties:

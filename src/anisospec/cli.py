@@ -76,16 +76,16 @@ class RunConfig:
             lines.append("[tolerances]")
             for key in sorted(self.tolerances):
                 rel, c = self.tolerances[key]
-                lines.append(f"{key} = {rel:.12g}, {c:.12g}")
+                lines.append(f"{key} = {rel!r}, {c!r}")
         for case in self.cases:
             lines.append("[case]")
             lines.append(f"domain = {case.domain}")
             lines.append(f"norm = {case.norm}")
-            lines.append(f"p = {case.p:.12g}")
+            lines.append(f"p = {case.p!r}")
             if case.h is not None:
-                lines.append(f"h = {case.h:.12g}")
+                lines.append(f"h = {case.h!r}")
             if case.tol != DEFAULTS["tol"]:
-                lines.append(f"tol = {case.tol:.12g}")
+                lines.append(f"tol = {case.tol!r}")
         return "\n".join(lines) + "\n"
 
 

@@ -110,6 +110,8 @@ class ConvexPolygon:
         v = np.asarray(self.vertices, dtype=float)
         if v.ndim != 2 or v.shape[1] != 2:
             raise GeometryError("vertices must be an (n, 2) array")
+        if not np.isfinite(v).all():
+            raise GeometryError("vertices must be finite")
         v = _dedup_ccw(v, _DEDUP_TOL)
         if len(v) < 3:
             raise GeometryError("polygon needs at least 3 distinct vertices")
@@ -123,15 +125,15 @@ class ConvexPolygon:
     @staticmethod
     def rectangle(a: float, k: float) -> "ConvexPolygon":
         """The rectangle ]-a, a[ x ]-k, k[."""
-        if not (a > 0 and k > 0):
-            raise GeometryError("rectangle needs positive half-sides")
+        if not (0 < a < math.inf and 0 < k < math.inf):
+            raise GeometryError("rectangle needs finite positive half-sides")
         verts = [(-a, -k), (a, -k), (a, k), (-a, k)]
         return ConvexPolygon(np.array(verts, float), f"rect:{a:g},{k:g}")
 
     @staticmethod
     def regular(n: int, circumradius: float = 1.0) -> "ConvexPolygon":
-        if n < 3 or not (circumradius > 0):
-            raise GeometryError("regular polygon needs n >= 3 and R > 0")
+        if n < 3 or not (0 < circumradius < math.inf):
+            raise GeometryError("regular polygon needs n >= 3, finite R > 0")
         th = 2.0 * math.pi * np.arange(n) / n
         verts = circumradius * np.stack([np.cos(th), np.sin(th)], axis=-1)
         return ConvexPolygon(verts, f"regular:{n},{circumradius:g}")

@@ -54,12 +54,14 @@ class MinkowskiNorm:
 
     def __post_init__(self):
         if self.family == "lq":
-            if self.q is None or not (self.q > 1.0):
-                raise GaugeError("lq family needs exponent q > 1")
+            if self.q is None or not (1.0 < self.q < math.inf):
+                raise GaugeError("lq family needs a finite exponent q > 1")
         elif self.family == "ellipse":
             A = np.asarray(self.A, dtype=float)
-            if A.shape != (2, 2) or not np.allclose(A, A.T, atol=1e-14):
-                raise GaugeError("ellipse family needs a symmetric 2x2 matrix")
+            if A.shape != (2, 2) or not np.isfinite(A).all() \
+                    or not np.allclose(A, A.T, atol=1e-14):
+                raise GaugeError("ellipse family needs a finite symmetric 2x2 "
+                                 "matrix")
             ev = np.linalg.eigvalsh(A)
             if ev[0] <= 0:
                 raise GaugeError("ellipse matrix must be positive definite")
@@ -217,8 +219,8 @@ def wulff_polygon(norm: MinkowskiNorm, r: float, n: int = 512) -> np.ndarray:
     """
     if n < 16:
         raise GaugeError("wulff polygon needs n >= 16 rays")
-    if not (r > 0):
-        raise GaugeError("wulff polygon needs radius r > 0")
+    if not (0 < r < math.inf):
+        raise GaugeError("wulff polygon needs a finite radius r > 0")
     theta = 2.0 * math.pi * np.arange(n) / n
     rays = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
     rho = r / np.asarray(norm.polar()(rays))

@@ -19,16 +19,17 @@ nonnegativity clamping for eigenfields, and coarse-to-fine seeding
 across a grid hierarchy.  An eigen solve may instead start from a given
 field on the finest grid (the harness passes the case's torsion field,
 the first inverse power step from a constant); it then runs that one
-level, and its iteration count is that level's.  On the quadratic path
-(p = 2 with a quadratic gauge) each step is the exact minimizer along
-the ray, accepted unless the value rises by more than its rounding
-(``TIE``).  Elsewhere a bracketing Wolfe line search picks it: a trial
-is accepted once it strictly decreases the value and the slope along the
-ray has shrunk to ``WOLFE_C2`` times the initial one.  On both paths
-every trial point costs one value-and-gradient evaluation, the step
-receives the slope of its direction rather than the old gradient, and
-the accepted trial's value and gradient start the next iteration.  Each
-solve reports which rule stopped it:
+level, and its iteration count is that level's.  One bracketing Wolfe
+line search picks every step: a trial is accepted once its value exceeds
+the current one by at most its rounding (``TIE``) and the slope along
+the ray has shrunk to ``WOLFE_C2`` times the initial one.  Its first
+trial is the exact minimizer along the ray on the quadratic path (p = 2
+with a quadratic gauge), whose slope is ~0, so it is taken at once;
+elsewhere it is the last accepted step.  Every trial point costs one
+value-and-gradient evaluation, the search receives the slope of its
+direction rather than the old gradient, and the accepted trial's value
+and gradient start the next iteration.  Each solve reports which rule
+stopped it:
 
 * ``"dual"`` - quadratic path only: the preconditioned dual residual,
   the relative energy-norm error of the iterate, is below ``tol``;
@@ -74,7 +75,7 @@ EPS_FACTOR = 1e-8  # gradient regularization per unit of domain diameter
 WOLFE_C2 = 0.3  # accepted |slope| as a share of the initial one
 MAX_TRIALS = 60  # trial points per direction of the Wolfe line search
 _EPS = float(np.finfo(float).eps)
-TIE = 4.0 * _EPS  # relative rise the rounding of an exact ray step can show
+TIE = 4.0 * _EPS  # relative rise of an accepted trial: the value's rounding
 
 
 class ConvergenceError(RuntimeError):
@@ -418,7 +419,10 @@ class _EigenProblem(_DescentProblem):
         gn *= self.free
         return num, gn
 
-    def step_candidates(self, psi, d, f, slope, alpha0):
+    def first_step(self, psi, d, f, slope, alpha0):
+        """The line search's first trial: on the quadratic path the exact
+        ray minimizer, else (or if there is none) the last accepted step
+        ``alpha0``, and before any a step of half the iterate's scale."""
         if self.quadratic:
             # numerator and denominator are quadratic forms along the ray,
             # and the cross terms follow from the quotient slope: with the
@@ -429,14 +433,14 @@ class _EigenProblem(_DescentProblem):
             e = w * float((psi[m] * d[m]).sum())
             dd = w * float((d[m] * d[m]).sum())
             b = 0.5 * slope + f * e
-            alphas = _rational_minimizers(n_d, b, f, dd, e, 1.0)
-            if alphas:
-                return alphas
+            alpha = _ray_minimizer(n_d, b, f, dd, e)
+            if alpha is not None:
+                return alpha
         if alpha0 is not None and alpha0 > 0:
-            return [alpha0]
+            return alpha0
         nrm_d = float(np.abs(d).max())
         nrm_p = float(np.abs(psi).max())
-        return [0.5 * (nrm_p + 1e-30) / (nrm_d + 1e-30)]
+        return 0.5 * (nrm_p + 1e-30) / (nrm_d + 1e-30)
 
     def ray_point(self, psi, d, alpha):
         cand, _ = super().ray_point(psi, d, alpha)
@@ -461,22 +465,27 @@ class _TorsionProblem(_DescentProblem):
         val = num / self.p - self.grid.cell_area * float(psi[self.grid.mask].sum())
         return val, gn
 
-    def step_candidates(self, psi, d, f, slope, alpha0):
+    def first_step(self, psi, d, f, slope, alpha0):
+        """As for the eigen problem; the exact step is -slope / (d . A d)."""
         if self.quadratic:
             n_d = grad_energy(d, self.grid, self.norm, self.p)
             if n_d > 0:
-                return [-slope / n_d]
+                return -slope / n_d
         if alpha0 is not None and alpha0 > 0:
-            return [alpha0]
-        return [1.0]  # the line search's extrapolation fixes a bad scale
+            return alpha0
+        return 1.0  # the line search's extrapolation fixes a bad scale
 
 
-def _rational_minimizers(a, b, c, dd, e, f) -> list[float]:
-    """Positive stationary steps of (c + 2b t + a t^2)/(f + 2e t + dd t^2)."""
+def _ray_minimizer(a, b, c, dd, e) -> float | None:
+    """The exact minimizer along a ray whose quotient is quadratic/quadratic.
+
+    Of the positive stationary steps of (c + 2b t + a t^2) /
+    (1 + 2e t + dd t^2), the one with the least quotient; None if none.
+    """
     a2 = a * e - b * dd
-    a1 = a * f - c * dd
-    a0 = b * f - c * e
-    roots: list[float] = []
+    a1 = a - c * dd
+    a0 = b - c * e
+    roots = []
     if abs(a2) > 1e-300:
         disc = a1 * a1 - 4.0 * a2 * a0
         if disc >= 0.0:
@@ -486,14 +495,13 @@ def _rational_minimizers(a, b, c, dd, e, f) -> list[float]:
         roots = [-a0 / a1]
 
     def ratio(t):
-        den = f + 2.0 * e * t + dd * t * t
+        den = 1.0 + 2.0 * e * t + dd * t * t
         if den <= 0.0:
             return math.inf
         return (c + 2.0 * b * t + a * t * t) / den
 
-    good = [t for t in roots if t > 0.0 and math.isfinite(ratio(t))]
-    good.sort(key=ratio)
-    return good
+    return min((t for t in roots if t > 0.0 and math.isfinite(ratio(t))),
+               key=ratio, default=None)
 
 
 def _descend(problem: _DescentProblem, psi0: np.ndarray, tol: float,
@@ -502,15 +510,14 @@ def _descend(problem: _DescentProblem, psi0: np.ndarray, tol: float,
 
     Each iteration steps along the CG direction, or along the
     preconditioned steepest descent -z when the CG direction does not
-    descend or its step fails: by the exact ray minimizer on the quadratic
-    path (``_ray_step``), else by the Wolfe line search (``_wolfe_step``).
-    A failed step along a direction that already is -z (the first of a
-    level, or one after a beta = 0 restart) is not repeated.
-    A step receives the slope of its direction, so the old gradient is
-    freed before any trial point is evaluated; each trial point costs one
-    ``value_grad``, and the accepted one's value and gradient start the
-    next iteration.  Every accepted step strictly decreases the value (on
-    the quadratic path a tie, or a rise within ``TIE`` |f|, also counts).
+    descend or its step fails; on both paths the step comes from one line
+    search, ``_wolfe_step``.  A failed step along a direction that already
+    is -z (the first of a level, or one after a beta = 0 restart) is not
+    repeated.  The search receives the slope of its direction, so the old
+    gradient is freed before any trial point is evaluated; each trial
+    point costs one ``value_grad``, and the accepted one's value and
+    gradient start the next iteration.  No accepted step raises the value
+    by more than ``TIE`` |f|, the rounding of the value.
 
     Returns (psi, iterations, residual, converged, stop), where ``stop``
     names the rule that ended the descent (see the module docstring) and
@@ -525,7 +532,6 @@ def _descend(problem: _DescentProblem, psi0: np.ndarray, tol: float,
     d = -z
     steepest = True  # d is -z: the first direction of a level, or beta = 0
     gz = float((g * z).sum())
-    step = _ray_step if problem.quadratic else _wolfe_step
     alpha_prev = None
     it = 0
     while True:
@@ -541,11 +547,10 @@ def _descend(problem: _DescentProblem, psi0: np.ndarray, tol: float,
         it += 1
         slope = float((g * d).sum())
         del g  # beta needs only z and gz of the old point
-        found = (step(problem, psi, d, f, slope, alpha_prev) if slope < 0.0
-                 else None)
+        found = _wolfe_step(problem, psi, d, f, slope, alpha_prev)
         if found is None and not steepest:
             d = -z
-            found = step(problem, psi, d, f, -gz, alpha_prev)  # -gz = g . -z
+            found = _wolfe_step(problem, psi, d, f, -gz, alpha_prev)  # g . -z
         if found is None:
             # converged only if the predicted value gap dual^2 is below tol
             return psi, it, dual, dual < math.sqrt(tol), "line_search"
@@ -563,43 +568,30 @@ def _descend(problem: _DescentProblem, psi0: np.ndarray, tol: float,
         gz = float((g * z).sum())
 
 
-def _ray_step(problem, psi, d, f, slope0, alpha_prev):
-    """Quadratic path: the exact minimizer along the ray.
-
-    Each candidate step costs one ``trial``.  Returns (alpha, iterate,
-    value, gradient) of the first candidate that does not increase the
-    value, or None when none does.  A tie counts as a decrease, and so
-    does a rise of at most ``TIE`` |f|: after the exact step the true
-    change is not positive, and a rise that small is the rounding of the
-    value (its sums, and the eigen iterate's normalization), not a stall.
-    """
-    for alpha in problem.step_candidates(psi, d, f, slope0, alpha_prev):
-        cand, fc, gc, _ = problem.trial(psi, d, alpha)
-        if fc <= f + TIE * abs(f):
-            return alpha, cand, fc, gc
-    return None
-
-
 def _wolfe_step(problem, psi, d, f, slope0, alpha_prev):
-    """Nonlinear path: a bracketing line search for a strong Wolfe step.
+    """A bracketing line search for a strong Wolfe step along ``d``.
 
     With phi(alpha) the value at step alpha and phi' its slope (phi'(0) is
-    ``slope0``), a trial is accepted when phi(alpha) < f and
-    |phi'(alpha)| <= WOLFE_C2 |phi'(0)|.
-    The first trial is the last accepted step.  While the slope stays
-    steeper than that, the step grows by the secant of phi' (at most 8x);
-    once a trial brackets the minimizer (no decrease on the best point so
-    far, or a positive slope), the next one interpolates inside the
-    bracket, kept to [0.1, 0.9] of it.  After MAX_TRIALS trials, or once
-    the bracket is too short for a decrease above float resolution, the
-    best decreasing trial is taken.
+    ``slope0``), a trial is accepted when phi(alpha) <= f + TIE |f| and
+    |phi'(alpha)| <= WOLFE_C2 |phi'(0)|: a rise that small is the rounding
+    of the value (its sums, and the eigen iterate's normalization), not a
+    stall.  The first trial is ``problem.first_step``: the exact ray
+    minimizer on the quadratic path, whose slope is ~0, else the last
+    accepted step.  While the slope stays steeper than that, the step
+    grows by the secant of phi' (at most 8x); once a trial brackets the
+    minimizer (no decrease on the best point so far, or a positive
+    slope), the next one interpolates inside the bracket, kept to
+    [0.1, 0.9] of it.  After MAX_TRIALS trials, or once the bracket is too
+    short for a decrease above float resolution, the best trial that
+    strictly decreases the value is taken.
 
     Returns (alpha, iterate, value, gradient) of the accepted trial, or
-    None when no trial decreases the value.
+    None when ``d`` does not descend, or when no trial is accepted and
+    none strictly decreases the value.
     """
     if not slope0 < 0.0:
         return None  # not a descent direction
-    alpha = problem.step_candidates(psi, d, f, slope0, alpha_prev)[0]
+    alpha = problem.first_step(psi, d, f, slope0, alpha_prev)
     lo, f_lo, s_lo = 0.0, f, slope0  # the best point, still descending
     hi = math.inf
     f_hi = s_hi = math.nan
@@ -607,11 +599,10 @@ def _wolfe_step(problem, psi, d, f, slope0, alpha_prev):
     for _ in range(MAX_TRIALS):
         cand, fc, gc, s = problem.trial(psi, d, alpha)
         slope = math.nan if cand is None else float((gc * d).sum()) / s
-        if fc < f:
-            if abs(slope) <= WOLFE_C2 * abs(slope0):
-                return alpha, cand, fc, gc
-            if best is None or fc < best[2]:
-                best = (alpha, cand, fc, gc)
+        if fc <= f + TIE * abs(f) and abs(slope) <= WOLFE_C2 * abs(slope0):
+            return alpha, cand, fc, gc
+        if fc < f and (best is None or fc < best[2]):
+            best = (alpha, cand, fc, gc)
         if fc < f_lo and slope < 0.0:
             prev, s_prev = lo, s_lo
             lo, f_lo, s_lo = alpha, fc, slope

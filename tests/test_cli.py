@@ -1,12 +1,13 @@
 """Command dispatch, exit codes, config round-trips, and output files."""
 
 import json
+import warnings
 
 import pytest
 
 import anisospec.cli as cli
 from anisospec.cli import (EXIT_INEQUALITY, EXIT_NOT_CONVERGED, EXIT_OK,
-                           EXIT_USAGE, main, parse_config_text)
+                           EXIT_USAGE, RunConfig, main, parse_config_text)
 from anisospec.harness import CaseSpec, run_case
 from anisospec.pde import ConvergenceError
 
@@ -82,6 +83,21 @@ class TestSolverCommands:
                      "--h", "0.0625", flag, value]) == EXIT_USAGE
         err = capsys.readouterr().err
         assert f"{flag[2:]} must be finite" in err
+
+    @pytest.mark.parametrize("domain,norm", [
+        ("rect:1,1", "lq:inf"), ("rect:1,1", "ellipse:inf,0,1"),
+        ("rect:inf,1", "lq:2"), ("regular:3,inf", "lq:2"),
+        ("wulff:inf,64", "lq:2")])
+    def test_non_finite_gauge_or_domain_exit_2(self, capsys, domain, norm):
+        # a usage error with its reason, before any arithmetic can warn
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["cheeger", "--domain", domain, "--norm", norm]) \
+                == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "finite" in captured.err
+        assert "Traceback" not in captured.err
 
     def test_unknown_flag_exit_2(self, capsys):
         assert main(["eigen", "--nope"]) == EXIT_USAGE
@@ -269,6 +285,12 @@ class TestConfig:
         assert again.dump_text() == cfg.dump_text()
         assert again.cases == cfg.cases
         assert again.tolerances == cfg.tolerances
+
+    def test_dump_parses_back_exactly(self):
+        cfg = RunConfig(cases=[CaseSpec("rect:1,1", "lq:2", 1.1234567890123457,
+                                        h=0.1 / 3.0, tol=1e-8 / 3.0)],
+                        tolerances={"hersch": (1e-6 / 3.0, 2.0 / 3.0)})
+        assert parse_config_text(cfg.dump_text()) == cfg
 
     def test_dump_config_command(self, capsys, tmp_path):
         cfg = tmp_path / "mini.cfg"

@@ -1,6 +1,7 @@
 """Polygon arithmetic, erosion, rolling bodies, and the distance field."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -114,6 +115,17 @@ class TestPolygonBasics:
             parse_domain("blob:1")
         with pytest.raises(GeometryError):
             parse_domain("rect:1")
+
+    @pytest.mark.parametrize("spec", ["rect:inf,1", "rect:1,nan",
+                                      "regular:3,inf", "wulff:inf,64",
+                                      "wulff:nan,64", "poly:0,0;1,0;inf,1",
+                                      "poly:0,0;1,0;0,nan"])
+    def test_non_finite_rejected(self, spec):
+        # rejected up front, before any arithmetic on it can warn
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(GeometryError, match="finite"):
+                parse_domain(spec, norm=LQ2)
 
 
 class TestPerimeter:

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -337,6 +338,16 @@ class TestSpecStrings:
     def test_malformed(self, bad):
         with pytest.raises(GaugeError):
             MinkowskiNorm.parse(bad)
+
+    @pytest.mark.parametrize("spec", ["lq:inf", "lq:-inf", "lq:nan",
+                                      "ellipse:inf,0,1", "ellipse:1,inf,1",
+                                      "ellipse:1,0,nan"])
+    def test_non_finite_rejected(self, spec):
+        # rejected up front, before any arithmetic on it can warn
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(GaugeError, match="finite"):
+                MinkowskiNorm.parse(spec)
 
 
 class TestAlignment:

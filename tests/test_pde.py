@@ -687,20 +687,55 @@ class TestTorsionOracles:
 
     @pytest.mark.parametrize("rise,accepted", [(-1.0, True), (0.0, True),
                                                (0.5, True), (2.0, False)])
-    def test_ray_step_takes_rounding_rise(self, monkeypatch, rise, accepted):
-        # after the exact ray step a rise of at most TIE |f| is the value's
-        # rounding and counts as a tie; a larger one fails the step
+    def test_wolfe_step_takes_rounding_rise(self, monkeypatch, rise, accepted):
+        # at a flat trial a rise of at most TIE |f| is the value's rounding
+        # and is accepted; a larger one is not, and with no decreasing
+        # trial the search fails
         f = 4.93
         fc = f * (1.0 + rise * pde.TIE)
         problem = _TorsionProblem(build_grid(SQUARE, 1.0 / 16.0), LQ2, 2.0,
                                   0.0)
         psi = np.zeros_like(problem.free)
-        monkeypatch.setattr(_TorsionProblem, "step_candidates",
-                            lambda self, *args: [1.0])
+        monkeypatch.setattr(_TorsionProblem, "first_step",
+                            lambda self, *args: 1.0)
+        # the zero gradient makes the slope at every trial 0
         monkeypatch.setattr(_TorsionProblem, "trial",
                             lambda self, psi, d, alpha: (psi, fc, psi, 1.0))
-        found = pde._ray_step(problem, psi, psi, f, -1.0, None)
+        found = pde._wolfe_step(problem, psi, psi, f, -1.0, None)
         assert (found is not None) is accepted
+
+    def test_quadratic_path_one_trial_per_iteration(self, monkeypatch):
+        # the exact ray minimizer is the first trial, and it is accepted
+        calls = []
+        trial = _TorsionProblem.trial
+
+        def counted(self, psi, d, alpha):
+            calls.append(alpha)
+            return trial(self, psi, d, alpha)
+
+        monkeypatch.setattr(_TorsionProblem, "trial", counted)
+        res = solve_torsion(SQUARE, LQ2, 2.0, 1.0 / 32.0)
+        assert res.stop == "dual"
+        assert len(calls) == res.iterations
+
+    @pytest.mark.parametrize("problem_cls", [pde._EigenProblem,
+                                             _TorsionProblem],
+                             ids=["eigen", "torsion"])
+    def test_overshooting_first_step_brackets(self, monkeypatch, problem_cls):
+        # a first trial 1e6 times the exact ray minimizer raises the value;
+        # the search brackets back to a decrease instead of giving up
+        problem = problem_cls(build_grid(SQUARE, 1.0 / 16.0), LQ2, 2.0, 0.0)
+        psi = problem.prepare(np.zeros_like(problem.free))
+        f, g = problem.value_grad(psi)
+        d = -problem.precond(g)
+        slope = float((g * d).sum())
+        exact = problem.first_step(psi, d, f, slope, None)
+        assert problem.trial(psi, d, 1e6 * exact)[1] > f
+        monkeypatch.setattr(problem_cls, "first_step",
+                            lambda self, *args: 1e6 * exact)
+        found = pde._wolfe_step(problem, psi, d, f, slope, None)
+        assert found is not None
+        assert found[2] < f
 
     def test_failed_wolfe_search_not_converged(self, monkeypatch):
         # the nonlinear path: every trial point after each level's start

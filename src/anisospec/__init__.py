@@ -7,7 +7,7 @@ audits the full family of sharp inequalities tying them together.
 """
 
 from .cheeger import CheegerResult, cheeger_estimate
-from .config import DEFAULTS, INEQUALITY_IDS, ToleranceTable
+from .config import DEFAULTS, INEQUALITIES
 from .geometry import (ConvexPolygon, DistanceField, GeometryError,
                        CoarseGridError, Grid, build_grid, distance_field,
                        parse_domain, wulff_domain)
@@ -24,11 +24,11 @@ __version__ = "0.1.0"
 __all__ = [
     "CaseSpec", "CheegerResult", "CoarseGridError", "ConvergenceError",
     "ConvexPolygon", "DEFAULTS", "DistanceField", "EigenResult", "GaugeError",
-    "GeometryError", "Grid", "GridField", "INEQUALITY_IDS",
-    "InequalityReport", "MinkowskiNorm", "PFunctionResult", "ToleranceTable",
-    "TorsionResult", "build_grid", "cheeger_estimate", "convergence_study",
-    "default_catalog", "distance_field", "efficiency_ratio",
-    "mass_bound_check", "p_function", "parse_domain", "phi_check",
-    "phi_profile", "pi_p", "run_case", "slab_sweep", "solve_eigen",
-    "solve_torsion", "wulff_domain", "wulff_polygon",
+    "GeometryError", "Grid", "GridField", "INEQUALITIES",
+    "InequalityReport", "MinkowskiNorm", "PFunctionResult", "TorsionResult",
+    "build_grid", "cheeger_estimate", "convergence_study", "default_catalog",
+    "distance_field", "efficiency_ratio", "mass_bound_check", "p_function",
+    "parse_domain", "phi_check", "phi_profile", "pi_p", "run_case",
+    "slab_sweep", "solve_eigen", "solve_torsion", "wulff_domain",
+    "wulff_polygon",
 ]

@@ -41,7 +41,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .cheeger import cheeger_estimate
-from .config import DEFAULTS, INEQUALITY_TOLERANCES, ToleranceTable
+from .config import DEFAULTS, INEQUALITIES
 from .geometry import GeometryError, parse_domain
 from .harness import (CaseSpec, default_catalog, aggregate_csv_rows, run_case,
                       slab_sweep, sweep_csv_rows)
@@ -194,7 +194,7 @@ def _config_from_data(data) -> RunConfig:
     if run.get("out") is not None:
         cfg.out_dir = _string(run["out"], "run out")
     tolerances = _mapping(data.get("tolerances", {}), "tolerances",
-                          INEQUALITY_TOLERANCES)
+                          INEQUALITIES)
     for key, pair in tolerances.items():
         if not isinstance(pair, list) or len(pair) != 2:
             raise ConfigError(f"tolerance {key} needs [rel, c], got {pair!r}")
@@ -315,8 +315,7 @@ def _write_if_changed(path: Path, text: str) -> None:
 
 
 def _run_one(payload):
-    spec, overrides = payload
-    return run_case(spec, ToleranceTable(overrides))
+    return run_case(*payload)  # (spec, tolerance overrides)
 
 
 def _cmd_verify(args) -> int:

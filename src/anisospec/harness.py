@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cheeger import N_DIM, cheeger_estimate
-from .config import DEFAULTS, INEQUALITY_NAMES, ToleranceTable
+from .config import DEFAULTS, INEQUALITIES
 from .geometry import ConvexPolygon, distance_field, parse_domain
 from .norms import MinkowskiNorm, pi_p
 from .pde import (ConvergenceError, check_p_tol, efficiency_ratio,
@@ -102,15 +102,19 @@ class InequalityReport:
         raise KeyError(ineq_id)
 
 
-def _record(ineq_id: str, lhs: float, rhs: float, tols: ToleranceTable,
-            h: float, parts: list | None = None, note: str | None = None) -> dict:
+def _record(ineq_id: str, lhs: float, rhs: float, tols: dict, h: float,
+            parts: list | None = None, note: str | None = None) -> dict:
+    """One scored record; ``tols`` maps an id to a (rel, c) that replaces
+    its ``INEQUALITIES`` default."""
     slack = rhs - lhs
     if parts:
         slack = min(p["rhs"] - p["lhs"] for p in parts)
-    tol = tols.budget(ineq_id, rhs, h)
+    name, rel, c = INEQUALITIES[ineq_id]
+    rel, c = tols.get(ineq_id, (rel, c))
+    tol = rel * abs(rhs) + c * h
     rec = {
         "id": ineq_id,
-        "name": INEQUALITY_NAMES[ineq_id],
+        "name": name,
         "lhs": lhs,
         "rhs": rhs,
         "slack": slack,
@@ -125,7 +129,7 @@ def _record(ineq_id: str, lhs: float, rhs: float, tols: ToleranceTable,
 
 
 def evaluate_inequalities(p: float, geometry: dict, solver: dict, h: float,
-                          tols: ToleranceTable) -> tuple[dict, ...]:
+                          tols: dict) -> tuple[dict, ...]:
     """Score the sixteen checks from a report's own ``geometry`` and
     ``solver`` blocks, so every record is built from the reported numbers."""
     lam = solver["lambda"]
@@ -192,17 +196,16 @@ def slab_constant(p: float) -> float:
     return ((p - 1.0) / p) ** (p - 1.0) * (0.5 * pi_p(p)) ** p
 
 
-def run_case(spec: CaseSpec,
-             tols: ToleranceTable | None = None) -> InequalityReport:
+def run_case(spec: CaseSpec, tols: dict | None = None) -> InequalityReport:
     """Solve one case and score every inequality record.
 
     The torsion is solved first, and the eigen descent starts from its
     field v on the finest grid.  Solver non-convergence is caught: the
     partial fields still produce a report (the eigen solve then starts
     from the partial v), but with status "inconclusive" so failures stay
-    separated from numerics.
+    separated from numerics.  ``tols`` maps inequality ids to (rel, c)
+    budgets that replace their ``INEQUALITIES`` defaults.
     """
-    tols = tols or ToleranceTable()
     poly, gauge, h = spec.build()
     inconclusive = False
     try:
@@ -262,7 +265,7 @@ def run_case(spec: CaseSpec,
         "payne_slab_constant": slab_constant(spec.p),
         "h": h,
     }
-    records = evaluate_inequalities(spec.p, geometry, solver, h, tols)
+    records = evaluate_inequalities(spec.p, geometry, solver, h, tols or {})
     if inconclusive:
         status = "inconclusive"
     else:

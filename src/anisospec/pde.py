@@ -16,28 +16,30 @@ Minimization is a monotone projected descent on the quotient: nonlinear
 conjugate-gradient directions preconditioned by the inverse grid
 Laplacian of the bounding box (applied by fast sine transforms),
 nonnegativity clamping for eigenfields, and coarse-to-fine seeding
-across a grid hierarchy.  An eigen solve may instead start from a given
-field on the finest grid (the harness passes the case's torsion field,
-the first inverse power step from a constant); it then runs that one
-level, and its iteration count is that level's.  One bracketing Wolfe
-line search picks every step: a trial is accepted once its value exceeds
-the current one by at most its rounding (``TIE``) and the slope along
-the ray has shrunk to ``WOLFE_C2`` times the initial one.  Its first
-trial is the exact minimizer along the ray on the quadratic path (p = 2
-with a quadratic gauge), whose slope is ~0, so it is taken at once;
-elsewhere it is the last accepted step.  Every trial point costs one
-value-and-gradient evaluation, the search receives the slope of its
-direction rather than the old gradient, and the accepted trial's value
-and gradient start the next iteration.  Each solve reports which rule
-stopped it:
+across a grid hierarchy.  One restart rule keeps every direction a
+descent one: a CG direction whose slope is not negative is replaced by
+the preconditioned steepest descent -z before its search.  An eigen
+solve may instead start from a given field on the finest grid (the
+harness passes the case's torsion field, the first inverse power step
+from a constant); it then runs that one level, and its iteration count
+is that level's.  One bracketing Wolfe line search picks every step: a
+trial is accepted once its value exceeds the current one by at most its
+rounding (``TIE``) and the slope along the ray has shrunk to
+``WOLFE_C2`` times the initial one.  Its first trial is the exact
+minimizer along the ray on the quadratic path (p = 2 with a quadratic
+gauge), whose slope is ~0, so it is taken at once; elsewhere it is the
+last accepted step.  Every trial point costs one value-and-gradient
+evaluation, the search receives the slope of its direction rather than
+the old gradient, and the accepted trial's value and gradient start the
+next iteration.  Each solve reports which rule stopped it:
 
 * ``"dual"`` - quadratic path only: the preconditioned dual residual,
   the relative energy-norm error of the iterate, is below ``tol``;
 * ``"window"`` - the relative value decrease over a 25-iteration window
   is below ``tol`` (the stopping rule of the nonlinear path, whose
   Hessian the Laplacian preconditioner does not match in scale);
-* ``"line_search"`` - no step along the direction or along the
-  preconditioned steepest descent decreases the value; converged only when
+* ``"line_search"`` - the line search finds no step along the
+  iteration's direction that decreases the value; converged only when
   the dual residual is below sqrt(tol), i.e. when the value gap the
   quadratic model predicts is below ``tol``;
 * ``"budget"`` - the iteration budget ran out; never converged.
@@ -425,15 +427,14 @@ class _EigenProblem(_DescentProblem):
         ``alpha0``, and before any a step of half the iterate's scale."""
         if self.quadratic:
             # numerator and denominator are quadratic forms along the ray,
-            # and the cross terms follow from the quotient slope: with the
-            # iterate normalized, <gradN, d> = slope + 2 f e / cell terms
+            # and the numerator's cross term follows from the quotient
+            # slope: with the iterate normalized, <gradN, d> = slope + 2 f e
             n_d = grad_energy(d, self.grid, self.norm, self.p)
             w = self.grid.cell_area
             m = self.grid.mask
             e = w * float((psi[m] * d[m]).sum())
             dd = w * float((d[m] * d[m]).sum())
-            b = 0.5 * slope + f * e
-            alpha = _ray_minimizer(n_d, b, f, dd, e)
+            alpha = _ray_minimizer(n_d, f, dd, e, 0.5 * slope)
             if alpha is not None:
                 return alpha
         if alpha0 is not None and alpha0 > 0:
@@ -476,15 +477,17 @@ class _TorsionProblem(_DescentProblem):
         return 1.0  # the line search's extrapolation fixes a bad scale
 
 
-def _ray_minimizer(a, b, c, dd, e) -> float | None:
+def _ray_minimizer(a, c, dd, e, a0) -> float | None:
     """The exact minimizer along a ray whose quotient is quadratic/quadratic.
 
     Of the positive stationary steps of (c + 2b t + a t^2) /
     (1 + 2e t + dd t^2), the one with the least quotient; None if none.
+    ``a0`` is half the quotient's slope at t = 0, b - c e, given exactly:
+    b = a0 + c e, and forming b - c e instead cancels when c e >> |a0|.
     """
+    b = a0 + c * e
     a2 = a * e - b * dd
     a1 = a - c * dd
-    a0 = b - c * e
     roots = []
     if abs(a2) > 1e-300:
         disc = a1 * a1 - 4.0 * a2 * a0
@@ -508,16 +511,15 @@ def _descend(problem: _DescentProblem, psi0: np.ndarray, tol: float,
              max_iter: int):
     """Monotone preconditioned CG descent on one grid.
 
-    Each iteration steps along the CG direction, or along the
-    preconditioned steepest descent -z when the CG direction does not
-    descend or its step fails; on both paths the step comes from one line
-    search, ``_wolfe_step``.  A failed step along a direction that already
-    is -z (the first of a level, or one after a beta = 0 restart) is not
-    repeated.  The search receives the slope of its direction, so the old
-    gradient is freed before any trial point is evaluated; each trial
-    point costs one ``value_grad``, and the accepted one's value and
-    gradient start the next iteration.  No accepted step raises the value
-    by more than ``TIE`` |f|, the rounding of the value.
+    Each iteration steps along the CG direction, restarted as the
+    preconditioned steepest descent -z when its slope is not negative;
+    on both paths the step comes from one line search, ``_wolfe_step``,
+    and a failed search ends the level on "line_search".  The search
+    receives the slope of its direction, so the old gradient is freed
+    before any trial point is evaluated; each trial point costs one
+    ``value_grad``, and the accepted one's value and gradient start the
+    next iteration.  No accepted step raises the value by more than
+    ``TIE`` |f|, the rounding of the value.
 
     Returns (psi, iterations, residual, converged, stop), where ``stop``
     names the rule that ended the descent (see the module docstring) and
@@ -530,7 +532,6 @@ def _descend(problem: _DescentProblem, psi0: np.ndarray, tol: float,
     hist = [f]
     z = problem.precond(g)
     d = -z
-    steepest = True  # d is -z: the first direction of a level, or beta = 0
     gz = float((g * z).sum())
     alpha_prev = None
     it = 0
@@ -546,11 +547,10 @@ def _descend(problem: _DescentProblem, psi0: np.ndarray, tol: float,
                     "budget")
         it += 1
         slope = float((g * d).sum())
+        if not slope < 0.0:  # restart: -z descends wherever gz > 0
+            d, slope = -z, -gz
         del g  # beta needs only z and gz of the old point
         found = _wolfe_step(problem, psi, d, f, slope, alpha_prev)
-        if found is None and not steepest:
-            d = -z
-            found = _wolfe_step(problem, psi, d, f, -gz, alpha_prev)  # g . -z
         if found is None:
             # converged only if the predicted value gap dual^2 is below tol
             return psi, it, dual, dual < math.sqrt(tol), "line_search"
@@ -558,11 +558,9 @@ def _descend(problem: _DescentProblem, psi0: np.ndarray, tol: float,
         del found  # else it keeps this g alive through the next step
         hist.append(f)
         zn = problem.precond(g)
-        beta = float((g * (zn - z)).sum()) / gz
-        beta = max(beta, 0.0)
-        if not math.isfinite(beta) or beta > 10.0:
+        beta = max(float((g * (zn - z)).sum()) / gz, 0.0)
+        if not math.isfinite(beta):
             beta = 0.0
-        steepest = beta == 0.0
         d = -zn + beta * d
         z = zn
         gz = float((g * z).sum())

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -584,18 +585,34 @@ class TestSeededEigen:
             solve_eigen(SQUARE, LQ2, 2.0, h, start=start)
 
 
+def _scaling_gaps(norm, p, t, n):
+    """Relative gaps of lambda t^p, T t^-(N+p') and Mv t^-p' on t x Omega
+    against Omega = the unit square, each on its own grid of n cells per
+    unit side: the grids scale with the domain, so the twins are exact."""
+    q = p / (p - 1.0)
+    big = ConvexPolygon.rectangle(t, t)
+    lam = solve_eigen(SQUARE, norm, p, 1.0 / n).lambda_
+    lam_t = solve_eigen(big, norm, p, t / n).lambda_
+    tor = solve_torsion(SQUARE, norm, p, 1.0 / n)
+    tor_t = solve_torsion(big, norm, p, t / n)
+    return (abs(lam_t * t**p - lam) / lam,
+            abs(tor_t.T / t ** (2.0 + q) - tor.T) / tor.T,
+            abs(tor_t.Mv / t**q - tor.Mv) / tor.Mv)
+
+
 class TestEigenProperties:
     def test_scaling(self):
-        lam1 = solve_eigen(SQUARE, LQ4, 2.0, 1.0 / 32.0).lambda_
-        lam2 = solve_eigen(ConvexPolygon.rectangle(2, 2), LQ4, 2.0,
-                           2.0 / 32.0).lambda_
-        assert lam2 * 2.0**2 == pytest.approx(lam1, rel=1e-2)
+        # measured: p = 2 gaps 1.7e-14, 3.3e-8, 3.5e-8; p = 1.5 gaps
+        # 6.6e-10, 9.8e-8, 2.7e-7 (the window stop's error)
+        for p, bounds in ((2.0, (1e-13, 1e-7, 1e-7)),
+                          (1.5, (3e-9, 3e-7, 1e-6))):
+            gaps = _scaling_gaps(LQ4, p, 2.0, 32)
+            assert all(g <= b for g, b in zip(gaps, bounds)), (p, gaps)
 
     def test_scaling_p3(self):
-        lam1 = solve_eigen(SQUARE, ELL, 3.0, 1.0 / 24.0).lambda_
-        lam2 = solve_eigen(ConvexPolygon.rectangle(0.5, 0.5), ELL, 3.0,
-                           0.5 / 24.0).lambda_
-        assert lam2 * 0.5**3 == pytest.approx(lam1, rel=1e-2)
+        # measured gaps 2.1e-16, 1.8e-8, 1.5e-8
+        gaps = _scaling_gaps(ELL, 3.0, 0.5, 24)
+        assert all(g <= b for g, b in zip(gaps, (1e-14, 1e-7, 1e-7))), gaps
 
     def test_domain_monotonicity(self):
         lams = [solve_eigen(ConvexPolygon.rectangle(1, k), LQ2, 2.0,
@@ -610,29 +627,39 @@ class TestEigenProperties:
         assert vals[0] < vals[1] < vals[2]
 
 
+HEXAGON_T = ConvexPolygon(HEXAGON.vertices[::-1, ::-1].copy(),
+                          "regular:6,1 transposed")
+# (lambda, T and Mv) relative bounds per p; measured at diam/128, largest
+# of the two pairs: p = 1.5 5.7e-13 and 9.9e-7, p = 2 5.0e-16 and
+# 1.5e-10, p = 3 5.3e-11 and 2.3e-6 (the window stop's error)
+TWIN_BOUNDS = {1.5: (1e-11, 5e-6), 2.0: (1e-14, 1e-9), 3.0: (2e-10, 1e-5)}
+TWINS = [("rect-1-4", ConvexPolygon.rectangle(1, 4),
+          ConvexPolygon.rectangle(4, 1)),
+         ("regular-6-1", HEXAGON, HEXAGON_T)]
+
+
 class TestTransposedTwins:
     # transposing (x, y) maps the grid's anti-diagonals onto themselves, so
     # a domain and gauge and their transposes are exact twins of the discrete
     # problem; with a12 != 0 this checks the anti-diagonal coupling
-    @pytest.mark.parametrize("poly,twin", [
-        (ConvexPolygon.rectangle(1, 4), ConvexPolygon.rectangle(4, 1)),
-        (HEXAGON, ConvexPolygon(HEXAGON.vertices[::-1, ::-1].copy(),
-                                "regular:6,1 transposed")),
-    ], ids=["rect-1-4", "regular-6-1"])
-    def test_twins_agree(self, poly, twin):
+    @pytest.mark.parametrize("poly,twin,p", [
+        pytest.param(poly, twin, p, id=name if p == 2.0 else f"{name}-p{p:g}")
+        for name, poly, twin in TWINS for p in TWIN_BOUNDS])
+    def test_twins_agree(self, poly, twin, p):
         norm = MinkowskiNorm.ellipse(2, 0.5, 1)
         norm_t = MinkowskiNorm.ellipse(1, 0.5, 2)
+        rel_lam, rel_tor = TWIN_BOUNDS[p]
         h = poly.diameter / 128
         assert twin.diameter == poly.diameter
         assert np.array_equal(build_grid(poly, h).mask,
                               build_grid(twin, h).mask.T)
-        lam = solve_eigen(poly, norm, 2.0, h).lambda_
-        lam_t = solve_eigen(twin, norm_t, 2.0, h).lambda_
-        assert lam == pytest.approx(lam_t, rel=1e-12)
-        tor = solve_torsion(poly, norm, 2.0, h)
-        tor_t = solve_torsion(twin, norm_t, 2.0, h)
-        assert tor.T == pytest.approx(tor_t.T, rel=1e-8)
-        assert tor.Mv == pytest.approx(tor_t.Mv, rel=1e-8)
+        lam = solve_eigen(poly, norm, p, h).lambda_
+        lam_t = solve_eigen(twin, norm_t, p, h).lambda_
+        assert lam == pytest.approx(lam_t, rel=rel_lam)
+        tor = solve_torsion(poly, norm, p, h)
+        tor_t = solve_torsion(twin, norm_t, p, h)
+        assert tor.T == pytest.approx(tor_t.T, rel=rel_tor)
+        assert tor.Mv == pytest.approx(tor_t.Mv, rel=rel_tor)
 
 
 class TestTorsionOracles:
@@ -737,6 +764,42 @@ class TestTorsionOracles:
         assert found is not None
         assert found[2] < f
 
+    def test_failed_cg_search_ends_the_level(self, monkeypatch):
+        # a search that fails along a CG direction (beta > 0) is not
+        # retried along -z: the level ends on that one failed call
+        problem = _TorsionProblem(build_grid(SQUARE, 1.0 / 16.0), LQ4, 3.0,
+                                  pde._eps_for(SQUARE, LQ4, 3.0))
+        steepest = []  # per _wolfe_step call: is its direction -z?
+        wolfe_step = pde._wolfe_step
+
+        def fail_cg(problem, psi, d, *args):
+            z = problem.precond(problem.value_grad(psi)[1])
+            steepest.append(np.array_equal(d, -z))
+            return wolfe_step(problem, psi, d, *args) if steepest[-1] else None
+
+        monkeypatch.setattr(pde, "_wolfe_step", fail_cg)
+        _, it, _, _, stop = pde._descend(problem, np.zeros_like(problem.free),
+                                         1e-8, 100)
+        assert stop == "line_search"
+        assert steepest == [True, False] and it == 2
+
+    def test_ray_minimizer_keeps_a_small_slope(self):
+        # near convergence c e >> |slope|: forming b - c e from
+        # b = slope/2 + c e loses the slope, and the ray then has no
+        # positive stationary step; the exact a0 = slope/2 gives it
+        a0, c, e, dd = -2.0**-33, 4.0, 2.0**20, 2.0**40
+        a = 1.0 + c * dd  # a - c dd = 1
+        assert (a0 + c * e) - c * e == 0.0
+        t = pde._ray_minimizer(a, c, dd, e, a0)
+        # the positive root of a2 t^2 + a1 t + a0, b = a0 + c e exactly
+        with localcontext() as ctx:
+            ctx.prec = 60
+            a2 = Decimal(a) * Decimal(e) - (Decimal(a0) + Decimal(c)
+                                            * Decimal(e)) * Decimal(dd)
+            a1 = Decimal(a) - Decimal(c) * Decimal(dd)
+            root = (-a1 + (a1 * a1 - 4 * a2 * Decimal(a0)).sqrt()) / (2 * a2)
+        assert t == pytest.approx(float(root), rel=1e-6)
+
     def test_failed_wolfe_search_not_converged(self, monkeypatch):
         # the nonlinear path: every trial point after each level's start
         # reads +inf, so no step decreases the value along either direction
@@ -762,8 +825,8 @@ class TestTorsionOracles:
         assert res.stop == "line_search"
         assert res.iterations == len(started)  # one failed step per level
         assert math.isfinite(res.residual) and res.residual > 1e-4
-        # the first direction of a level is -z, so its failed search is
-        # not repeated along -z: the start plus one search per level
+        # a failed search ends its level: the start plus one search per
+        # level
         assert all(n <= pde.MAX_TRIALS + 1 for n in calls), calls
 
     def test_nonnegative(self):

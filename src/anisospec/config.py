@@ -10,7 +10,6 @@ tol                  1e-8       solver tolerance: dual residual (p = 2, quadrati
                                 gauge) or relative decrease over 25 iterations
 max_iter             50000      total iteration budget per solve
 wulff_vertices       256        default polygon resolution of Wulff domains
-distance_axis_nodes  36         distance fields refine h until >= this per axis
 slab_h_fraction      1/128      slab sweeps: h = (short side) * this
 ===================  =========  ==================================================
 
@@ -32,7 +31,6 @@ DEFAULTS = {
     "tol": 1e-8,
     "max_iter": 50_000,
     "wulff_vertices": 256,
-    "distance_axis_nodes": 36,
     "slab_h_fraction": 1.0 / 128.0,
 }
 

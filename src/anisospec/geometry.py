@@ -21,9 +21,10 @@ perimeter, erosion and inradius computations exact polygon arithmetic:
 The module owns the solvers' grids: ``build_grid`` masks the free nodes
 by the edge half-planes, with ``clearance`` as the per-node margin.  The
 gridded anisotropic distance field evaluates the exact formula d_F(x) =
-min over edges of (c_e - x.n_e) / F(n_e) at each free node, not fast
-marching, with the same edge loop as ``clearance``, so its error is set
-by the grid alone.  Everything here is numpy: no scipy solver loads.
+min over edges of (c_e - x.n_e) / F(n_e) at each free node of a case's
+solver grid, not fast marching, with the same edge loop as
+``clearance``, so its error is set by the grid alone.  Everything here
+is numpy: no scipy solver loads.
 """
 
 from __future__ import annotations
@@ -491,13 +492,6 @@ class Grid:
     def cell_area(self) -> float:
         return self.hx * self.hy
 
-    def same_layout(self, other: "Grid") -> bool:
-        return (self.mask.shape == other.mask.shape
-                and math.isclose(self.hx, other.hx)
-                and math.isclose(self.hy, other.hy)
-                and math.isclose(self.x[0], other.x[0])
-                and math.isclose(self.y[0], other.y[0]))
-
 
 def grid_axes(poly: ConvexPolygon, h: float):
     """(hx, hy, x, y): the snapped spacings and nodes of ``build_grid``."""
@@ -592,15 +586,15 @@ class DistanceField:
 
 
 def distance_field(poly: ConvexPolygon, norm: MinkowskiNorm,
-                   h: float) -> DistanceField:
-    """Sample d_F(x) = inf over boundary points y of F°(x - y) on a grid.
+                   grid: Grid) -> DistanceField:
+    """Sample d_F(x) = inf over boundary points y of F°(x - y) on ``grid``.
 
     For an interior point of a convex polygon the infimum over an edge's
     whole line is (c_e - x.n_e) / F(n_e), and the least of these over the
     edges is attained on the boundary, so d_F is that minimum exactly,
-    taken in the same blocks as ``clearance``.  The grid is ``build_grid``'s, with at least 32 free nodes per axis.
+    taken in the same blocks as ``clearance``.  ``grid`` is a
+    ``build_grid`` grid of ``poly``; a case passes its solver grid.
     """
-    grid = build_grid(poly, h, min_axis=32)
     i, j = np.nonzero(grid.mask)  # the free nodes in C order
     best = poly._least_margin(np.column_stack([grid.x[i], grid.y[j]]), norm)
 

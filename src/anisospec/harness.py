@@ -11,7 +11,9 @@ Every caller that solves both problems on one grid (``run_case``,
 ``slab_sweep``, ``convergence_study``) solves the torsion first and starts
 the eigen descent from its field v on the finest grid: v is the first
 step of the inverse power method from a constant, so it is already close
-to the eigenfield, and the eigen solve needs no coarse levels.
+to the eigenfield, and the eigen solve needs no coarse levels.  A case
+has that one grid: the P-function, the Phi comparison and the distance
+field (``grid_inradius``, ``grid_argmax``) sample it too.
 
 Reports are plain dict/JSON-serializable structures whose serialized
 form is byte-identical across reruns of the same spec (no timestamps,
@@ -199,12 +201,13 @@ def slab_constant(p: float) -> float:
 def run_case(spec: CaseSpec, tols: dict | None = None) -> InequalityReport:
     """Solve one case and score every inequality record.
 
-    The torsion is solved first, and the eigen descent starts from its
-    field v on the finest grid.  Solver non-convergence is caught: the
-    partial fields still produce a report (the eigen solve then starts
-    from the partial v), but with status "inconclusive" so failures stay
-    separated from numerics.  ``tols`` maps inequality ids to (rel, c)
-    budgets that replace their ``INEQUALITIES`` defaults.
+    The torsion is solved first; the eigen descent starts from its field v
+    on its finest grid, which the distance field samples too.  Solver
+    non-convergence is caught: the partial fields still produce a report
+    (the eigen solve then starts from the partial v), but with status
+    "inconclusive" so failures stay separated from numerics.  ``tols``
+    maps inequality ids to (rel, c) budgets that replace their
+    ``INEQUALITIES`` defaults.
     """
     poly, gauge, h = spec.build()
     inconclusive = False
@@ -220,10 +223,7 @@ def run_case(spec: CaseSpec, tols: dict | None = None) -> InequalityReport:
         eigen = exc.result
         inconclusive = True
 
-    xmin, xmax, ymin, ymax = poly.bounding_box
-    h_dist = min(h, min(xmax - xmin, ymax - ymin)
-                 / DEFAULTS["distance_axis_nodes"])
-    dist = distance_field(poly, gauge, h_dist)
+    dist = distance_field(poly, gauge, torsion.v.grid)
     ch = cheeger_estimate(poly, gauge)
 
     case = {

@@ -96,12 +96,7 @@ class GridField:
     values: np.ndarray
 
     def integral(self, power: float = 1.0) -> float:
-        v = self.values[self.grid.mask]
-        if power == 1.0:
-            s = v.sum()
-        else:
-            s = np.power(np.abs(v), power).sum()
-        return float(self.grid.cell_area * s)
+        return _mass(self.values, self.grid, power)
 
     def to_csv(self, path) -> None:
         xx, yy = np.meshgrid(self.grid.x, self.grid.y, indexing="ij")
@@ -128,8 +123,8 @@ def _pow(x: np.ndarray, p: float) -> np.ndarray:
     return np.power(x, p)
 
 
-def _mass(psi: np.ndarray, grid: Grid, p: float) -> float:
-    """The Rayleigh denominator: the integral of psi^p, for psi >= 0."""
+def _mass(psi: np.ndarray, grid: Grid, p: float = 1.0) -> float:
+    """The integral of psi^p over the free nodes, for psi >= 0."""
     return float(grid.cell_area * _pow(psi[grid.mask], p).sum())
 
 
@@ -463,7 +458,7 @@ class _TorsionProblem(_DescentProblem):
         gn /= self.p
         gn -= self.grid.cell_area  # the load, then zero on the fixed nodes
         gn *= self.free
-        val = num / self.p - self.grid.cell_area * float(psi[self.grid.mask].sum())
+        val = num / self.p - _mass(psi, self.grid)
         return val, gn
 
     def first_step(self, psi, d, f, slope, alpha0):
@@ -484,6 +479,9 @@ def _ray_minimizer(a, c, dd, e, a0) -> float | None:
     (1 + 2e t + dd t^2), the one with the least quotient; None if none.
     ``a0`` is half the quotient's slope at t = 0, b - c e, given exactly:
     b = a0 + c e, and forming b - c e instead cancels when c e >> |a0|.
+    The roots of a2 t^2 + a1 t + a0 are the stable pair q / a2, a0 / q,
+    q = -(a1 + sign(a1) sqrt(disc)) / 2, which keeps the small root when
+    4 |a2 a0| << a1^2.
     """
     b = a0 + c * e
     a2 = a * e - b * dd
@@ -492,8 +490,9 @@ def _ray_minimizer(a, c, dd, e, a0) -> float | None:
     if abs(a2) > 1e-300:
         disc = a1 * a1 - 4.0 * a2 * a0
         if disc >= 0.0:
-            rt = math.sqrt(disc)
-            roots = [(-a1 + rt) / (2.0 * a2), (-a1 - rt) / (2.0 * a2)]
+            q = -0.5 * (a1 + math.copysign(math.sqrt(disc), a1))
+            if q != 0.0:  # else a1 = a0 = 0: the double root t = 0
+                roots = [q / a2, a0 / q]
     elif abs(a1) > 1e-300:
         roots = [-a0 / a1]
 
@@ -717,18 +716,16 @@ def _eps_for(poly: ConvexPolygon, norm: MinkowskiNorm, p: float) -> float:
 
 
 def _start_grid(start: GridField, poly: ConvexPolygon, h: float) -> Grid:
-    """``start.grid``, once its layout is checked against ``grid_axes``.
-
-    That is the layout of ``build_grid(poly, h)``, found without building
-    its mask; ValueError when the start lives on another grid.
+    """``start.grid``, once its axes equal those of ``build_grid(poly, h)``
+    (``grid_axes``, found without building the mask); ValueError when the
+    start lives on another grid.
     """
-    hx, hy, x, y = grid_axes(poly, h)
-    layout = Grid(hx=hx, hy=hy, x=x, y=y,
-                  mask=np.zeros((len(x), len(y)), dtype=bool))
-    if not start.grid.same_layout(layout):
+    _, _, x, y = grid_axes(poly, h)
+    grid = start.grid
+    if not (np.array_equal(grid.x, x) and np.array_equal(grid.y, y)):
         raise ValueError(f"the start field's grid is not the h = {h:g} grid "
                          f"of {poly.provenance}")
-    return start.grid
+    return grid
 
 
 def _coarse_to_fine(problem_cls, poly: ConvexPolygon, norm: MinkowskiNorm,
@@ -832,7 +829,7 @@ def solve_torsion(poly: ConvexPolygon, norm: MinkowskiNorm, p: float, h: float,
     if null:
         mv = t_int = t_dual = math.nan
     else:
-        t_int = grid.cell_area * float(psi[grid.mask].sum())
+        t_int = _mass(psi, grid)
         t_dual = grad_energy(psi, grid, norm, p)
     result = TorsionResult(v=GridField(grid, psi), T=t_int, Mv=mv,
                            T_dual=t_dual, iterations=total_it, residual=residual,
@@ -908,7 +905,7 @@ def phi_check(eigen: EigenResult, torsion: TorsionResult, p: float) -> float:
     which should not exceed the grid tolerance.
     """
     gu, gv = eigen.u.grid, torsion.v.grid
-    if not gu.same_layout(gv):
+    if not (np.array_equal(gu.x, gv.x) and np.array_equal(gu.y, gv.y)):
         raise ValueError("eigen and torsion fields live on different grids")
     q = p / (p - 1.0)
     lhs = phi_profile(eigen.u.values, p)

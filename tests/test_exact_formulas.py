@@ -240,9 +240,9 @@ def test_distance_field_is_the_line_formula(poly, norm):
     xmin, xmax, ymin, ymax = poly.bounding_box
     h = min(xmax - xmin, ymax - ymin) / 48.0
     try:
-        df = distance_field(poly, norm, h)
+        df = distance_field(poly, norm, build_grid(poly, h))
     except CoarseGridError:  # a sliver whose inner rows thin out
-        df = distance_field(poly, norm, 0.5 * h)
+        df = distance_field(poly, norm, build_grid(poly, 0.5 * h))
     pts = np.stack(np.meshgrid(df.x, df.y, indexing="ij"), axis=-1)[df.mask]
     exact = distance_to_boundary_F(poly, norm, pts)
     scale = max(poly.diameter, 1.0)

@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from anisospec.geometry import (CoarseGridError, ConvexPolygon, GeometryError,
+from anisospec.geometry import (ConvexPolygon, GeometryError, build_grid,
                                 distance_field, parse_domain, wulff_domain)
 from anisospec.harness import slab_sweep
 from anisospec.norms import MinkowskiNorm, wulff_polygon
@@ -294,23 +294,25 @@ class TestRolling:
 
 class TestDistanceField:
     def test_rect_euclidean(self):
-        df = distance_field(ConvexPolygon.rectangle(1, 4), LQ2, 0.05)
+        poly = ConvexPolygon.rectangle(1, 4)
+        df = distance_field(poly, LQ2, build_grid(poly, 0.05))
         assert df.inradius == pytest.approx(1.0, abs=1e-9)
         assert abs(df.argmax[0]) < 1e-9
 
     def test_rect_ellipse(self):
-        df = distance_field(ConvexPolygon.rectangle(1, 4), ELL, 0.05)
+        poly = ConvexPolygon.rectangle(1, 4)
+        df = distance_field(poly, ELL, build_grid(poly, 0.05))
         assert df.inradius == pytest.approx(0.5, abs=1e-9)
 
     def test_wulff_center(self):
         w = wulff_domain(LQ2, 1.0, 256)
-        df = distance_field(w, LQ2, 0.02)
+        df = distance_field(w, LQ2, build_grid(w, 0.02))
         assert df.inradius == pytest.approx(1.0, abs=3e-3)
         assert np.hypot(*df.argmax) < 0.03
 
     def test_range_and_boundary_decay(self):
         poly = ConvexPolygon.regular(6, 1.0)
-        df = distance_field(poly, LQ4, 0.02)
+        df = distance_field(poly, LQ4, build_grid(poly, 0.02))
         vals = df.values[df.mask]
         assert np.all(vals >= 0)
         assert np.all(vals <= df.inradius + 1e-12)
@@ -325,7 +327,7 @@ class TestDistanceField:
         # interior nodes of a convex polygon: distance = min over edge lines
         poly = ConvexPolygon.regular(6, 1.0)
         for norm in CATALOG_NORMS:
-            df = distance_field(poly, norm, 0.05)
+            df = distance_field(poly, norm, build_grid(poly, 0.05))
             pts = np.stack(np.meshgrid(df.x, df.y, indexing="ij"), axis=-1)
             exact = distance_to_boundary_F(poly, norm, pts[df.mask])
             assert df.values[df.mask] == pytest.approx(exact, abs=1e-8)
@@ -333,7 +335,8 @@ class TestDistanceField:
     def test_eikonal(self):
         for poly, norm in ((ConvexPolygon.rectangle(1, 1), LQ2),
                            (ConvexPolygon.regular(6, 1.0), LQ4)):
-            df = distance_field(poly, norm, poly.diameter / 96)
+            grid = build_grid(poly, poly.diameter / 96)
+            df = distance_field(poly, norm, grid)
             h = df.h
             v = df.values
             gx = (v[2:, 1:-1] - v[:-2, 1:-1]) / (2 * h)
@@ -359,7 +362,7 @@ class TestDistanceField:
 
     def test_midpoint_concavity(self):
         poly = ConvexPolygon.regular(6, 1.0)
-        df = distance_field(poly, ELL, 0.02)
+        df = distance_field(poly, ELL, build_grid(poly, 0.02))
         rng = np.random.default_rng(4)
         nodes = np.argwhere(df.mask)
         checked = 0
@@ -374,12 +377,8 @@ class TestDistanceField:
             assert lhs >= rhs - df.h
             checked += 1
 
-    def test_coarse_grid_rejected(self):
-        with pytest.raises(CoarseGridError):
-            distance_field(ConvexPolygon.rectangle(1, 1), LQ2, 0.2)
-
     def test_mask_strictly_inside(self):
         poly = ConvexPolygon.regular(6, 1.0)
-        df = distance_field(poly, LQ2, 0.03)
+        df = distance_field(poly, LQ2, build_grid(poly, 0.03))
         pts = np.stack(np.meshgrid(df.x, df.y, indexing="ij"), axis=-1)
         assert np.all(poly.clearance(pts[df.mask]) > 0.0)

@@ -17,6 +17,7 @@ from anisospec.harness import (CaseSpec, aggregate_csv_rows, convergence_study,
                                sweep_csv_rows)
 from anisospec.norms import MinkowskiNorm
 from anisospec.pde import ConvergenceError, GridField
+from oracles import distance_to_boundary_F
 
 FAST = CaseSpec("rect:1,1", "lq:2", 2.0, h=1.0 / 24.0)
 
@@ -145,6 +146,21 @@ class TestRunCase:
                 rec = harness._record(ineq_id, 0.0, rhs, {}, 0.05)
                 assert rec["tolerance"] == 1e-6 * abs(rhs)
 
+    def test_grid_inradius_samples_the_solver_grid(self):
+        # rect:1,4 at diam/128 has 31 cells across its short side, so no
+        # node sits on the midline and the grid maximum is 30/31 R_F
+        spec = CaseSpec("rect:1,4", "lq:2", 2.0)
+        poly, gauge, h = spec.build()
+        grid = pde.solve_torsion(poly, gauge, spec.p, h).v.grid
+        assert grid.nx == 32
+        i, j = np.nonzero(grid.mask)
+        d_f = distance_to_boundary_F(poly, gauge,
+                                     np.column_stack([grid.x[i], grid.y[j]]))
+        geo = run_case(spec).geometry
+        assert geo["grid_inradius"] == pytest.approx(d_f.max(), rel=1e-14)
+        assert geo["grid_inradius"] == pytest.approx(30.0 / 31.0, rel=1e-12)
+        assert geo["inradius_F"] == pytest.approx(1.0, rel=1e-12)
+
     def test_aggregate_rows(self, fast_report):
         rows = aggregate_csv_rows([fast_report])
         assert rows[0].startswith("case,inequality")
@@ -192,6 +208,19 @@ class TestEachQuantityOnce:
         descents.clear()
         pde.solve_eigen(poly, gauge, 1.5, h)
         assert len(descents) >= 2 and len(grids) >= len(descents)
+
+    def test_run_case_builds_only_the_torsion_grids(self, monkeypatch):
+        # the eigen solve and the distance field sample the torsion's
+        # finest grid: a case builds the grids a bare torsion solve builds
+        grids = _count_calls(monkeypatch, pde, "build_grid")
+        distance_grids = _count_calls(monkeypatch, geometry, "build_grid")
+        poly, gauge, h = FAST.build()
+        pde.solve_torsion(poly, gauge, FAST.p, h, tol=FAST.tol)
+        torsion_grids = len(grids)
+        assert torsion_grids >= 1
+        grids.clear()
+        run_case(FAST)
+        assert (len(grids), len(distance_grids)) == (torsion_grids, 0)
 
     def test_run_case_seeds_the_eigen_solve(self, monkeypatch):
         # the torsion is solved first and its field starts the eigen solve

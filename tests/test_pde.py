@@ -572,14 +572,19 @@ class TestSeededEigen:
         assert np.array_equal(seeded.u.values, unseeded.u.values)
         assert not null.values.any()
 
-    @pytest.mark.parametrize("other", ["coarser", "wider"])
+    @pytest.mark.parametrize("other", ["coarser", "wider", "shifted"])
     def test_start_on_another_grid_rejected(self, other):
-        # rejected before any descent, so the grids can be fine
+        # rejected before any descent, so the grids can be fine; a shifted
+        # square has the same node counts and spacings, other nodes
         h = SQUARE.diameter / 64.0
-        poly, spacing = ((SQUARE, 2.0 * h) if other == "coarser"
-                         else (ConvexPolygon.rectangle(1, 1.5), h))
+        poly, spacing = {
+            "coarser": (SQUARE, 2.0 * h),
+            "wider": (ConvexPolygon.rectangle(1, 1.5), h),
+            "shifted": (ConvexPolygon(SQUARE.vertices + 1e-3), h)}[other]
         grid = build_grid(poly, spacing)
-        assert not grid.same_layout(build_grid(SQUARE, h))
+        square = build_grid(SQUARE, h)
+        assert not (np.array_equal(grid.x, square.x)
+                    and np.array_equal(grid.y, square.y))
         start = GridField(grid, grid.mask.astype(float))
         with pytest.raises(ValueError, match="grid"):
             solve_eigen(SQUARE, LQ2, 2.0, h, start=start)
@@ -660,6 +665,18 @@ class TestTransposedTwins:
         tor_t = solve_torsion(twin, norm_t, p, h)
         assert tor.T == pytest.approx(tor_t.T, rel=rel_tor)
         assert tor.Mv == pytest.approx(tor_t.Mv, rel=rel_tor)
+
+
+def _decimal_ray_root(a, c, dd, e, a0) -> float:
+    """The positive root of a2 t^2 + a1 t + a0 in 60-digit arithmetic, with
+    b = a0 + c e exact (see ``pde._ray_minimizer``)."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        a2 = Decimal(a) * Decimal(e) - (Decimal(a0) + Decimal(c)
+                                        * Decimal(e)) * Decimal(dd)
+        a1 = Decimal(a) - Decimal(c) * Decimal(dd)
+        root = (-a1 + (a1 * a1 - 4 * a2 * Decimal(a0)).sqrt()) / (2 * a2)
+    return float(root)
 
 
 class TestTorsionOracles:
@@ -791,14 +808,17 @@ class TestTorsionOracles:
         a = 1.0 + c * dd  # a - c dd = 1
         assert (a0 + c * e) - c * e == 0.0
         t = pde._ray_minimizer(a, c, dd, e, a0)
-        # the positive root of a2 t^2 + a1 t + a0, b = a0 + c e exactly
-        with localcontext() as ctx:
-            ctx.prec = 60
-            a2 = Decimal(a) * Decimal(e) - (Decimal(a0) + Decimal(c)
-                                            * Decimal(e)) * Decimal(dd)
-            a1 = Decimal(a) - Decimal(c) * Decimal(dd)
-            root = (-a1 + (a1 * a1 - 4 * a2 * Decimal(a0)).sqrt()) / (2 * a2)
-        assert t == pytest.approx(float(root), rel=1e-6)
+        assert t == pytest.approx(_decimal_ray_root(a, c, dd, e, a0), rel=1e-6)
+
+    @pytest.mark.parametrize("a0", [-1e-4, -1e-6, -1e-13])
+    def test_ray_minimizer_small_root_is_stable(self, a0):
+        # 4 |a2 a0| << a1^2: the textbook root (-a1 + sqrt(disc)) / (2 a2)
+        # cancels, and at a0 = -1e-13 it reads 0, leaving no positive step
+        a, c, dd, e = 1e7, 0.0, 1e6, 1e3
+        t = pde._ray_minimizer(a, c, dd, e, a0)
+        root = _decimal_ray_root(a, c, dd, e, a0)
+        assert root > 0
+        assert t == pytest.approx(root, rel=1e-12, abs=0.0)
 
     def test_failed_wolfe_search_not_converged(self, monkeypatch):
         # the nonlinear path: every trial point after each level's start
@@ -908,6 +928,15 @@ class TestPhi:
         res = solve_eigen(SQUARE, LQ2, 2.0, 1.0 / 32.0)
         tor = solve_torsion(SQUARE, LQ2, 2.0, 1.0 / 24.0)
         with pytest.raises(ValueError):
+            phi_check(res, tor, 2.0)
+
+    def test_grid_mismatch_of_equal_shape_rejected(self):
+        # same node counts and spacings, nodes shifted by a thousandth
+        res = solve_eigen(SQUARE, LQ2, 2.0, 1.0 / 16.0)
+        tor = solve_torsion(ConvexPolygon(SQUARE.vertices + 1e-3), LQ2, 2.0,
+                            1.0 / 16.0)
+        assert res.u.values.shape == tor.v.values.shape
+        with pytest.raises(ValueError, match="different grids"):
             phi_check(res, tor, 2.0)
 
 

@@ -8,7 +8,8 @@ name                 default    meaning
 h_over_diameter      1/128      grid spacing = diameter(domain) / 128 when unset
 tol                  1e-8       solver tolerance: dual residual (p = 2, quadratic
                                 gauge) or relative decrease over 25 iterations
-max_iter             50000      total iteration budget per solve
+max_iter             50000      total iteration budget per solve, over all
+                                grid levels
 wulff_vertices       256        default polygon resolution of Wulff domains
 slab_h_fraction      1/128      slab sweeps: h = (short side) * this
 ===================  =========  ==================================================

@@ -33,16 +33,18 @@ evaluation, the search receives the slope of its direction rather than
 the old gradient, and the accepted trial's value and gradient start the
 next iteration.  Each solve reports which rule stopped it:
 
-* ``"dual"`` - quadratic path only: the preconditioned dual residual,
-  the relative energy-norm error of the iterate, is below ``tol``;
-* ``"window"`` - the relative value decrease over a 25-iteration window
-  is below ``tol`` (the stopping rule of the nonlinear path, whose
-  Hessian the Laplacian preconditioner does not match in scale);
+* ``"dual"`` - the quadratic path's rule: the preconditioned dual
+  residual (the iterate's relative energy-norm error) is below ``tol``;
+* ``"window"`` - the nonlinear path's rule, checked once 25 iterations
+  have run (the Laplacian preconditioner does not match its Hessian in
+  scale): the relative value decrease over the last 25 is below ``tol``;
 * ``"line_search"`` - the line search finds no step along the
   iteration's direction that decreases the value; converged only when
   the dual residual is below sqrt(tol), i.e. when the value gap the
   quadratic model predicts is below ``tol``;
-* ``"budget"`` - the iteration budget ran out; never converged.
+* ``"budget"`` - ``max_iter``, the budget of all grid levels together,
+  ran out; never converged.  This and "line_search" report the dual
+  residual.
 
 Non-differentiability of F at a vanishing gradient is removed by the
 subtracted regularization F_eps = sqrt(F^2 + eps^2) - eps, which keeps
@@ -72,7 +74,7 @@ from .geometry import (CoarseGridError, ConvexPolygon, Grid, build_grid,
                        grid_axes)
 from .norms import MinkowskiNorm, pi_p
 
-WINDOW = 25  # iterations spanned by the convergence criterion
+WINDOW = 25  # iterations spanned by the nonlinear path's convergence rule
 EPS_FACTOR = 1e-8  # gradient regularization per unit of domain diameter
 WOLFE_C2 = 0.3  # accepted |slope| as a share of the initial one
 MAX_TRIALS = 60  # trial points per direction of the Wolfe line search
@@ -520,11 +522,11 @@ def _descend(problem: _DescentProblem, psi0: np.ndarray, tol: float,
     next iteration.  No accepted step raises the value by more than
     ``TIE`` |f|, the rounding of the value.
 
-    Returns (psi, iterations, residual, converged, stop), where ``stop``
-    names the rule that ended the descent (see the module docstring) and
-    ``residual`` is the quantity that rule measures: the dual residual for
-    "dual" and "line_search", the window decrease for "window"; "budget"
-    reports the dual residual on the quadratic path, else the window one.
+    The quadratic path converges on "dual" only, the nonlinear path on a
+    full "window" only.  Returns (psi, iterations, residual, converged,
+    stop), where ``stop`` names the rule that ended the descent (see the
+    module docstring) and ``residual`` is the window decrease for "window"
+    and the dual residual for every other stop.
     """
     psi = problem.prepare(psi0)
     f, g = problem.value_grad(psi)
@@ -536,14 +538,15 @@ def _descend(problem: _DescentProblem, psi0: np.ndarray, tol: float,
     it = 0
     while True:
         dual = _dual_residual(f, gz, problem.grid.cell_area)
-        if problem.quadratic and dual < tol:
-            return psi, it, dual, True, "dual"
-        window = _window_residual(hist)
-        if len(hist) > WINDOW and window < tol:
-            return psi, it, window, True, "window"
+        if problem.quadratic:
+            if dual < tol:
+                return psi, it, dual, True, "dual"
+        elif len(hist) > WINDOW:
+            window = _window_residual(hist)
+            if window < tol:
+                return psi, it, window, True, "window"
         if it >= max_iter:
-            return (psi, it, dual if problem.quadratic else window, False,
-                    "budget")
+            return psi, it, dual, False, "budget"
         it += 1
         slope = float((g * d).sum())
         if not slope < 0.0:  # restart: -z descends wherever gz > 0
@@ -648,11 +651,8 @@ def _dual_residual(f: float, gz: float, cell_area: float) -> float:
 
 
 def _window_residual(hist) -> float:
-    if len(hist) < 2:
-        return math.inf
-    w = min(WINDOW, len(hist) - 1)
-    drop = hist[-1 - w] - hist[-1]
-    return abs(drop) / max(abs(hist[-1]), 1e-300)
+    """Relative value decrease over the last WINDOW iterations."""
+    return abs(hist[-1 - WINDOW] - hist[-1]) / max(abs(hist[-1]), 1e-300)
 
 
 def _grid_hierarchy(poly: ConvexPolygon, h: float, max_levels: int = 6):
@@ -737,7 +737,8 @@ def _coarse_to_fine(problem_cls, poly: ConvexPolygon, norm: MinkowskiNorm,
     feasible start.  With a finest-level ``start`` (a field on the grid
     ``build_grid(poly, h)`` would build) the descent runs on its grid
     alone, from a copy of its values: no coarse grid is built, descended
-    or prolonged.  Returns (finest grid, iterate, the iterations of the
+    or prolonged.  Each level's budget is what the levels before it left
+    of ``max_iter``.  Returns (finest grid, iterate, the iterations of the
     levels run, and the finest level's residual, converged and stop).
     """
     check_p_tol(p, tol)
@@ -751,18 +752,19 @@ def _coarse_to_fine(problem_cls, poly: ConvexPolygon, norm: MinkowskiNorm,
     total_it = 0
     for lvl in range(len(grids) - 1, -1, -1):
         grid = grids[lvl]
-        budget = 3000 if lvl > 0 else max(max_iter - total_it, WINDOW + 5)
         psi, it, residual, converged, stop = _descend(
-            problem_cls(grid, norm, p, eps), psi, tol, budget)
+            problem_cls(grid, norm, p, eps), psi, tol, max_iter - total_it)
         total_it += it
         if lvl > 0:
             psi = _prolong(psi, grid, grids[lvl - 1])
     return grids[0], psi, total_it, residual, converged, stop
 
 
-def _not_converged(kind: str, poly: ConvexPolygon, result,
-                   outcome: str = "did not converge") -> ConvergenceError:
-    return ConvergenceError(
+def _checked(kind: str, poly: ConvexPolygon, result, outcome: str):
+    """The solves' one exit: ``result`` if converged, else ConvergenceError."""
+    if result.converged:
+        return result
+    raise ConvergenceError(
         f"{kind} solve on {poly.provenance} {outcome} (stop "
         f"{result.stop}, residual {result.residual:.2e} after "
         f"{result.iterations} iterations)", result)
@@ -776,18 +778,19 @@ def solve_eigen(poly: ConvexPolygon, norm: MinkowskiNorm, p: float, h: float,
 
     Without ``start`` the descent runs coarse to fine.  A ``start`` on the
     grid ``build_grid(poly, h)`` would build (in practice the torsion
-    field v of the same case) is descended on that grid alone, and
-    ``iterations`` counts that one level; its values are not changed, and
-    a start with no positive free value falls back to the bounding-box
-    seed.  ValueError when the start lives on another grid.
+    field v of the same case) is descended on that grid alone; its values
+    are not changed, and a start with no positive free value falls back
+    to the bounding-box seed.  ValueError when the start lives on another
+    grid.  ``iterations`` counts the iterations of every level run, and
+    ``max_iter`` bounds it.
     The reported eigenvalue re-evaluates the quotient of the minimizer at
     eps = 0.  ``tol`` bounds the dual residual on the quadratic path and
     the 25-iteration relative quotient decrease on the nonlinear path (see
     the module docstring).  Raises ConvergenceError (carrying the partial
-    result) when neither rule is met within ``max_iter`` total iterations
-    or the line search fails short of sqrt(tol), and when the descent
-    ends on a null field (the partial result then holds the zero field
-    and lambda = nan).
+    result) when its path's rule is not met within ``max_iter``
+    iterations or the line search fails short of sqrt(tol), and when the
+    descent ends on a null field (the partial result then holds the zero
+    field and lambda = nan).
     """
     grid, psi, total_it, residual, converged, stop = _coarse_to_fine(
         _EigenProblem, poly, norm, p, h, tol, max_iter, start)
@@ -801,11 +804,8 @@ def solve_eigen(poly: ConvexPolygon, norm: MinkowskiNorm, p: float, h: float,
     result = EigenResult(lambda_=lam, u=GridField(grid, u), iterations=total_it,
                          residual=residual,
                          converged=converged and not null, stop=stop)
-    if null:
-        raise _not_converged("eigen", poly, result, "produced a null field")
-    if not converged:
-        raise _not_converged("eigen", poly, result)
-    return result
+    return _checked("eigen", poly, result,
+                    "produced a null field" if null else "did not converge")
 
 
 def solve_torsion(poly: ConvexPolygon, norm: MinkowskiNorm, p: float, h: float,
@@ -834,12 +834,8 @@ def solve_torsion(poly: ConvexPolygon, norm: MinkowskiNorm, p: float, h: float,
     result = TorsionResult(v=GridField(grid, psi), T=t_int, Mv=mv,
                            T_dual=t_dual, iterations=total_it, residual=residual,
                            converged=converged and not null, stop=stop)
-    if null:
-        raise _not_converged("torsion", poly, result,
-                             "produced no positive value")
-    if not converged:
-        raise _not_converged("torsion", poly, result)
-    return result
+    return _checked("torsion", poly, result, "produced no positive value"
+                    if null else "did not converge")
 
 
 # -- derived checks ------------------------------------------------------------

@@ -511,8 +511,11 @@ class TestEigenOracles:
     def test_nonconvergence_raises_with_partial(self):
         with pytest.raises(ConvergenceError) as err:
             solve_eigen(SQUARE, LQ4, 3.0, 1.0 / 32.0, tol=1e-14, max_iter=40)
-        assert err.value.result is not None
-        assert not err.value.result.converged
+        res = err.value.result
+        assert res is not None
+        assert not res.converged
+        assert res.stop == "budget"
+        assert res.iterations <= 40  # over all grid levels
 
 
     def test_null_field_is_inconclusive(self, monkeypatch):
@@ -853,6 +856,47 @@ class TestTorsionOracles:
         res = solve_torsion(ConvexPolygon.regular(6, 1.0), LQ4, 1.5,
                             1.0 / 32.0)
         assert res.v.values.min() >= 0.0
+
+
+class TestStopRules:
+    """Each descent path stops on its own rule, within one budget."""
+
+    def test_max_iter_bounds_all_levels(self):
+        # the coarse levels draw on the same budget as the finest one
+        hexa = parse_domain("regular:6,1")
+        with pytest.raises(ConvergenceError, match="did not converge") as err:
+            solve_torsion(hexa, LQ4, 3.0, 1.0 / 64.0, max_iter=5)
+        res = err.value.result
+        assert res.converged is False
+        assert res.stop == "budget"
+        assert res.iterations <= 5
+        assert math.isfinite(res.residual)
+
+    @pytest.mark.parametrize("domain,gauge", [("regular:6,1", "lq:2"),
+                                              ("rect:1,1", "ellipse:2,0.5,1")])
+    def test_quadratic_path_never_stops_on_window(self, monkeypatch, domain,
+                                                  gauge):
+        # a one-iteration window would stop a descent after its first
+        # steps; the quadratic path stops on its dual residual alone
+        monkeypatch.setattr(pde, "WINDOW", 1)
+        norm = MinkowskiNorm.parse(gauge)
+        poly = parse_domain(domain, norm=norm)
+        h = 1.0 / 16.0
+        torsion = solve_torsion(poly, norm, 2.0, h)
+        eigen = solve_eigen(poly, norm, 2.0, h, start=torsion.v)
+        for res in (torsion, eigen):
+            assert res.stop == "dual"
+            assert res.residual < 1e-8
+
+    def test_catalog_quadratic_eigen_stops_on_dual(self):
+        # a catalog quadratic eigen solve whose 25-iteration window fills
+        # before its dual residual meets tol
+        spec = harness.CaseSpec("regular:6,1", "ellipse:4,0,1", 2.0)
+        poly, norm, h = spec.build()
+        torsion = solve_torsion(poly, norm, 2.0, h)
+        eigen = solve_eigen(poly, norm, 2.0, h, start=torsion.v)
+        assert eigen.stop == "dual"
+        assert eigen.residual < spec.tol
 
 
 class TestPFunction:

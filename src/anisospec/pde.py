@@ -57,6 +57,14 @@ the edge-weight form of P1 stiffness for F^2 = g . A g (A from the
 gauge's ``quadratic_form``), with no per-triangle pass and no call into
 ``norms``.  (p, gauge) alone picks the formula.  Grids and their
 free-node masks come from ``geometry``.
+
+Memory: while a level descends it holds psi, z, d, one trial point and
+its gradient, and the quadratic kernel one buffer (the preconditioner,
+the transform and the new z in their place), besides the grid masks and
+the coarser level's result, which the level prolongs itself.  The mask
+is kept as bools, the sine-transform divisor is formed a block of rows
+at a time, and the CG update works in the old z's storage and in d, so
+the quadratic path peaks at about six grid-sized arrays.
 """
 
 from __future__ import annotations
@@ -101,10 +109,13 @@ class GridField:
         return _mass(self.values, self.grid, power)
 
     def to_csv(self, path) -> None:
-        xx, yy = np.meshgrid(self.grid.x, self.grid.y, indexing="ij")
-        rows = np.column_stack([xx.ravel(), yy.ravel(), self.values.ravel()])
-        np.savetxt(path, rows, fmt="%.12g", delimiter=",",
-                   header="x,y,value", comments="")
+        """x,y,value rows, x-major, written one grid column at a time."""
+        y = self.grid.y.tolist()
+        with open(path, "w") as fh:
+            fh.write("x,y,value\n")
+            for x, column in zip(self.grid.x.tolist(), self.values):
+                fh.writelines(f"{x:.12g},{yj:.12g},{v:.12g}\n"
+                              for yj, v in zip(y, column.tolist()))
 
 
 # -- energy kernels -----------------------------------------------------------
@@ -117,17 +128,19 @@ def _tri_gradients(psi: np.ndarray, hx: float, hy: float):
     return dx[:, :-1], dy[:-1, :], dx[:, 1:], dy[1:, :]
 
 
-def _pow(x: np.ndarray, p: float) -> np.ndarray:
+def _pow(x: np.ndarray, p: float, out=None) -> np.ndarray:
+    """x^p; ``out``, when given, is x itself (an in-place power)."""
     if p == 2.0:
-        return x * x
+        return np.multiply(x, x, out=out)
     if p == 1.0:
         return x
-    return np.power(x, p)
+    return np.power(x, p, out=out)
 
 
 def _mass(psi: np.ndarray, grid: Grid, p: float = 1.0) -> float:
     """The integral of psi^p over the free nodes, for psi >= 0."""
-    return float(grid.cell_area * _pow(psi[grid.mask], p).sum())
+    v = psi[grid.mask]  # a copy, raised to p in place
+    return float(grid.cell_area * _pow(v, p, out=v).sum())
 
 
 def _quadratic_form(norm: MinkowskiNorm, p: float, eps: float):
@@ -151,10 +164,11 @@ def _edge_energy(psi: np.ndarray, grid: Grid, a, g=None) -> float:
     of its cell, so the energy is sum c D^2 over three edge families (a
     weighted graph Laplacian), with the border terms halved; it holds for
     fields that do not vanish on the border too.  Each family's
-    differences and their squares are written into two buffers allocated
-    once per call (each family uses a contiguous leading part of them):
-    no per-triangle gradient and no per-triangle scatter.  When ``g`` is
-    given, the gradient is added into it, 2 c D onto each edge's head and
+    differences are written into one buffer allocated once per call (each
+    family uses a contiguous leading part of it) and squared there for
+    the sum: no per-triangle gradient and no per-triangle scatter.  When
+    ``g`` is given, the differences are formed again in the buffer and
+    the gradient is added into ``g``, 2 c D onto each edge's head and
     -2 c D onto its tail (halved on the border).  The value does not
     depend on ``g``, so the energy with and without the gradient is the
     same bit for bit.
@@ -170,19 +184,20 @@ def _edge_energy(psi: np.ndarray, grid: Grid, a, g=None) -> float:
     )
     nx, ny = psi.shape
     size = max((nx - 1) * ny, nx * (ny - 1))  # the largest family
-    d_buf, sq_buf = np.empty(size), np.empty(size)
+    buf = np.empty(size)
     val = 0.0
     for c, head, tail, border in families:
         if c == 0.0:
             continue  # a12 = 0: no anti-diagonal term
         shape = psi[head].shape
-        n = shape[0] * shape[1]
-        d = np.subtract(psi[head], psi[tail], out=d_buf[:n].reshape(shape))
-        sq = np.multiply(d, d, out=sq_buf[:n].reshape(shape))
+        d = buf[:shape[0] * shape[1]].reshape(shape)
+        np.subtract(psi[head], psi[tail], out=d)
+        d *= d
         for b in border:
-            sq[b] *= 0.5
-        val += c * float(sq.sum())  # a BLAS dot may vary with its threads
+            d[b] *= 0.5
+        val += c * float(d.sum())  # a BLAS dot may vary with its threads
         if g is not None:
+            np.subtract(psi[head], psi[tail], out=d)
             d *= 2.0 * c
             for b in border:
                 d[b] *= 0.5
@@ -241,7 +256,8 @@ def _grad_energy_with_grad(psi, grid, norm, p, eps):
     w = 0.5 * grid.cell_area
     cx = w / grid.hx
     cy = w / grid.hy
-    # halves one at a time: stacked, oracle-solve RSS rose 269 -> 360 MB
+    # halves one at a time: both at once, the traced peak of a p = 3 lq:4
+    # torsion solve on rect(1,16) at h = 1/64 rose 15.6 -> 18.5 fields
     fpl, ax, ay = _fp_grad(norm, gxl, gyl, p, eps)
     sum_l = fpl.sum()
     del fpl
@@ -265,13 +281,14 @@ def _grad_energy_with_grad(psi, grid, norm, p, eps):
 # -- preconditioner and prolongation -----------------------------------------
 
 
-def _make_precond(grid: Grid, free: np.ndarray):
+def _make_precond(grid: Grid):
     """Inverse of the 5-point Laplacian on the full bounding grid (zero BC).
 
-    Applied through DST-I diagonalization; restricted to the mask on the
-    way out by multiplying with ``free``, the mask as 1.0 / 0.0.  On
-    rectangle-aligned domains this is the exact inverse of the p=2
-    Euclidean Hessian, elsewhere a spectrally equivalent one.  The
+    Applied through DST-I diagonalization, dividing by the eigenvalues
+    lam1[i] + lam2[j] a block of ``rows`` rows at a time (no grid-sized
+    table of them); restricted to the mask on the way out by multiplying
+    with it.  On rectangle-aligned domains this is the exact inverse of
+    the p=2 Euclidean Hessian, elsewhere a spectrally equivalent one.  The
     transforms use one thread per CPU this process may run on, not per
     CPU of the machine (the results do not depend on the count).
     """
@@ -280,17 +297,22 @@ def _make_precond(grid: Grid, free: np.ndarray):
         / (grid.hx * grid.hx)
     lam2 = (2.0 - 2.0 * np.cos(np.pi * np.arange(1, m2 + 1) / (m2 + 1))) \
         / (grid.hy * grid.hy)
-    den = lam1[:, None] + lam2[None, :]
-    inner = free[1:-1, 1:-1]  # the border nodes are never free
+    rows = max(1, 2**14 // m2)  # blocks of about 128 KB
+    inner = grid.mask[1:-1, 1:-1]  # the border nodes are never free
     try:
         workers = len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
         workers = os.cpu_count()
 
     def apply(g: np.ndarray) -> np.ndarray:
-        t = dstn(g[1:-1, 1:-1], type=1, workers=workers)
-        t /= den
+        # z first: the transform's array, a little smaller than a grid
+        # field and freed on return, then lies above z on the heap instead
+        # of leaving a hole below it that no later field fits (this took
+        # ~8 MB off the peak RSS of the h = 1/128 oracle solves)
         z = np.zeros_like(g)
+        t = dstn(g[1:-1, 1:-1], type=1, workers=workers)
+        for i in range(0, m1, rows):
+            t[i:i + rows] /= lam1[i:i + rows, None] + lam2
         np.multiply(idstn(t, type=1, workers=workers, overwrite_x=True), inner,
                     out=z[1:-1, 1:-1])
         return z
@@ -349,7 +371,11 @@ def _bbox_seed(grid: Grid) -> np.ndarray:
 
 
 class _DescentProblem:
-    """Shared state for the monotone preconditioned descent."""
+    """Shared state for the monotone preconditioned descent.
+
+    A subclass's ``prepare(psi)`` turns a fresh start array into the
+    level's first iterate, in place.
+    """
 
     clamp = False
 
@@ -358,9 +384,9 @@ class _DescentProblem:
         self.norm = norm
         self.p = p
         self.eps = eps
-        # the mask as 1.0 / 0.0: multiplying by it zeroes the fixed nodes
-        self.free = grid.mask.astype(float)
-        self.precond = _make_precond(grid, self.free)
+        # multiplying by the bool mask zeroes the fixed nodes, as by 0.0
+        self.free = grid.mask
+        self.precond = _make_precond(grid)
         self.quadratic = _quadratic_form(norm, p, eps) is not None
 
     def feasible(self, out: np.ndarray) -> np.ndarray:
@@ -400,12 +426,13 @@ class _EigenProblem(_DescentProblem):
     clamp = True
 
     def prepare(self, psi):
-        psi = self.feasible(psi.copy())
+        psi = self.feasible(psi)
         d = _mass(psi, self.grid, self.p)
         if d <= 0.0:
             psi = self.feasible(_bbox_seed(self.grid))
             d = _mass(psi, self.grid, self.p)
-        return psi / d ** (1.0 / self.p)
+        psi /= d ** (1.0 / self.p)
+        return psi
 
     def value_grad(self, psi):
         num, gn = _grad_energy_with_grad(psi, self.grid, self.norm, self.p,
@@ -452,7 +479,7 @@ class _EigenProblem(_DescentProblem):
 
 class _TorsionProblem(_DescentProblem):
     def prepare(self, psi):
-        return self.feasible(psi.copy())
+        return self.feasible(psi)
 
     def value_grad(self, psi):
         num, gn = _grad_energy_with_grad(psi, self.grid, self.norm, self.p,
@@ -508,11 +535,23 @@ def _ray_minimizer(a, c, dd, e, a0) -> float | None:
                key=ratio, default=None)
 
 
-def _descend(problem: _DescentProblem, psi0: np.ndarray, tol: float,
-             max_iter: int):
-    """Monotone preconditioned CG descent on one grid.
+def _start_values(start: GridField | None, grid: Grid) -> np.ndarray:
+    """A fresh array of a level's start on ``grid``: zeros without
+    ``start``, else a copy of its values, or their prolongation when they
+    live on the coarser grid."""
+    if start is None:
+        return np.zeros((grid.nx, grid.ny))
+    if start.grid is grid:
+        return start.values.copy()  # the caller's field stays unchanged
+    return _prolong(start.values, start.grid, grid)
 
-    Each iteration steps along the CG direction, restarted as the
+
+def _descend(problem: _DescentProblem, start: GridField | None, tol: float,
+             max_iter: int):
+    """Monotone preconditioned CG descent on one grid, from ``start``.
+
+    ``prepare`` makes the level's fresh start array (``_start_values``)
+    feasible in place.  Each iteration steps along the CG direction, restarted as the
     preconditioned steepest descent -z when its slope is not negative;
     on both paths the step comes from one line search, ``_wolfe_step``,
     and a failed search ends the level on "line_search".  The search
@@ -528,7 +567,7 @@ def _descend(problem: _DescentProblem, psi0: np.ndarray, tol: float,
     module docstring) and ``residual`` is the window decrease for "window"
     and the dual residual for every other stop.
     """
-    psi = problem.prepare(psi0)
+    psi = problem.prepare(_start_values(start, problem.grid))
     f, g = problem.value_grad(psi)
     hist = [f]
     z = problem.precond(g)
@@ -560,10 +599,14 @@ def _descend(problem: _DescentProblem, psi0: np.ndarray, tol: float,
         del found  # else it keeps this g alive through the next step
         hist.append(f)
         zn = problem.precond(g)
-        beta = max(float((g * (zn - z)).sum()) / gz, 0.0)
+        # PR+ beta from (z - zn) g in the old z's storage, and d in place
+        z -= zn
+        z *= g
+        beta = max(-float(z.sum()) / gz, 0.0)
         if not math.isfinite(beta):
             beta = 0.0
-        d = -zn + beta * d
+        d *= beta
+        d -= zn
         z = zn
         gz = float((g * z).sum())
 
@@ -734,7 +777,9 @@ def _coarse_to_fine(problem_cls, poly: ConvexPolygon, norm: MinkowskiNorm,
     """Descend on every grid level from the coarsest, prolonging upwards.
 
     The coarsest level starts from zero, which ``prepare`` turns into a
-    feasible start.  With a finest-level ``start`` (a field on the grid
+    feasible start; every finer level receives the coarser level's result
+    and prolongs it itself, so no prolonged copy outlives its level's
+    start.  With a finest-level ``start`` (a field on the grid
     ``build_grid(poly, h)`` would build) the descent runs on its grid
     alone, from a copy of its values: no coarse grid is built, descended
     or prolonged.  Each level's budget is what the levels before it left
@@ -745,18 +790,14 @@ def _coarse_to_fine(problem_cls, poly: ConvexPolygon, norm: MinkowskiNorm,
     eps = _eps_for(poly, norm, p)
     if start is None:
         grids = _grid_hierarchy(poly, h)
-        psi = np.zeros((grids[-1].nx, grids[-1].ny))
     else:
         grids = [_start_grid(start, poly, h)]
-        psi = start.values  # ``prepare`` copies it
     total_it = 0
-    for lvl in range(len(grids) - 1, -1, -1):
-        grid = grids[lvl]
+    for grid in reversed(grids):
         psi, it, residual, converged, stop = _descend(
-            problem_cls(grid, norm, p, eps), psi, tol, max_iter - total_it)
+            problem_cls(grid, norm, p, eps), start, tol, max_iter - total_it)
         total_it += it
-        if lvl > 0:
-            psi = _prolong(psi, grid, grids[lvl - 1])
+        start = GridField(grid, psi)
     return grids[0], psi, total_it, residual, converged, stop
 
 

@@ -307,8 +307,9 @@ def _make_precond(grid: Grid):
     def apply(g: np.ndarray) -> np.ndarray:
         # z first: the transform's array, a little smaller than a grid
         # field and freed on return, then lies above z on the heap instead
-        # of leaving a hole below it that no later field fits (this took
-        # ~8 MB off the peak RSS of the h = 1/128 oracle solves)
+        # of leaving a hole below it that no later field fits (with glibc
+        # malloc this took ~8 MB off the peak RSS of the h = 1/128 oracle
+        # solves)
         z = np.zeros_like(g)
         t = dstn(g[1:-1, 1:-1], type=1, workers=workers)
         for i in range(0, m1, rows):
@@ -551,14 +552,14 @@ def _descend(problem: _DescentProblem, start: GridField | None, tol: float,
     """Monotone preconditioned CG descent on one grid, from ``start``.
 
     ``prepare`` makes the level's fresh start array (``_start_values``)
-    feasible in place.  Each iteration steps along the CG direction, restarted as the
-    preconditioned steepest descent -z when its slope is not negative;
-    on both paths the step comes from one line search, ``_wolfe_step``,
-    and a failed search ends the level on "line_search".  The search
-    receives the slope of its direction, so the old gradient is freed
-    before any trial point is evaluated; each trial point costs one
-    ``value_grad``, and the accepted one's value and gradient start the
-    next iteration.  No accepted step raises the value by more than
+    feasible in place.  Each iteration steps along the CG direction,
+    restarted as the preconditioned steepest descent -z when its slope
+    is not negative; on both paths the step comes from one line search,
+    ``_wolfe_step``, and a failed search ends the level on "line_search".
+    The search receives the slope of its direction, so the old gradient
+    is freed before any trial point is evaluated; each trial point costs
+    one ``value_grad``, and the accepted one's value and gradient start
+    the next iteration.  No accepted step raises the value by more than
     ``TIE`` |f|, the rounding of the value.
 
     The quadratic path converges on "dual" only, the nonlinear path on a
@@ -778,8 +779,8 @@ def _coarse_to_fine(problem_cls, poly: ConvexPolygon, norm: MinkowskiNorm,
 
     The coarsest level starts from zero, which ``prepare`` turns into a
     feasible start; every finer level receives the coarser level's result
-    and prolongs it itself, so no prolonged copy outlives its level's
-    start.  With a finest-level ``start`` (a field on the grid
+    and prolongs it itself, so the driver holds no prolonged copy while
+    the level descends.  With a finest-level ``start`` (a field on the grid
     ``build_grid(poly, h)`` would build) the descent runs on its grid
     alone, from a copy of its values: no coarse grid is built, descended
     or prolonged.  Each level's budget is what the levels before it left

@@ -1050,7 +1050,7 @@ class TestScalarChecks:
 
     def test_field_csv_peak_memory(self, tmp_path):
         # the export holds one grid column of rows, not the (N, 3) matrix
-        grid = build_grid(HEXAGON, 1.0 / 128.0)
+        grid = build_grid(HEXAGON, 1.0 / 64.0)
         field = GridField(grid, _seeded_field(grid, 6))
         tracemalloc.start()
         try:

@@ -51,35 +51,18 @@ class CoarseGridError(GeometryError):
 
 
 def _dedup_ccw(vertices: np.ndarray, tol: float) -> np.ndarray:
-    """Drop each vertex within ``tol`` (max norm) of the last one kept.
+    """Keep each vertex farther than ``tol`` (max norm) from the last one kept;
+    drop the last one kept if it lies within ``tol`` of the first."""
+    def near(a, b):
+        return max(abs(a[0] - b[0]), abs(a[1] - b[1])) <= tol
 
-    The first vertex is kept, and the last one kept goes too when it lies
-    within ``tol`` of the first.  A vertex whose predecessor was dropped
-    is compared with the last vertex kept, not with its neighbour, so
-    only the vertices from a near-duplicate to the next one kept walk in
-    Python; a polygon with no near-duplicates takes one array pass.
-    """
-    n = len(vertices)
-    far = np.abs(np.diff(vertices, axis=0)).max(axis=1) > tol
-    keep = np.concatenate([[True], far])[:n]  # an empty input keeps nothing
-    nxt = 1  # every vertex before ``nxt`` is decided
-    for s in np.flatnonzero(~far) + 1:
-        if s < nxt:
-            continue
-        last, j = s - 1, s
-        while j < n:
-            keep[j] = bool(np.abs(vertices[j] - vertices[last]).max() > tol)
-            if keep[j]:
-                last = j
-                if j + 1 >= n or far[j]:
-                    break
-            j += 1
-        nxt = j + 1
-    kept = np.flatnonzero(keep)
-    if len(kept) > 1 and np.abs(vertices[kept[0]]
-                                - vertices[kept[-1]]).max() <= tol:
-        kept = kept[:-1]
-    return vertices[kept]
+    kept = []
+    for v in vertices.tolist():  # Python floats: ~7x faster than numpy rows
+        if not kept or not near(v, kept[-1]):
+            kept.append(v)
+    if len(kept) > 1 and near(kept[0], kept[-1]):
+        kept.pop()
+    return np.array(kept).reshape(-1, 2)
 
 
 def _turns(v: np.ndarray) -> np.ndarray:

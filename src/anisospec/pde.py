@@ -46,17 +46,19 @@ next iteration.  Each solve reports which rule stopped it:
   ran out; never converged.  This and "line_search" report the dual
   residual.
 
-Non-differentiability of F at a vanishing gradient is removed by the
-subtracted regularization F_eps = sqrt(F^2 + eps^2) - eps, which keeps
-F_eps(0) = 0; only the descent's kernel ``_grad_energy_with_grad``
-evaluates it, and ``grad_energy`` is the eps = 0 energy that reports
-lambda and T_dual.  Off the quadratic path both work per triangle and
-raise the gauge's ``value_wgrad2`` and ``value2`` to p.  The quadratic
-path needs no regularization (eps = 0); there both call ``_edge_energy``,
-the edge-weight form of P1 stiffness for F^2 = g . A g (A from the
-gauge's ``quadratic_form``), with no per-triangle pass and no call into
-``norms``.  (p, gauge) alone picks the formula.  Grids and their
-free-node masks come from ``geometry``.
+Off the quadratic path the descent minimizes the regularized
+F_eps = sqrt(F^2 + eps^2) - eps, with F_eps(0) = 0.  F^p is differentiable
+for p > 1, but without eps the descent stops further from the minimizer
+where gradients vanish (at p = 1.1, h = diam/64 and lq:2, T 3.1 % low on
+wulff:1,256), while the catalog's lambda, T and Mv move by at most 1.6e-6.
+Only the descent's kernel ``_grad_energy_with_grad`` evaluates F_eps, and
+``grad_energy`` is the eps = 0 energy that reports lambda and T_dual.  Off
+the quadratic path both work per triangle and raise the gauge's
+``value_wgrad2`` and ``value2`` to p.  The quadratic path runs at eps = 0;
+there both call ``_edge_energy``, the edge-weight form of P1 stiffness for
+F^2 = g . A g (A from the gauge's ``quadratic_form``), with no per-triangle
+pass and no call into ``norms``.  (p, gauge) alone picks the formula.
+Grids and their free-node masks come from ``geometry``.
 
 Memory: while a level descends it holds psi, z, d, one trial point and
 its gradient, and the quadratic kernel one buffer (the preconditioner,
@@ -143,13 +145,13 @@ def _mass(psi: np.ndarray, grid: Grid, p: float = 1.0) -> float:
     return float(grid.cell_area * _pow(v, p, out=v).sum())
 
 
-def _quadratic_form(norm: MinkowskiNorm, p: float, eps: float):
-    """The gauge's (a11, a12, a22) where F_eps^p is the quadratic g . A g.
+def _quadratic_form(norm: MinkowskiNorm, p: float):
+    """The gauge's (a11, a12, a22) where F^p is the quadratic g . A g.
 
-    That is p = 2 and eps = 0 with a gauge whose square is quadratic; else
-    None, and the kernels evaluate the general formula.
+    That is p = 2 with a gauge whose square is quadratic; else None, and
+    the kernels evaluate the general formula.
     """
-    return norm.quadratic_form() if p == 2.0 and eps == 0.0 else None
+    return norm.quadratic_form() if p == 2.0 else None
 
 
 def _edge_energy(psi: np.ndarray, grid: Grid, a, g=None) -> float:
@@ -214,22 +216,20 @@ def _fp(norm: MinkowskiNorm, gx, gy, p: float) -> np.ndarray:
 def _fp_grad(norm: MinkowskiNorm, gx, gy, p: float, eps: float):
     """(F_eps^p, c W1, c W2) with c = p F_eps^(p-1) / sqrt(F^2 + eps^2).
 
-    Off the quadratic path only (``_edge_energy`` covers it).  Works in
-    place on the arrays that ``value_wgrad2`` returns, with the operations
-    of the closed form in their order, so the values are those of the
-    out-of-place formula bit for bit.
+    Off the quadratic path only (``_edge_energy`` covers it), where eps > 0
+    and no divisor vanishes.  Works in place on the arrays ``value_wgrad2``
+    returns, with the operations of the closed form in their order, so the
+    values are those of the out-of-place formula bit for bit.
     """
     s, w1, w2 = norm.value_wgrad2(gx, gy)
     s *= s
     r = s + eps * eps
     np.sqrt(r, out=r)
-    # r vanishes only at eps = 0, where F = 0; F_eps and c stay 0 there
-    live = r > 0.0 if eps == 0.0 else True
-    fe = np.divide(s, r + eps, out=s, where=live)
+    fe = np.divide(s, r + eps, out=s)
     fe1 = _pow(fe, p - 1.0)
     fp = fe1 * fe  # one power call; bit-identical to fe * fe at p = 2
     fe1 *= p  # fe is spent; at p = 2 fe1 is fe
-    c = np.divide(fe1, r, out=r, where=live)
+    c = np.divide(fe1, r, out=r)
     w1 *= c
     w2 *= c
     return fp, w1, w2
@@ -238,7 +238,7 @@ def _fp_grad(norm: MinkowskiNorm, gx, gy, p: float, eps: float):
 def grad_energy(psi: np.ndarray, grid: Grid, norm: MinkowskiNorm,
                 p: float) -> float:
     """sum over triangles of area * F(grad psi)^p, the energy at eps = 0."""
-    a = _quadratic_form(norm, p, 0.0)
+    a = _quadratic_form(norm, p)
     if a is not None:
         return _edge_energy(psi, grid, a)
     gxl, gyl, gxu, gyu = _tri_gradients(psi, grid.hx, grid.hy)
@@ -249,7 +249,7 @@ def grad_energy(psi: np.ndarray, grid: Grid, norm: MinkowskiNorm,
 
 def _grad_energy_with_grad(psi, grid, norm, p, eps):
     g = np.zeros_like(psi)
-    a = _quadratic_form(norm, p, eps)
+    a = _quadratic_form(norm, p)
     if a is not None:
         return _edge_energy(psi, grid, a, g), g
     gxl, gyl, gxu, gyu = _tri_gradients(psi, grid.hx, grid.hy)
@@ -388,7 +388,7 @@ class _DescentProblem:
         # multiplying by the bool mask zeroes the fixed nodes, as by 0.0
         self.free = grid.mask
         self.precond = _make_precond(grid)
-        self.quadratic = _quadratic_form(norm, p, eps) is not None
+        self.quadratic = _quadratic_form(norm, p) is not None
 
     def feasible(self, out: np.ndarray) -> np.ndarray:
         """Clamp (eigen problem) and zero the fixed nodes of ``out`` in place."""
@@ -754,7 +754,7 @@ def check_p_tol(p: float, tol: float) -> None:
 
 
 def _eps_for(poly: ConvexPolygon, norm: MinkowskiNorm, p: float) -> float:
-    if _quadratic_form(norm, p, 0.0) is not None:
+    if _quadratic_form(norm, p) is not None:
         return 0.0  # the energy is already smooth (quadratic)
     return EPS_FACTOR * poly.diameter
 

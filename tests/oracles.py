@@ -13,8 +13,10 @@
   bracketed root of the hull erosion's area, against the erosion
   skeleton behind ``ConvexPolygon.inradius_F``, ``erode`` and
   ``cheeger_estimate``.
-* ``dedup_ccw_loop``: the vertex-by-vertex near-duplicate filter, against
-  ``geometry._dedup_ccw``.
+* ``radial_eigenvalue`` and ``wulff_torsion``: the exact first eigenvalue
+  and torsion of a Wulff shape, for every gauge, by shooting the radial
+  p-Laplacian ODE and by the torsion's closed form, against
+  ``pde.solve_eigen`` and ``pde.solve_torsion``.
 * ``edge_energy_per_family``: the quadratic path's edge kernel with a
   fresh difference array and its square per edge family, against
   ``pde._edge_energy``, which writes them into two reused buffers.
@@ -23,7 +25,7 @@
 import itertools
 
 import numpy as np
-from scipy.integrate import quad
+from scipy.integrate import quad, solve_ivp
 from scipy.ndimage import map_coordinates
 from scipy.optimize import brentq, linprog
 from scipy.spatial import ConvexHull
@@ -157,16 +159,44 @@ def cheeger_radius_brentq(poly: ConvexPolygon, norm: MinkowskiNorm) -> float:
     return brentq(gap, 0.0, r_f, xtol=1e-15 * r_f)
 
 
-def dedup_ccw_loop(vertices: np.ndarray, tol: float) -> np.ndarray:
-    """Keep each vertex farther than ``tol`` (max norm) from the last kept;
-    drop the last kept one if it is within ``tol`` of the first."""
-    keep = [vertices[0]]
-    for v in vertices[1:]:
-        if np.max(np.abs(v - keep[-1])) > tol:
-            keep.append(v)
-    if len(keep) > 1 and np.max(np.abs(keep[0] - keep[-1])) <= tol:
-        keep.pop()
-    return np.asarray(keep)
+def radial_eigenvalue(p: float) -> float:
+    """lambda_p(B_1), the first Dirichlet eigenvalue of the p-Laplacian on
+    the unit disk (N = 2); lambda_F(p, W_R) = lambda_p(B_1) R^(-p) on the
+    Wulff shape W_R = {F° < R} of every gauge F (Belloni, Ferone & Kawohl,
+    ZAMP 54, 2003).
+
+    Shoots (r |phi'|^(p-2) phi')' = -lambda r phi^(p-1) with lambda = 1 in
+    phi and w = |phi'|^(p-2) phi' (DOP853, rtol 1e-12) from the series
+    start phi ~ 1 - (r/2)^(p'-1) r / p', w ~ -r/2 at r0 = 1e-6 to phi's
+    first zero z.  The equation is homogeneous: phi(z r) solves it with
+    lambda = z^p and vanishes at r = 1, so no search over lambda is needed.
+    """
+    q = 1.0 / (p - 1.0)  # phi' = sign(w) |w|^q; p' = q + 1
+
+    def rhs(r, y):
+        phi, w = y
+        return [np.sign(w) * abs(w) ** q,
+                -np.sign(phi) * abs(phi) ** (p - 1.0) - w / r]
+
+    def zero(r, y):
+        return y[0]
+
+    zero.terminal = True
+    zero.direction = -1
+    r0 = 1e-6
+    start = [1.0 - 0.5 ** q * r0 ** (q + 1.0) / (q + 1.0), -0.5 * r0]
+    sol = solve_ivp(rhs, (r0, 10.0), start, method="DOP853", rtol=1e-12,
+                    atol=1e-14, events=zero)
+    return float(sol.t_events[0][0]) ** p
+
+
+def wulff_torsion(p: float, R: float, kappa: float) -> tuple[float, float]:
+    """(Mv, T) of the torsion (R^p' - F°(x)^p') / (p' N^(p'-1)) on W_R,
+    N = 2, p' = p/(p-1), with kappa the area of W_1."""
+    n = 2.0
+    q = p / (p - 1.0)
+    mv = R ** q / (q * n ** (q - 1.0))
+    return mv, kappa * R ** (n + q) / ((n + q) * n ** (q - 1.0))
 
 
 def edge_energy_per_family(psi: np.ndarray, grid, a, g=None) -> float:

@@ -17,7 +17,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.spatial import ConvexHull, QhullError
 
@@ -27,9 +27,8 @@ from anisospec.geometry import (CoarseGridError, ConvexPolygon, GeometryError,
                                 wulff_domain)
 from anisospec.norms import MinkowskiNorm
 from anisospec.pde import _grid_hierarchy, build_grid
-from oracles import (cheeger_radius_brentq, dedup_ccw_loop,
-                     distance_to_boundary_F, edge_lines, erode_hull,
-                     inradius_linprog, shoelace)
+from oracles import (cheeger_radius_brentq, distance_to_boundary_F,
+                     edge_lines, erode_hull, inradius_linprog, shoelace)
 
 coord = st.floats(-1.0, 1.0, allow_nan=False)
 
@@ -229,9 +228,40 @@ def vertex_chains(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(vertex_chains())
+# the closing drop leaves a last vertex within tol of the first: one drop only
+@example(np.array([[0.0, 8.4e-4], [0.0, 1.0], [0.0, 0.0], [0.0, 1.14e-3]]))
 def test_dedup_is_the_loop(vertices):
-    assert np.array_equal(_dedup_ccw(vertices, 1e-3),
-                          dedup_ccw_loop(vertices, 1e-3))
+    # the definition: a subsequence from v[0] whose neighbours lie farther
+    # than tol apart, and every dropped vertex within tol of the last one
+    # kept before it; the exception, the closing drop, is kept by the walk
+    # and dropped for lying within tol of v[0] (the vertices after it lie
+    # within tol of it).  Without it the first and last kept lie farther
+    # than tol apart too
+    tol = 1e-3
+
+    def dist(a, b):
+        return np.abs(a - b).max()
+
+    out = _dedup_ccw(vertices, tol)
+    kept, i = [], 0
+    for v in out:  # the index of each kept vertex, matched in order
+        while not np.array_equal(vertices[i], v):
+            i += 1
+        kept.append(i)
+        i += 1
+    assert kept[0] == 0
+    for a, b in zip(kept, kept[1:]):
+        assert dist(vertices[a], vertices[b]) > tol
+    anchor, closing = 0, None  # the last vertex the walk kept before j
+    for j in range(1, len(vertices)):
+        if j in kept:
+            anchor = j
+        elif dist(vertices[j], vertices[anchor]) > tol:
+            assert closing is None and j > kept[-1]
+            assert dist(vertices[j], vertices[0]) <= tol
+            closing = anchor = j
+    if len(kept) > 1 and closing is None:
+        assert dist(out[0], out[-1]) > tol
 
 
 @settings(max_examples=40, deadline=None)

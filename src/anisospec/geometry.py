@@ -52,7 +52,7 @@ class CoarseGridError(GeometryError):
 
 def _dedup_ccw(vertices: np.ndarray, tol: float) -> np.ndarray:
     """Keep each vertex farther than ``tol`` (max norm) from the last one kept;
-    drop the last one kept if it lies within ``tol`` of the first."""
+    then drop the last one kept while it lies within ``tol`` of the first."""
     def near(a, b):
         return max(abs(a[0] - b[0]), abs(a[1] - b[1])) <= tol
 
@@ -60,7 +60,7 @@ def _dedup_ccw(vertices: np.ndarray, tol: float) -> np.ndarray:
     for v in vertices.tolist():  # Python floats: ~7x faster than numpy rows
         if not kept or not near(v, kept[-1]):
             kept.append(v)
-    if len(kept) > 1 and near(kept[0], kept[-1]):
+    while len(kept) > 1 and near(kept[0], kept[-1]):
         kept.pop()
     return np.array(kept).reshape(-1, 2)
 

@@ -11,15 +11,19 @@ Both families admit closed forms for the polar gauge (dual exponent,
 inverse matrix) and the area of the unit polar ball (the Wulff shape),
 so no numeric sup/inversion sits on the solver hot path.  Each gauge has
 one evaluation formula, ``value2`` on the x/y parts, and one gradient
-formula, ``value_wgrad2``, which returns F and W = F grad F (grad F =
+formula, ``value_wgrad2``, which returns F^2 and W = F grad F (grad F =
 W / F away from the origin); calling the gauge on (..., 2) points
-evaluates ``value2``.  The lq formula is written once, in place
-(``_lq``): ``value2`` returns its F and the gradient reuses its terms,
-so there is one value formula per family.  ``quadratic_form`` returns
-the matrix A with F^2 = xi . A xi for the gauges whose square is
-quadratic (every ellipse, and lq:2 with A the identity) and None for the
-others; the solver's p = 2 kernel evaluates F^2 and F grad F = A xi from
-it directly, without ``value2`` or ``value_wgrad2``.  The sup-based
+evaluates ``value2``.  ``quadratic_form`` returns the matrix A with
+F^2 = xi . A xi for the gauges whose square is quadratic (every ellipse,
+and lq:2 with A the identity) and None for the others.  For those,
+``value_wgrad2`` gives W = A xi and F^2 = xi . W, with no square root
+and no rounding pinned to lq:2's value formula; the solver's p = 2
+kernel reads A directly, without ``value2`` or ``value_wgrad2``, and its
+preconditioner's symbol a11 lam1 + a22 lam2 takes A's diagonal at every
+p.  The lq formula is written once, in place (``_lq``): ``value2``
+returns its F, and ``value_wgrad2`` reuses its terms and returns F * F,
+so there is one value formula per family; its powers of the smaller
+ratio skip exact zeros, which NumPy's power is slow on.  The sup-based
 polar is kept in the test suite as an independent oracle.
 
 The module also provides ``pi_p``, the generalized pi governing the
@@ -130,43 +134,50 @@ class MinkowskiNorm:
         return self._lq(gx, gy)[0]
 
     def value_wgrad2(self, gx, gy) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Return (F, W1, W2) with W = F * grad F = grad(F^2)/2, finite at 0.
+        """Return (F^2, W1, W2) with W = F * grad F = grad(F^2)/2, finite at 0.
 
-        F is bitwise the value of ``value2``.  For lq with q != 2, W reuses
-        the terms of ``_lq``: W is F u / big on the larger component and
-        that times r^(q-1) on the smaller, each signed like its component
-        of g.  At q = 2, W is (g / F) F, not g: lq:2 at p != 2 (the
-        solver's nonlinear path) is pinned to that rounding.  The p = 2
-        solver kernel does not call this for a quadratic gauge; it reads
-        ``quadratic_form`` instead.
+        A quadratic gauge (``quadratic_form``) gives W = A g and F^2 = g . W,
+        with no square root; the a12 terms are skipped when a12 = 0.  For lq
+        with q != 2, W reuses the terms of ``_lq``: W is F u / big on the
+        larger component and that times r^(q-1) on the smaller, each signed
+        like its component of g, and F^2 is F * F with F bitwise the value
+        of ``value2``.  The p = 2 solver kernel does not call this for a
+        quadratic gauge; it reads ``quadratic_form`` instead.
         """
-        if self.family == "ellipse":
-            a = self.A
-            f = self.value2(gx, gy)
-            return f, a[0, 0] * gx + a[0, 1] * gy, a[0, 1] * gx + a[1, 1] * gy
-        if self.q == 2.0:
-            f = self.value2(gx, gy)
-            safe = np.where(f > 0.0, f, 1.0)  # g = 0 where F = 0
-            return f, gx / safe * f, gy / safe * f
-        f, r, big, u, y_larger = self._lq(gx, gy)
+        a = self.quadratic_form()
+        if a is not None:
+            a11, a12, a22 = a
+            w1 = a11 * gx
+            w2 = a22 * gy
+            if a12 != 0.0:
+                w1 += a12 * gy
+                w2 += a12 * gx
+            f2 = gx * w1
+            f2 += gy * w2
+            return f2, w1, w2
+        f, r, big, u, y_larger, live = self._lq(gx, gy)
         w_max = u  # the larger component's W, F u / big
         w_max *= f
         w_max /= big
-        w_min = np.power(r, self.q - 1.0, out=r)
+        w_min = np.power(r, self.q - 1.0, out=r, where=live)
         w_min *= w_max
         w1 = np.where(y_larger, w_min, w_max)
         w2 = np.where(y_larger, w_max, w_min)
         np.copysign(w1, gx, out=w1)
         np.copysign(w2, gy, out=w2)
+        f *= f
         return f, w1, w2
 
     def _lq(self, gx, gy):
-        """The lq formula, in place: (F, r, big, u, y_larger).
+        """The lq formula, in place: (F, r, big, u, y_larger, live).
 
         With m = max(|gx|, |gy|), r = min / m (0 at g = 0), big = 1 + r^q
         and u = big^(1/q), F = m u: the larger of |gx| / m, |gy| / m is
         exactly 1, and so is its q-th power.  ``y_larger`` flags
-        |gx| < |gy|.  Four new float arrays, even for 0-d input.
+        |gx| < |gy|, and ``live`` flags r > 0: the division and the powers
+        of r skip r = 0 (axis-aligned g, and g = 0 outside a domain's
+        mask), where NumPy's power takes about 4x as long as on a positive
+        element.  Four new float arrays, even for 0-d input.
         """
         q = self.q
         shape = np.broadcast(gx, gy).shape
@@ -175,14 +186,14 @@ class MinkowskiNorm:
         y_larger = ax < ay
         f = np.maximum(ax, ay, out=np.empty(shape))
         r = np.minimum(ax, ay, out=ax)
-        with np.errstate(invalid="ignore"):
-            r /= f
-        np.fmax(r, 0.0, out=r)  # 0/0 at g = 0
-        big = np.power(r, q, out=ay)
+        live = r > 0.0
+        np.divide(r, f, out=r, where=live)
+        ay.fill(0.0)  # r^q where the power skips r = 0
+        big = np.power(r, q, out=ay, where=live)
         big += 1.0
         u = np.power(big, 1.0 / q, out=np.empty(shape))
         f *= u
-        return f, r, big, u, y_larger
+        return f, r, big, u, y_larger, live
 
     # -- derived quantities --------------------------------------------------
 
@@ -190,11 +201,12 @@ class MinkowskiNorm:
         """(a11, a12, a22) with F(xi)^2 = xi . A xi, or None.
 
         A is the ellipse's matrix, and the identity for lq:2; no other lq
-        gauge has a quadratic square, so it returns None.  The solver's
-        quadratic path (p = 2) is decided by this alone: there the energy
-        is a sum over the grid's x-, y- and anti-diagonal edges of squared
-        differences, with weights a11 hy/hx + a12, a22 hx/hy + a12 and
-        -a12 built from these entries.
+        gauge has a quadratic square, so it returns None.  At every p,
+        ``value_wgrad2`` and the solver's preconditioner read it.  The
+        solver's quadratic path (p = 2) is decided by this alone: there
+        the energy is a sum over the grid's x-, y- and anti-diagonal edges
+        of squared differences, with weights a11 hy/hx + a12,
+        a22 hx/hy + a12 and -a12 built from these entries.
         """
         if self.family == "ellipse":
             a = self.A

@@ -13,8 +13,10 @@ accuracy and, unlike nodal central differences, leaves no oscillating
 null field that would let the quotient collapse.
 
 Minimization is a monotone projected descent on the quotient: nonlinear
-conjugate-gradient directions preconditioned by the inverse grid
-Laplacian of the bounding box (applied by fast sine transforms),
+conjugate-gradient directions preconditioned by the inverse of the
+operator's principal part on the bounding box's grid (applied by fast
+sine transforms; its symbol is a11 lam1 + a22 lam2, with A's diagonal
+for a gauge with a ``quadratic_form`` and 1, 1 without one),
 nonnegativity clamping for eigenfields, and coarse-to-fine seeding
 across a grid hierarchy.  One restart rule keeps every direction a
 descent one: a CG direction whose slope is not negative is replaced by
@@ -36,8 +38,8 @@ next iteration.  Each solve reports which rule stopped it:
 * ``"dual"`` - the quadratic path's rule: the preconditioned dual
   residual (the iterate's relative energy-norm error) is below ``tol``;
 * ``"window"`` - the nonlinear path's rule, checked once 25 iterations
-  have run (the Laplacian preconditioner does not match its Hessian in
-  scale): the relative value decrease over the last 25 is below ``tol``;
+  have run (the DST preconditioner does not match the p != 2 Hessian):
+  the relative value decrease over the last 25 is below ``tol``;
 * ``"line_search"`` - the line search finds no step along the
   iteration's direction that decreases the value; converged only when
   the dual residual is below sqrt(tol), i.e. when the value gap the
@@ -53,11 +55,13 @@ where gradients vanish (at p = 1.1, h = diam/64 and lq:2, T 3.1 % low on
 wulff:1,256), while the catalog's lambda, T and Mv move by at most 1.6e-6.
 Only the descent's kernel ``_grad_energy_with_grad`` evaluates F_eps, and
 ``grad_energy`` is the eps = 0 energy that reports lambda and T_dual.  Off
-the quadratic path both work per triangle and raise the gauge's
-``value_wgrad2`` and ``value2`` to p.  The quadratic path runs at eps = 0;
-there both call ``_edge_energy``, the edge-weight form of P1 stiffness for
-F^2 = g . A g (A from the gauge's ``quadratic_form``), with no per-triangle
-pass and no call into ``norms``.  (p, gauge) alone picks the formula.
+the quadratic path both work per triangle: the kernel takes F^2 from the
+gauge's ``value_wgrad2`` as it comes (g . A g for a quadratic gauge, with
+no square root), and ``grad_energy`` raises ``value2`` to p.  The
+quadratic path runs at eps = 0; there both call ``_edge_energy``, the
+edge-weight form of P1 stiffness for F^2 = g . A g (A from the gauge's
+``quadratic_form``), with no per-triangle pass and no call into
+``norms``.  (p, gauge) alone picks the formula.
 Grids and their free-node masks come from ``geometry``.
 
 Memory: while a level descends it holds psi, z, d, one trial point and
@@ -218,11 +222,11 @@ def _fp_grad(norm: MinkowskiNorm, gx, gy, p: float, eps: float):
 
     Off the quadratic path only (``_edge_energy`` covers it), where eps > 0
     and no divisor vanishes.  Works in place on the arrays ``value_wgrad2``
-    returns, with the operations of the closed form in their order, so the
-    values are those of the out-of-place formula bit for bit.
+    returns (F^2, taken as it comes, and W), with the operations of the
+    closed form in their order, so the values are those of the
+    out-of-place formula bit for bit.
     """
     s, w1, w2 = norm.value_wgrad2(gx, gy)
-    s *= s
     r = s + eps * eps
     np.sqrt(r, out=r)
     fe = np.divide(s, r + eps, out=s)
@@ -281,22 +285,27 @@ def _grad_energy_with_grad(psi, grid, norm, p, eps):
 # -- preconditioner and prolongation -----------------------------------------
 
 
-def _make_precond(grid: Grid):
-    """Inverse of the 5-point Laplacian on the full bounding grid (zero BC).
+def _make_precond(grid: Grid, norm: MinkowskiNorm):
+    """Inverse of the 5-point operator -(a11 d_xx + a22 d_yy) on the full
+    bounding grid (zero BC), the principal part of the gauge's operator.
 
-    Applied through DST-I diagonalization, dividing by the eigenvalues
-    lam1[i] + lam2[j] a block of ``rows`` rows at a time (no grid-sized
-    table of them); restricted to the mask on the way out by multiplying
-    with it.  On rectangle-aligned domains this is the exact inverse of
-    the p=2 Euclidean Hessian, elsewhere a spectrally equivalent one.  The
-    transforms use one thread per CPU this process may run on, not per
-    CPU of the machine (the results do not depend on the count).
+    (a11, a22) is the diagonal of the gauge's ``quadratic_form`` at every
+    p, and (1, 1), the Laplacian, for a gauge without one.  Applied
+    through DST-I diagonalization, dividing by the symbol a11 lam1[i] +
+    a22 lam2[j] a block of ``rows`` rows at a time (no grid-sized table of
+    it); restricted to the mask on the way out by multiplying with it.  On
+    rectangle-aligned domains with a12 = 0 this inverts the p = 2 energy's
+    Hessian exactly, up to the factor 2 cell_area; elsewhere it is
+    spectrally equivalent to it.  The transforms use one thread per CPU
+    this process may run on, not per CPU of the machine (the results do
+    not depend on the count).
     """
+    a11, _, a22 = norm.quadratic_form() or (1.0, 0.0, 1.0)
     m1, m2 = grid.nx - 2, grid.ny - 2
-    lam1 = (2.0 - 2.0 * np.cos(np.pi * np.arange(1, m1 + 1) / (m1 + 1))) \
-        / (grid.hx * grid.hx)
-    lam2 = (2.0 - 2.0 * np.cos(np.pi * np.arange(1, m2 + 1) / (m2 + 1))) \
-        / (grid.hy * grid.hy)
+    lam1 = a11 * (2.0 - 2.0 * np.cos(np.pi * np.arange(1, m1 + 1)
+                                     / (m1 + 1))) / (grid.hx * grid.hx)
+    lam2 = a22 * (2.0 - 2.0 * np.cos(np.pi * np.arange(1, m2 + 1)
+                                     / (m2 + 1))) / (grid.hy * grid.hy)
     rows = max(1, 2**14 // m2)  # blocks of about 128 KB
     inner = grid.mask[1:-1, 1:-1]  # the border nodes are never free
     try:
@@ -387,7 +396,7 @@ class _DescentProblem:
         self.eps = eps
         # multiplying by the bool mask zeroes the fixed nodes, as by 0.0
         self.free = grid.mask
-        self.precond = _make_precond(grid)
+        self.precond = _make_precond(grid, norm)
         self.quadratic = _quadratic_form(norm, p) is not None
 
     def feasible(self, out: np.ndarray) -> np.ndarray:

@@ -228,14 +228,15 @@ def vertex_chains(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(vertex_chains())
-# the closing drop leaves a last vertex within tol of the first: one drop only
+# two closing drops: the last vertex the walk keeps, then the one before
+# it, lie within tol of the first
 @example(np.array([[0.0, 8.4e-4], [0.0, 1.0], [0.0, 0.0], [0.0, 1.14e-3]]))
 def test_dedup_is_the_loop(vertices):
     # the definition: a subsequence from v[0] whose neighbours lie farther
     # than tol apart, and every dropped vertex within tol of the last one
-    # kept before it; the exception, the closing drop, is kept by the walk
-    # and dropped for lying within tol of v[0] (the vertices after it lie
-    # within tol of it).  Without it the first and last kept lie farther
+    # kept before it; the exceptions, the closing drops, are kept by the
+    # walk and dropped for lying within tol of v[0] (the vertices after
+    # each lie within tol of it).  The first and last kept lie farther
     # than tol apart too
     tol = 1e-3
 
@@ -252,15 +253,15 @@ def test_dedup_is_the_loop(vertices):
     assert kept[0] == 0
     for a, b in zip(kept, kept[1:]):
         assert dist(vertices[a], vertices[b]) > tol
-    anchor, closing = 0, None  # the last vertex the walk kept before j
+    anchor = 0  # the last vertex the walk kept before j
     for j in range(1, len(vertices)):
         if j in kept:
             anchor = j
         elif dist(vertices[j], vertices[anchor]) > tol:
-            assert closing is None and j > kept[-1]
+            assert j > kept[-1]
             assert dist(vertices[j], vertices[0]) <= tol
-            closing = anchor = j
-    if len(kept) > 1 and closing is None:
+            anchor = j
+    if len(kept) > 1:
         assert dist(out[0], out[-1]) > tol
 
 

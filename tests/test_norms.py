@@ -21,10 +21,28 @@ FAMILIES = [LQ2, LQ4, MinkowskiNorm.lq(1.5), ELL, MinkowskiNorm.ellipse(2, 0.5, 
 
 
 def grad(norm, xi):
-    """grad F = W / F, from the solver kernel ``value_wgrad2``."""
+    """grad F = W / F from the solver kernel ``value_wgrad2``, F = sqrt F^2."""
     xi = np.asarray(xi, float)
-    f, w1, w2 = norm.value_wgrad2(xi[..., 0], xi[..., 1])
-    return np.stack([w1, w2], axis=-1) / np.asarray(f)[..., None]
+    f2, w1, w2 = norm.value_wgrad2(xi[..., 0], xi[..., 1])
+    return np.stack([w1, w2], axis=-1) / np.sqrt(f2)[..., None]
+
+
+def lq_wgrad2_every_power(q, gx, gy):
+    """The lq (F^2, W1, W2) out of place, with every power of r taken,
+    zeros included: the reference for ``_lq``'s skip of r = 0."""
+    ax, ay = np.abs(gx), np.abs(gy)
+    y_larger = ax < ay
+    m = np.maximum(ax, ay)
+    with np.errstate(invalid="ignore"):
+        r = np.fmax(np.minimum(ax, ay) / m, 0.0)
+    big = np.power(r, q) + 1.0
+    u = np.power(big, 1.0 / q)
+    f = m * u
+    w_max = u * f / big
+    w_min = np.power(r, q - 1.0) * w_max
+    w1 = np.copysign(np.where(y_larger, w_min, w_max), gx)
+    w2 = np.copysign(np.where(y_larger, w_max, w_min), gy)
+    return f * f, w1, w2
 
 
 def polar_sup_oracle(norm, eta, n=20000):
@@ -169,13 +187,50 @@ class TestGrad:
         inputs += [(np.asarray(a), np.asarray(b))
                    for a, b in zip(x[-8:], y[-8:])]
         for gx, gy in inputs:
-            f, w1, w2 = norm.value_wgrad2(gx, gy)
-            assert np.shape(f) == np.shape(w1) == np.shape(w2) == np.shape(gx)
+            f2, w1, w2 = norm.value_wgrad2(gx, gy)
+            assert np.shape(f2) == np.shape(w1) == np.shape(w2) \
+                == np.shape(gx)
             value = np.asarray(norm.value2(gx, gy))
-            assert np.array_equal(np.asarray(f).view(np.int64),
-                                  value.view(np.int64))
+            assert np.array_equal(np.asarray(f2).view(np.int64),
+                                  (value * value).view(np.int64))
+            f = np.sqrt(f2)
             for got, want in zip((w1, w2), reference(gx, gy)):
                 assert np.all(np.abs(got - want) <= 1e-14 * f)
+
+    @pytest.mark.parametrize("q", [1.01, 1.5, 3.0, 4.0, 8.0])
+    def test_lq_wgrad_bitwise_at_zeros(self, q):
+        # the powers of r skip r = 0 and change no bit: at g = 0 (either
+        # sign of zero), on the axes and off them
+        rng = np.random.default_rng(int(100 * q) + 7)
+        v = rng.normal(size=400) * 10.0 ** rng.uniform(-8, 8, 400)
+        zeros = np.array([0.0, -0.0] * 200)
+        x = np.concatenate([zeros, zeros, v, v[::-1], [0.0, -0.0, 0.0, -0.0]])
+        y = np.concatenate([v, zeros[::-1], zeros, v, [0.0, 0.0, -0.0, -0.0]])
+        norm = MinkowskiNorm.lq(q)
+        inputs = [(x, y), (x.reshape(-1, 4), y.reshape(-1, 4))]
+        inputs += [(np.asarray(a), np.asarray(b)) for a, b in zip(x[::50],
+                                                                   y[::50])]
+        for gx, gy in inputs:
+            got = norm.value_wgrad2(gx, gy)
+            for a, b in zip(got, lq_wgrad2_every_power(q, gx, gy)):
+                assert np.array_equal(np.asarray(a).view(np.int64),
+                                      np.asarray(b).view(np.int64))
+
+    @pytest.mark.parametrize("norm", [LQ2, ELL,
+                                      MinkowskiNorm.ellipse(2, 0.5, 1)],
+                             ids=["lq2", "ellipse-4-0-1", "ellipse-2-0.5-1"])
+    def test_quadratic_square_is_value_squared(self, norm):
+        # a quadratic gauge's F^2 = g . A g, with no square root, lies
+        # within 4 ulp (4 eps, relative) of value2's F squared
+        rng = np.random.default_rng(17)
+        x = rng.normal(size=20000) * 10.0 ** rng.uniform(-8, 8, 20000)
+        y = rng.normal(size=20000) * 10.0 ** rng.uniform(-8, 8, 20000)
+        t = rng.normal(size=2000)
+        x = np.concatenate([x, t, t, np.zeros(100), rng.normal(size=100)])
+        y = np.concatenate([y, t, -t, rng.normal(size=100), np.zeros(100)])
+        f2 = norm.value_wgrad2(x, y)[0]
+        want = norm.value2(x, y) ** 2
+        assert np.all(np.abs(f2 - want) <= 4.0 * np.finfo(float).eps * want)
 
     @given(st.floats(-10, 10), st.floats(-10, 10))
     @settings(max_examples=40, deadline=None)

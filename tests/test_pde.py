@@ -54,11 +54,12 @@ SQUARE_T = square_torsion_integral()         # 0.562282...
 
 
 # -- reference energy-gradient kernels ----------------------------------------
-# The energy-gradient kernel written out of place, with the two-power lq
-# gradient sign(g) (|g| / F)^(q-1) F.  Off the quadratic path (p != 2) the
-# quadratic-gauge reports are pinned to its arithmetic: the solver's kernel
-# must reproduce it bit for bit there.  On the quadratic path (p = 2) the pin
-# is the edge form of g . A g written out of place.
+# The energy-gradient kernel written out of place.  Off the quadratic path
+# (p != 2) a quadratic gauge's F^2 and W are A g, then g . W; an lq gauge's
+# W is the two-power gradient sign(g) (|g| / F)^(q-1) F.  The solver's
+# kernel must reproduce the quadratic gauges' arithmetic bit for bit there.
+# On the quadratic path (p = 2) the pin is the edge form of g . A g written
+# out of place.
 
 
 def _ref_pow(x, p):
@@ -70,21 +71,23 @@ def _ref_pow(x, p):
 
 
 def _ref_value_wgrad2(norm, gx, gy):
+    a = norm.quadratic_form()
+    if a is not None:
+        a11, a12, a22 = a
+        w1 = a11 * gx + a12 * gy
+        w2 = a12 * gx + a22 * gy
+        return gx * w1 + gy * w2, w1, w2
     f = norm.value2(gx, gy)
-    if norm.family == "ellipse":
-        a = norm.A
-        return f, a[0, 0] * gx + a[0, 1] * gy, a[0, 1] * gx + a[1, 1] * gy
     q = norm.q
     with np.errstate(invalid="ignore", divide="ignore"):
         w1 = np.sign(gx) * np.power(np.abs(gx) / f, q - 1.0) * f
         w2 = np.sign(gy) * np.power(np.abs(gy) / f, q - 1.0) * f
     zero = f == 0.0
-    return f, np.where(zero, 0.0, w1), np.where(zero, 0.0, w2)
+    return f * f, np.where(zero, 0.0, w1), np.where(zero, 0.0, w2)
 
 
 def _ref_fp_grad(norm, gx, gy, p, eps):
-    f, w1, w2 = _ref_value_wgrad2(norm, gx, gy)
-    s = f * f
+    s, w1, w2 = _ref_value_wgrad2(norm, gx, gy)
     r = np.sqrt(s + eps * eps)
     fe = np.divide(s, r + eps, out=np.zeros_like(s), where=(r + eps) > 0.0)
     fe1 = _ref_pow(fe, p - 1.0)
@@ -331,8 +334,9 @@ class TestDescentCost:
             assert calls["value2"] > 0 and calls["value_wgrad2"] > 0, calls
 
     @pytest.mark.parametrize("norm,p,bound", [(LQ2, 2.0, 7.5),
-                                              (LQ4, 3.0, 16.5)],
-                             ids=["lq2-p2", "lq4-p3"])
+                                              (LQ4, 3.0, 16.5),
+                                              (ELL, 3.0, 15.5)],
+                             ids=["lq2-p2", "lq4-p3", "ellipse-4-0-1-p3"])
     @pytest.mark.parametrize("solve", [solve_eigen, solve_torsion],
                              ids=["eigen", "torsion"])
     def test_solve_peak_memory(self, norm, p, bound, solve):
@@ -361,6 +365,28 @@ class TestDescentCost:
         finally:
             tracemalloc.stop()
         assert peak <= 6.5, peak
+
+
+class TestPreconditioner:
+    def test_scaled_symbol_inverts_the_stiffness(self):
+        # on a rectangle with a12 = 0 the DST operator with symbol
+        # a11 lam1 + a22 lam2 is the p = 2 edge energy's Hessian over
+        # 2 cell_area: it maps the energy gradient of v back to 2 w v
+        grid = build_grid(SQUARE, 1.0 / 32.0)
+        assert grid.mask[1:-1, 1:-1].all()
+        rng = np.random.default_rng(23)
+        v = np.where(grid.mask, rng.standard_normal(grid.mask.shape), 0.0)
+        g = np.zeros_like(v)
+        _edge_energy(v, grid, ELL.quadratic_form(), g)
+        z = pde._make_precond(grid, ELL)(g)
+        err = np.abs(z / (2.0 * grid.cell_area) - v).max()
+        assert err <= 1e-12 * np.abs(v).max(), err
+
+    def test_scaled_symbol_solves_the_rectangle_at_once(self):
+        # rect:1,1 ellipse:4,0,1 at p = 2: at most one iteration on each
+        # of the two levels (28 with the Laplacian's symbol)
+        res = solve_torsion(SQUARE, ELL, 2.0, 1.0 / 32.0)
+        assert res.iterations <= 2, res.iterations
 
 
 class TestGrid:

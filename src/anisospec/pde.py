@@ -65,12 +65,20 @@ edge-weight form of P1 stiffness for F^2 = g . A g (A from the gauge's
 Grids and their free-node masks come from ``geometry``.
 
 Memory: while a level descends it holds psi, z, d, one trial point and
-its gradient, and the quadratic kernel one buffer (the preconditioner,
-the transform and the new z in their place), besides the grid masks and
-the coarser level's result, which the level prolongs itself.  The mask
-is kept as bools, the sine-transform divisor is formed a block of rows
-at a time, and the CG update works in the old z's storage and in d, so
-the quadratic path peaks at about six grid-sized arrays.
+its gradient (while the preconditioner runs, the new z in place of the
+trial point), besides the grid masks and the coarser level's result,
+which the level prolongs itself: five grid-sized arrays on the
+quadratic path.  Anything else a level forms is either grid-sized only
+while no trial gradient exists (the edge kernel's value buffer, the
+masked copies of the ray curvatures, the eigen denominator and the
+torsion load) or formed a block of rows at a time (the edge kernel's
+gradient, the eigen denominator's gradient, the sine-transform
+divisor).  Inner products are ``_dot``, which forms no full-size
+product; the sine transforms run in place in the new z; the CG update
+works in the old z's storage and in d; and the line search keeps only
+the step and value of its best trial.  Off the quadratic path the
+kernel also holds the two arrays of grid differences and one half's
+F_eps^p, and forms the rest in blocks of at most ``BLOCK`` triangles.
 """
 
 from __future__ import annotations
@@ -94,6 +102,7 @@ WOLFE_C2 = 0.3  # accepted |slope| as a share of the initial one
 MAX_TRIALS = 60  # trial points per direction of the Wolfe line search
 _EPS = float(np.finfo(float).eps)
 TIE = 4.0 * _EPS  # relative rise of an accepted trial: the value's rounding
+BLOCK = 2**15  # elements of a streamed block: _dot's leaves, kernel rows
 
 
 class ConvergenceError(RuntimeError):
@@ -143,6 +152,28 @@ def _pow(x: np.ndarray, p: float, out=None) -> np.ndarray:
     return np.power(x, p, out=out)
 
 
+def _dot(x: np.ndarray, y: np.ndarray) -> float:
+    """``float((x * y).sum())`` bit for bit, without the full-size product.
+
+    x and y are C-contiguous arrays of one shape.  NumPy sums a
+    contiguous array pairwise (Higham, SIAM J. Sci. Comput. 14, 1993):
+    above 128 elements it adds the sums of the first n2 and the last
+    n - n2, with n2 half the length rounded down to a multiple of 8.  This
+    follows that split down to leaves of at most BLOCK elements, whose
+    products NumPy sums in the same way.  A zero's sign may differ inside,
+    but NumPy adds the total to +0.0, so the result does not.  The
+    recursion is a module-level function: a nested function that calls
+    itself is a reference cycle, which holds x and y until the garbage
+    collector runs.
+    """
+    n = x.size
+    if n <= BLOCK:
+        return float((x * y).sum())
+    x, y = x.reshape(-1), y.reshape(-1)
+    mid = n // 2 - n // 2 % 8
+    return _dot(x[:mid], y[:mid]) + _dot(x[mid:], y[mid:])
+
+
 def _mass(psi: np.ndarray, grid: Grid, p: float = 1.0) -> float:
     """The integral of psi^p over the free nodes, for psi >= 0."""
     v = psi[grid.mask]  # a copy, raised to p in place
@@ -158,7 +189,7 @@ def _quadratic_form(norm: MinkowskiNorm, p: float):
     return norm.quadratic_form() if p == 2.0 else None
 
 
-def _edge_energy(psi: np.ndarray, grid: Grid, a, g=None) -> float:
+def _edge_energy(psi: np.ndarray, grid: Grid, a, grad: bool = False):
     """The quadratic path's energy, a sum over the grid's edges.
 
     With F^2 = g . A g (``a`` = (a11, a12, a22)), a triangle's differences
@@ -172,44 +203,69 @@ def _edge_energy(psi: np.ndarray, grid: Grid, a, g=None) -> float:
     fields that do not vanish on the border too.  Each family's
     differences are written into one buffer allocated once per call (each
     family uses a contiguous leading part of it) and squared there for
-    the sum: no per-triangle gradient and no per-triangle scatter.  When
-    ``g`` is given, the differences are formed again in the buffer and
-    the gradient is added into ``g``, 2 c D onto each edge's head and
-    -2 c D onto its tail (halved on the border).  The value does not
-    depend on ``g``, so the energy with and without the gradient is the
-    same bit for bit.
+    the sum: no per-triangle gradient and no per-triangle scatter.
+
+    With ``grad`` it returns (energy, gradient): once the value pass has
+    freed its buffer, the gradient array is filled a block of ``BLOCK``
+    elements' rows at a time, 2 c D onto each edge's head and -2 c D onto
+    its tail (halved on the border).  Each block takes every family in
+    turn, so each node receives the same additions in the same order as
+    family by family over the whole grid.  The value does not depend on
+    ``grad``, so the energy with and without the gradient is the same bit
+    for bit.
     """
     a11, a12, a22 = a
     r = grid.hy / grid.hx
-    families = (  # (weight, head, tail, border lines of the differences)
-        (a11 * r + a12, np.s_[1:, :], np.s_[:-1, :],
-         (np.s_[:, 0], np.s_[:, -1])),
-        (a22 / r + a12, np.s_[:, 1:], np.s_[:, :-1],
-         (np.s_[0, :], np.s_[-1, :])),
-        (-a12, np.s_[1:, :-1], np.s_[:-1, 1:], ()),
-    )
     nx, ny = psi.shape
-    size = max((nx - 1) * ny, nx * (ny - 1))  # the largest family
-    buf = np.empty(size)
+    # (weight, head row offset, head columns, tail columns, border axis):
+    # the edge in row e joins node (e + offset, head column) to
+    # (e, tail column); the x-family's border edges are its first and
+    # last columns, the y-family's its first and last rows
+    families = [f for f in (
+        (a11 * r + a12, 1, np.s_[:], np.s_[:], 1),
+        (a22 / r + a12, 0, np.s_[1:], np.s_[:-1], 0),
+        (-a12, 1, np.s_[:-1], np.s_[1:], None),
+    ) if f[0] != 0.0]  # a12 = 0: no anti-diagonal term
+    buf = np.empty(max((nx - 1) * ny, nx * (ny - 1)))  # the largest family
     val = 0.0
-    for c, head, tail, border in families:
-        if c == 0.0:
-            continue  # a12 = 0: no anti-diagonal term
-        shape = psi[head].shape
-        d = buf[:shape[0] * shape[1]].reshape(shape)
-        np.subtract(psi[head], psi[tail], out=d)
-        d *= d
-        for b in border:
-            d[b] *= 0.5
+    for c, dh, hc, tc, axis in families:
+        d = _edge_rows(psi, dh, hc, tc, axis, 0, nx - dh, buf, None)
         val += c * float(d.sum())  # a BLAS dot may vary with its threads
-        if g is not None:
-            np.subtract(psi[head], psi[tail], out=d)
-            d *= 2.0 * c
-            for b in border:
-                d[b] *= 0.5
-            g[head] += d
-            g[tail] -= d
-    return val
+    if not grad:
+        return val
+    del buf, d
+    g = np.zeros_like(psi)
+    rows = max(1, BLOCK // ny)
+    buf = np.empty((min(rows, nx) + 1) * ny)
+    for r0 in range(0, nx, rows):
+        r1 = min(r0 + rows, nx)
+        for c, dh, hc, tc, axis in families:
+            e0, e1 = max(r0 - dh, 0), min(r1, nx - dh)  # edges at rows r0:r1
+            d = _edge_rows(psi, dh, hc, tc, axis, e0, e1, buf, 2.0 * c)
+            g[e0 + dh:r1, hc] += d[:r1 - dh - e0]
+            g[r0:e1, tc] -= d[r0 - e0:]
+    return val, g
+
+
+def _edge_rows(psi, dh, hc, tc, axis, e0, e1, buf, scale):
+    """One edge family's differences D in its rows e0:e1, in ``buf``: D^2
+    without ``scale``, else scale D; border edges halved."""
+    head = psi[e0 + dh:e1 + dh, hc]
+    d = np.subtract(head, psi[e0:e1, tc], out=buf[:head.size].reshape(
+        head.shape))
+    if scale is None:
+        d *= d
+    else:
+        d *= scale
+    if axis == 1:
+        d[:, 0] *= 0.5
+        d[:, -1] *= 0.5
+    elif axis == 0:
+        if e0 == 0:
+            d[0] *= 0.5
+        if e1 == psi.shape[0]:
+            d[-1] *= 0.5
+    return d
 
 
 def _fp(norm: MinkowskiNorm, gx, gy, p: float) -> np.ndarray:
@@ -217,8 +273,9 @@ def _fp(norm: MinkowskiNorm, gx, gy, p: float) -> np.ndarray:
     return _pow(norm.value2(gx, gy), p)
 
 
-def _fp_grad(norm: MinkowskiNorm, gx, gy, p: float, eps: float):
-    """(F_eps^p, c W1, c W2) with c = p F_eps^(p-1) / sqrt(F^2 + eps^2).
+def _fp_grad(norm: MinkowskiNorm, gx, gy, p: float, eps: float, out):
+    """F_eps^p into ``out``; returns (c W1, c W2) with
+    c = p F_eps^(p-1) / sqrt(F^2 + eps^2).
 
     Off the quadratic path only (``_edge_energy`` covers it), where eps > 0
     and no divisor vanishes.  Works in place on the arrays ``value_wgrad2``
@@ -231,12 +288,12 @@ def _fp_grad(norm: MinkowskiNorm, gx, gy, p: float, eps: float):
     np.sqrt(r, out=r)
     fe = np.divide(s, r + eps, out=s)
     fe1 = _pow(fe, p - 1.0)
-    fp = fe1 * fe  # one power call; bit-identical to fe * fe at p = 2
+    np.multiply(fe1, fe, out=out)  # one power call; fe * fe at p = 2
     fe1 *= p  # fe is spent; at p = 2 fe1 is fe
     c = np.divide(fe1, r, out=r)
     w1 *= c
     w2 *= c
-    return fp, w1, w2
+    return w1, w2
 
 
 def grad_energy(psi: np.ndarray, grid: Grid, norm: MinkowskiNorm,
@@ -252,34 +309,47 @@ def grad_energy(psi: np.ndarray, grid: Grid, norm: MinkowskiNorm,
 
 
 def _grad_energy_with_grad(psi, grid, norm, p, eps):
-    g = np.zeros_like(psi)
     a = _quadratic_form(norm, p)
     if a is not None:
-        return _edge_energy(psi, grid, a, g), g
+        return _edge_energy(psi, grid, a, grad=True)
     gxl, gyl, gxu, gyu = _tri_gradients(psi, grid.hx, grid.hy)
     w = 0.5 * grid.cell_area
     cx = w / grid.hx
     cy = w / grid.hy
-    # halves one at a time: both at once, the traced peak of a p = 3 lq:4
-    # torsion solve on rect(1,16) at h = 1/64 rose 15.6 -> 18.5 fields
-    fpl, ax, ay = _fp_grad(norm, gxl, gyl, p, eps)
-    sum_l = fpl.sum()
-    del fpl
-    ax *= cx
-    ay *= cy
-    g[1:, :-1] += ax
-    ax += ay
-    g[:-1, :-1] -= ax
-    g[:-1, 1:] += ay
+    g = np.zeros_like(psi)
+    # one half's F_eps^p, summed once per half as a whole; the halves'
+    # gradients are formed a block of at most BLOCK triangles at a time,
+    # every lower block before any upper one, so that each node receives
+    # the same additions in the same order as half by half over the grid
+    fp = np.empty(gxl.shape)
+    n = fp.shape[0]
+    rows = max(1, BLOCK // fp.shape[1])
+    for i in range(0, n, rows):
+        j = min(i + rows, n)
+        ax, ay = _fp_grad(norm, gxl[i:j], gyl[i:j], p, eps, fp[i:j])
+        ax *= cx
+        ay *= cy
+        g[i + 1:j + 1, :-1] += ax
+        ax += ay
+        g[i:j, :-1] -= ax
+        g[i:j, 1:] += ay
     del ax, ay
-    fpu, bx, by = _fp_grad(norm, gxu, gyu, p, eps)
-    val = float(w * (sum_l + fpu.sum()))
-    bx *= cx
-    by *= cy
-    g[1:, 1:] += np.add(bx, by, out=fpu)
-    g[:-1, 1:] -= bx
-    g[1:, :-1] -= by
-    return val, g
+    sum_l = fp.sum()
+    lag = None
+    for i in range(0, n, rows):
+        j = min(i + rows, n)
+        bx, by = _fp_grad(norm, gxu[i:j], gyu[i:j], p, eps, fp[i:j])
+        bx *= cx
+        by *= cy
+        g[i + 1:j + 1, 1:] += bx + by
+        g[i:j, 1:] -= bx
+        # the last row this block's -by reaches takes -bx from the next
+        # block first, so -by is applied one block late
+        if lag is not None:
+            g[lag[0]:lag[1], :-1] -= lag[2]
+        lag = i + 1, j + 1, by
+    g[lag[0]:lag[1], :-1] -= lag[2]
+    return float(w * (sum_l + fp.sum())), g
 
 
 # -- preconditioner and prolongation -----------------------------------------
@@ -296,9 +366,12 @@ def _make_precond(grid: Grid, norm: MinkowskiNorm):
     it); restricted to the mask on the way out by multiplying with it.  On
     rectangle-aligned domains with a12 = 0 this inverts the p = 2 energy's
     Hessian exactly, up to the factor 2 cell_area; elsewhere it is
-    spectrally equivalent to it.  The transforms use one thread per CPU
-    this process may run on, not per CPU of the machine (the results do
-    not depend on the count).
+    spectrally equivalent to it.  The result's interior receives a copy of
+    g's, and both transforms run in place there (``overwrite_x`` on the
+    strided view), so no transform array lives beside it; only its border
+    is zeroed.  The transforms use one thread per CPU this process may run
+    on, not per CPU of the machine (the results do not depend on the
+    count).
     """
     a11, _, a22 = norm.quadratic_form() or (1.0, 0.0, 1.0)
     m1, m2 = grid.nx - 2, grid.ny - 2
@@ -307,24 +380,25 @@ def _make_precond(grid: Grid, norm: MinkowskiNorm):
     lam2 = a22 * (2.0 - 2.0 * np.cos(np.pi * np.arange(1, m2 + 1)
                                      / (m2 + 1))) / (grid.hy * grid.hy)
     rows = max(1, 2**14 // m2)  # blocks of about 128 KB
-    inner = grid.mask[1:-1, 1:-1]  # the border nodes are never free
     try:
         workers = len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
         workers = os.cpu_count()
 
     def apply(g: np.ndarray) -> np.ndarray:
-        # z first: the transform's array, a little smaller than a grid
-        # field and freed on return, then lies above z on the heap instead
-        # of leaving a hole below it that no later field fits (with glibc
-        # malloc this took ~8 MB off the peak RSS of the h = 1/128 oracle
-        # solves)
-        z = np.zeros_like(g)
-        t = dstn(g[1:-1, 1:-1], type=1, workers=workers)
+        z = np.empty_like(g)
+        zi = z[1:-1, 1:-1]
+        zi[...] = g[1:-1, 1:-1]
+        t = dstn(zi, type=1, workers=workers, overwrite_x=True)
         for i in range(0, m1, rows):
             t[i:i + rows] /= lam1[i:i + rows, None] + lam2
-        np.multiply(idstn(t, type=1, workers=workers, overwrite_x=True), inner,
-                    out=z[1:-1, 1:-1])
+        t = idstn(t, type=1, workers=workers, overwrite_x=True)
+        if not np.may_share_memory(t, z):  # a transform that copied
+            zi[...] = t
+        # the border (never free) is zeroed before the mask multiplies
+        # all of z, as the mask does not clear what np.empty left there
+        z[0] = z[-1] = z[:, 0] = z[:, -1] = 0.0
+        z *= grid.mask
         return z
 
     return apply
@@ -448,10 +522,13 @@ class _EigenProblem(_DescentProblem):
         num, gn = _grad_energy_with_grad(psi, self.grid, self.norm, self.p,
                                          self.eps)
         p = self.p
-        # d/dpsi of the denominator; iterates are clamped nonnegative
-        gd = _pow(psi, p - 1.0) * (p * self.grid.cell_area)
-        gd *= num
-        gn -= gd  # the denominator is 1 by normalization
+        # d/dpsi of the denominator, a block of rows at a time; iterates
+        # are clamped nonnegative, and the denominator is 1 by normalization
+        rows = max(1, BLOCK // psi.shape[1])
+        for i in range(0, psi.shape[0], rows):
+            gd = _pow(psi[i:i + rows], p - 1.0) * (p * self.grid.cell_area)
+            gd *= num
+            gn[i:i + rows] -= gd
         gn *= self.free
         return num, gn
 
@@ -465,9 +542,9 @@ class _EigenProblem(_DescentProblem):
             # slope: with the iterate normalized, <gradN, d> = slope + 2 f e
             n_d = grad_energy(d, self.grid, self.norm, self.p)
             w = self.grid.cell_area
-            m = self.grid.mask
-            e = w * float((psi[m] * d[m]).sum())
-            dd = w * float((d[m] * d[m]).sum())
+            dm = d[self.grid.mask]
+            e = w * _dot(psi[self.grid.mask], dm)
+            dd = w * _dot(dm, dm)
             alpha = _ray_minimizer(n_d, f, dd, e, 0.5 * slope)
             if alpha is not None:
                 return alpha
@@ -492,13 +569,13 @@ class _TorsionProblem(_DescentProblem):
         return self.feasible(psi)
 
     def value_grad(self, psi):
+        load = _mass(psi, self.grid)  # its copy of psi goes before gn comes
         num, gn = _grad_energy_with_grad(psi, self.grid, self.norm, self.p,
                                          self.eps)
         gn /= self.p
         gn -= self.grid.cell_area  # the load, then zero on the fixed nodes
         gn *= self.free
-        val = num / self.p - _mass(psi, self.grid)
-        return val, gn
+        return num / self.p - load, gn
 
     def first_step(self, psi, d, f, slope, alpha0):
         """As for the eigen problem; the exact step is -slope / (d . A d)."""
@@ -582,7 +659,7 @@ def _descend(problem: _DescentProblem, start: GridField | None, tol: float,
     hist = [f]
     z = problem.precond(g)
     d = -z
-    gz = float((g * z).sum())
+    gz = _dot(g, z)
     alpha_prev = None
     it = 0
     while True:
@@ -597,7 +674,7 @@ def _descend(problem: _DescentProblem, start: GridField | None, tol: float,
         if it >= max_iter:
             return psi, it, dual, False, "budget"
         it += 1
-        slope = float((g * d).sum())
+        slope = _dot(g, d)
         if not slope < 0.0:  # restart: -z descends wherever gz > 0
             d, slope = -z, -gz
         del g  # beta needs only z and gz of the old point
@@ -618,7 +695,7 @@ def _descend(problem: _DescentProblem, start: GridField | None, tol: float,
         d *= beta
         d -= zn
         z = zn
-        gz = float((g * z).sum())
+        gz = _dot(g, z)
 
 
 def _wolfe_step(problem, psi, d, f, slope0, alpha_prev):
@@ -636,7 +713,11 @@ def _wolfe_step(problem, psi, d, f, slope0, alpha_prev):
     slope), the next one interpolates inside the bracket, kept to
     [0.1, 0.9] of it.  After MAX_TRIALS trials, or once the bracket is too
     short for a decrease above float resolution, the best trial that
-    strictly decreases the value is taken.
+    strictly decreases the value is taken.  The search keeps only that
+    trial's step and value, not its point and gradient, and evaluates it
+    again in this rare fallback (13 of 5,182 searches over the 36 default
+    cases), which gives the same bits; so while a trial point is evaluated
+    no other one is held.
 
     Returns (alpha, iterate, value, gradient) of the accepted trial, or
     None when ``d`` does not descend, or when no trial is accepted and
@@ -651,11 +732,12 @@ def _wolfe_step(problem, psi, d, f, slope0, alpha_prev):
     best = None
     for _ in range(MAX_TRIALS):
         cand, fc, gc, s = problem.trial(psi, d, alpha)
-        slope = math.nan if cand is None else float((gc * d).sum()) / s
+        slope = math.nan if cand is None else _dot(gc, d) / s
         if fc <= f + TIE * abs(f) and abs(slope) <= WOLFE_C2 * abs(slope0):
             return alpha, cand, fc, gc
-        if fc < f and (best is None or fc < best[2]):
-            best = (alpha, cand, fc, gc)
+        if fc < f and (best is None or fc < best[1]):
+            best = alpha, fc
+        del cand, gc  # before the next trial point is evaluated
         if fc < f_lo and slope < 0.0:
             prev, s_prev = lo, s_lo
             lo, f_lo, s_lo = alpha, fc, slope
@@ -673,7 +755,10 @@ def _wolfe_step(problem, psi, d, f, slope0, alpha_prev):
         alpha = _interpolate(lo, f_lo, s_lo, hi, f_hi, s_hi)
         if not lo < alpha < hi:
             break  # the bracket is below float resolution
-    return best
+    if best is None:
+        return None
+    cand, fc, gc, _ = problem.trial(psi, d, best[0])  # the same bits again
+    return best[0], cand, fc, gc
 
 
 def _interpolate(lo, f_lo, s_lo, hi, f_hi, s_hi) -> float:

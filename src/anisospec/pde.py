@@ -73,12 +73,14 @@ while no trial gradient exists (the edge kernel's value buffer, the
 masked copies of the ray curvatures, the eigen denominator and the
 torsion load) or formed a block of rows at a time (the edge kernel's
 gradient, the eigen denominator's gradient, the sine-transform
-divisor).  Inner products are ``_dot``, which forms no full-size
-product; the sine transforms run in place in the new z; the CG update
-works in the old z's storage and in d; and the line search keeps only
-the step and value of its best trial.  Off the quadratic path the
-kernel also holds the two arrays of grid differences and one half's
-F_eps^p, and forms the rest in blocks of at most ``BLOCK`` triangles.
+divisor); on a grid that one block of rows covers, the edge kernel forms
+its gradient beside its buffer.  Inner products are ``_dot``, which
+forms no full-size product; the sine transforms run in place in the new
+z; the CG update works in the old z's storage and in d; and the line
+search keeps only the step and value of its best trial.  Off the
+quadratic path the kernel also holds the two arrays of grid differences
+and one half's F_eps^p, and forms the rest in blocks of at most
+``BLOCK`` triangles.
 """
 
 from __future__ import annotations
@@ -102,7 +104,7 @@ WOLFE_C2 = 0.3  # accepted |slope| as a share of the initial one
 MAX_TRIALS = 60  # trial points per direction of the Wolfe line search
 _EPS = float(np.finfo(float).eps)
 TIE = 4.0 * _EPS  # relative rise of an accepted trial: the value's rounding
-BLOCK = 2**15  # elements of a streamed block: _dot's leaves, kernel rows
+BLOCK = 2**15  # elements of a streamed block of rows, and of _dot's leaves
 
 
 class ConvergenceError(RuntimeError):
@@ -205,14 +207,16 @@ def _edge_energy(psi: np.ndarray, grid: Grid, a, grad: bool = False):
     family uses a contiguous leading part of it) and squared there for
     the sum: no per-triangle gradient and no per-triangle scatter.
 
-    With ``grad`` it returns (energy, gradient): once the value pass has
-    freed its buffer, the gradient array is filled a block of ``BLOCK``
-    elements' rows at a time, 2 c D onto each edge's head and -2 c D onto
-    its tail (halved on the border).  Each block takes every family in
-    turn, so each node receives the same additions in the same order as
-    family by family over the whole grid.  The value does not depend on
-    ``grad``, so the energy with and without the gradient is the same bit
-    for bit.
+    With ``grad`` it returns (energy, gradient), adding 2 c D onto each
+    edge's head and -2 c D onto its tail (halved on the border).  Where
+    one block of ``BLOCK`` elements' rows covers the grid (every catalog
+    grid), each family's differences are formed again in the buffer right
+    after its value.  On a larger grid the gradient array only comes once
+    the value pass has freed its buffer, and is filled a block of rows at
+    a time; each block takes every family in turn, so each node receives
+    the same additions in the same order as family by family over the
+    whole grid.  The value does not depend on ``grad``, so the energy
+    with and without the gradient is the same bit for bit.
     """
     a11, a12, a22 = a
     r = grid.hy / grid.hx
@@ -226,33 +230,42 @@ def _edge_energy(psi: np.ndarray, grid: Grid, a, grad: bool = False):
         (a22 / r + a12, 0, np.s_[1:], np.s_[:-1], 0),
         (-a12, 1, np.s_[:-1], np.s_[1:], None),
     ) if f[0] != 0.0]  # a12 = 0: no anti-diagonal term
+    rows = max(1, BLOCK // ny)
+    g = np.zeros_like(psi) if grad and rows >= nx else None
     buf = np.empty(max((nx - 1) * ny, nx * (ny - 1)))  # the largest family
     val = 0.0
     for c, dh, hc, tc, axis in families:
-        d = _edge_rows(psi, dh, hc, tc, axis, 0, nx - dh, buf, None)
+        head, tail = psi[dh:, hc], psi[:nx - dh, tc]
+        d = buf[:head.size].reshape(head.shape)
+        _edge_diff(head, tail, d, None, axis, True, True)
         val += c * float(d.sum())  # a BLAS dot may vary with its threads
+        if g is not None:  # one block: the gradient follows in the buffer
+            _edge_diff(head, tail, d, 2.0 * c, axis, True, True)
+            g[dh:, hc] += d
+            g[:nx - dh, tc] -= d
     if not grad:
         return val
-    del buf, d
-    g = np.zeros_like(psi)
-    rows = max(1, BLOCK // ny)
-    buf = np.empty((min(rows, nx) + 1) * ny)
-    for r0 in range(0, nx, rows):
-        r1 = min(r0 + rows, nx)
-        for c, dh, hc, tc, axis in families:
-            e0, e1 = max(r0 - dh, 0), min(r1, nx - dh)  # edges at rows r0:r1
-            d = _edge_rows(psi, dh, hc, tc, axis, e0, e1, buf, 2.0 * c)
-            g[e0 + dh:r1, hc] += d[:r1 - dh - e0]
-            g[r0:e1, tc] -= d[r0 - e0:]
+    if g is None:  # several blocks: g comes once the buffer is freed
+        del buf, d, head, tail
+        g = np.zeros_like(psi)
+        buf = np.empty((rows + 1) * ny)
+        for r0 in range(0, nx, rows):
+            r1 = min(r0 + rows, nx)
+            for c, dh, hc, tc, axis in families:
+                e0, e1 = max(r0 - dh, 0), min(r1, nx - dh)  # edges at r0:r1
+                head, tail = psi[e0 + dh:e1 + dh, hc], psi[e0:e1, tc]
+                d = buf[:head.size].reshape(head.shape)
+                _edge_diff(head, tail, d, 2.0 * c, axis, e0 == 0, e1 == nx)
+                g[e0 + dh:r1, hc] += d[:r1 - dh - e0]
+                g[r0:e1, tc] -= d[r0 - e0:]
     return val, g
 
 
-def _edge_rows(psi, dh, hc, tc, axis, e0, e1, buf, scale):
-    """One edge family's differences D in its rows e0:e1, in ``buf``: D^2
-    without ``scale``, else scale D; border edges halved."""
-    head = psi[e0 + dh:e1 + dh, hc]
-    d = np.subtract(head, psi[e0:e1, tc], out=buf[:head.size].reshape(
-        head.shape))
+def _edge_diff(head, tail, d, scale, axis, first, last):
+    """head - tail into ``d``, squared without ``scale``, else times it;
+    border edges halved (the y-family's first and last rows only when
+    ``first`` and ``last`` say d holds them)."""
+    np.subtract(head, tail, out=d)
     if scale is None:
         d *= d
     else:
@@ -261,11 +274,10 @@ def _edge_rows(psi, dh, hc, tc, axis, e0, e1, buf, scale):
         d[:, 0] *= 0.5
         d[:, -1] *= 0.5
     elif axis == 0:
-        if e0 == 0:
+        if first:
             d[0] *= 0.5
-        if e1 == psi.shape[0]:
+        if last:
             d[-1] *= 0.5
-    return d
 
 
 def _fp(norm: MinkowskiNorm, gx, gy, p: float) -> np.ndarray:
@@ -273,9 +285,8 @@ def _fp(norm: MinkowskiNorm, gx, gy, p: float) -> np.ndarray:
     return _pow(norm.value2(gx, gy), p)
 
 
-def _fp_grad(norm: MinkowskiNorm, gx, gy, p: float, eps: float, out):
-    """F_eps^p into ``out``; returns (c W1, c W2) with
-    c = p F_eps^(p-1) / sqrt(F^2 + eps^2).
+def _fp_grad(norm: MinkowskiNorm, gx, gy, p: float, eps: float):
+    """(F_eps^p, c W1, c W2) with c = p F_eps^(p-1) / sqrt(F^2 + eps^2).
 
     Off the quadratic path only (``_edge_energy`` covers it), where eps > 0
     and no divisor vanishes.  Works in place on the arrays ``value_wgrad2``
@@ -288,12 +299,12 @@ def _fp_grad(norm: MinkowskiNorm, gx, gy, p: float, eps: float, out):
     np.sqrt(r, out=r)
     fe = np.divide(s, r + eps, out=s)
     fe1 = _pow(fe, p - 1.0)
-    np.multiply(fe1, fe, out=out)  # one power call; fe * fe at p = 2
+    fp = fe1 * fe  # one power call; bit-identical to fe * fe at p = 2
     fe1 *= p  # fe is spent; at p = 2 fe1 is fe
     c = np.divide(fe1, r, out=r)
     w1 *= c
     w2 *= c
-    return w1, w2
+    return fp, w1, w2
 
 
 def grad_energy(psi: np.ndarray, grid: Grid, norm: MinkowskiNorm,
@@ -312,44 +323,62 @@ def _grad_energy_with_grad(psi, grid, norm, p, eps):
     a = _quadratic_form(norm, p)
     if a is not None:
         return _edge_energy(psi, grid, a, grad=True)
+    g = np.zeros_like(psi)
     gxl, gyl, gxu, gyu = _tri_gradients(psi, grid.hx, grid.hy)
     w = 0.5 * grid.cell_area
     cx = w / grid.hx
     cy = w / grid.hy
-    g = np.zeros_like(psi)
-    # one half's F_eps^p, summed once per half as a whole; the halves'
-    # gradients are formed a block of at most BLOCK triangles at a time,
-    # every lower block before any upper one, so that each node receives
-    # the same additions in the same order as half by half over the grid
-    fp = np.empty(gxl.shape)
-    n = fp.shape[0]
-    rows = max(1, BLOCK // fp.shape[1])
+    # a block of at most BLOCK triangles at a time, every lower block
+    # before any upper one, so that each node receives the same additions
+    # in the same order as half by half over the grid; a half's F_eps^p is
+    # summed as a whole once its last block is in
+    n = gxl.shape[0]
+    rows = max(1, BLOCK // gxl.shape[1])
+    fp = None
     for i in range(0, n, rows):
         j = min(i + rows, n)
-        ax, ay = _fp_grad(norm, gxl[i:j], gyl[i:j], p, eps, fp[i:j])
+        fpb, ax, ay = _fp_grad(norm, gxl[i:j], gyl[i:j], p, eps)
+        fp = _rows_into(fp, fpb, i, n)
+        if j == n:
+            sum_l, fp = fp.sum(), None
+        del fpb
         ax *= cx
         ay *= cy
         g[i + 1:j + 1, :-1] += ax
         ax += ay
         g[i:j, :-1] -= ax
         g[i:j, 1:] += ay
-    del ax, ay
-    sum_l = fp.sum()
+        del ax, ay
     lag = None
     for i in range(0, n, rows):
         j = min(i + rows, n)
-        bx, by = _fp_grad(norm, gxu[i:j], gyu[i:j], p, eps, fp[i:j])
+        fpb, bx, by = _fp_grad(norm, gxu[i:j], gyu[i:j], p, eps)
+        fp = _rows_into(fp, fpb, i, n)
+        if j == n:
+            sum_u, fp = fp.sum(), None
         bx *= cx
         by *= cy
-        g[i + 1:j + 1, 1:] += bx + by
+        g[i + 1:j + 1, 1:] += np.add(bx, by, out=fpb)
         g[i:j, 1:] -= bx
+        del fpb, bx
         # the last row this block's -by reaches takes -bx from the next
         # block first, so -by is applied one block late
         if lag is not None:
             g[lag[0]:lag[1], :-1] -= lag[2]
         lag = i + 1, j + 1, by
     g[lag[0]:lag[1], :-1] -= lag[2]
-    return float(w * (sum_l + fp.sum())), g
+    return float(w * (sum_l + sum_u)), g
+
+
+def _rows_into(whole, part, i: int, n: int) -> np.ndarray:
+    """``part`` as rows i: of an n-row array: ``part`` itself when it has
+    all n rows, else copied into ``whole`` (allocated for the first part)."""
+    if len(part) == n:
+        return part
+    if whole is None:
+        whole = np.empty((n,) + part.shape[1:])
+    whole[i:i + len(part)] = part
+    return whole
 
 
 # -- preconditioner and prolongation -----------------------------------------
@@ -379,7 +408,7 @@ def _make_precond(grid: Grid, norm: MinkowskiNorm):
                                      / (m1 + 1))) / (grid.hx * grid.hx)
     lam2 = a22 * (2.0 - 2.0 * np.cos(np.pi * np.arange(1, m2 + 1)
                                      / (m2 + 1))) / (grid.hy * grid.hy)
-    rows = max(1, 2**14 // m2)  # blocks of about 128 KB
+    rows = max(1, BLOCK // m2)
     try:
         workers = len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform

@@ -400,8 +400,8 @@ class TestDescentCost:
         else:
             assert calls["value2"] > 0 and calls["value_wgrad2"] > 0, calls
 
-    @pytest.mark.parametrize("norm,p,bound", [(LQ2, 2.0, 6.8),
-                                              (LQ4, 3.0, 12.9),
+    @pytest.mark.parametrize("norm,p,bound", [(LQ2, 2.0, 6.6),
+                                              (LQ4, 3.0, 12.4),
                                               (ELL, 3.0, 12.2)],
                              ids=["lq2-p2", "lq4-p3", "ellipse-4-0-1-p3"])
     @pytest.mark.parametrize("solve", [solve_eigen, solve_torsion],

@@ -11,9 +11,11 @@ Every caller that solves both problems on one grid (``run_case``,
 ``slab_sweep``, ``convergence_study``) solves the torsion first and starts
 the eigen descent from its field v on the finest grid: v is the first
 step of the inverse power method from a constant, so it is already close
-to the eigenfield, and the eigen solve needs no coarse levels.  A case
-has that one grid: the P-function, the Phi comparison and the distance
-field (``grid_inradius``, ``grid_argmax``) sample it too.
+to the eigenfield, and the eigen solve needs no coarse levels.  On the
+quadratic path (p = 2 with a quadratic gauge) the torsion solve needs
+none either; elsewhere it runs coarse to fine.  A case has that one
+grid: the P-function, the Phi comparison and the distance field
+(``grid_inradius``, ``grid_argmax``) sample it too.
 
 Reports are plain dict/JSON-serializable structures whose serialized
 form is byte-identical across reruns of the same spec (no timestamps,

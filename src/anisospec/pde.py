@@ -18,13 +18,16 @@ operator's principal part on the bounding box's grid (applied by fast
 sine transforms; its symbol is a11 lam1 + a22 lam2, with A's diagonal
 for a gauge with a ``quadratic_form`` and 1, 1 without one),
 nonnegativity clamping for eigenfields, and coarse-to-fine seeding
-across a grid hierarchy.  One restart rule keeps every direction a
-descent one: a CG direction whose slope is not negative is replaced by
-the preconditioned steepest descent -z before its search.  An eigen
-solve may instead start from a given field on the finest grid (the
-harness passes the case's torsion field, the first inverse power step
-from a constant); it then runs that one level, and its iteration count
-is that level's.  One bracketing Wolfe line search picks every step: a
+across a grid hierarchy.  A torsion solve on the quadratic path (p = 2
+with a quadratic gauge) is linear, and the DST preconditioner is a fast
+Poisson one for it (Concus & Golub 1973), so it descends its finest grid
+alone, from zero: there coarse levels only delay it.  One restart rule
+keeps every direction a descent one: a CG direction whose slope is not
+negative is replaced by the preconditioned steepest descent -z before
+its search.  An eigen solve may instead start from a given field on the
+finest grid (the harness passes the case's torsion field, the first
+inverse power step from a constant); it then runs that one level, and
+its iteration count is that level's.  One bracketing Wolfe line search picks every step: a
 trial is accepted once its value exceeds the current one by at most its
 rounding (``TIE``) and the slope along the ray has shrunk to
 ``WOLFE_C2`` times the initial one.  Its first trial is the exact
@@ -898,12 +901,14 @@ def _start_grid(start: GridField, poly: ConvexPolygon, h: float) -> Grid:
 def _coarse_to_fine(problem_cls, poly: ConvexPolygon, norm: MinkowskiNorm,
                     p: float, h: float, tol: float, max_iter: int,
                     start: GridField | None = None):
-    """Descend on every grid level from the coarsest, prolonging upwards.
+    """Descend on each grid level from the coarsest, prolonging upwards.
 
-    The coarsest level starts from zero, which ``prepare`` turns into a
-    feasible start; every finer level receives the coarser level's result
-    and prolongs it itself, so the driver holds no prolonged copy while
-    the level descends.  With a finest-level ``start`` (a field on the grid
+    A torsion solve on the quadratic path has one level, the finest grid;
+    elsewhere the levels are ``_grid_hierarchy``'s.  The coarsest level
+    starts from zero, which ``prepare`` turns into a feasible start; every
+    finer level receives the coarser level's result and prolongs it
+    itself, so the driver holds no prolonged copy while the level
+    descends.  With a finest-level ``start`` (a field on the grid
     ``build_grid(poly, h)`` would build) the descent runs on its grid
     alone, from a copy of its values: no coarse grid is built, descended
     or prolonged.  Each level's budget is what the levels before it left
@@ -913,7 +918,9 @@ def _coarse_to_fine(problem_cls, poly: ConvexPolygon, norm: MinkowskiNorm,
     check_p_tol(p, tol)
     eps = _eps_for(poly, norm, p)
     if start is None:
-        grids = _grid_hierarchy(poly, h)
+        linear = (problem_cls is _TorsionProblem
+                  and _quadratic_form(norm, p) is not None)
+        grids = _grid_hierarchy(poly, h, max_levels=1 if linear else 6)
     else:
         grids = [_start_grid(start, poly, h)]
     total_it = 0
@@ -978,6 +985,8 @@ def solve_torsion(poly: ConvexPolygon, norm: MinkowskiNorm, p: float, h: float,
                   max_iter: int = DEFAULTS["max_iter"]) -> TorsionResult:
     """Minimize J(v) = (1/p) sum F_eps(grad v)^p - sum v over zero-boundary fields.
 
+    On the quadratic path (p = 2 with a quadratic gauge) the descent runs
+    on the finest grid alone, from zero; elsewhere it runs coarse to fine.
     ``tol`` and ``max_iter`` act, and ConvergenceError is raised, as in
     ``solve_eigen``; when the descent ends with no positive value, the
     partial result reports T, Mv and T_dual as nan.

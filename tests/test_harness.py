@@ -209,6 +209,26 @@ class TestEachQuantityOnce:
         pde.solve_eigen(poly, gauge, 1.5, h)
         assert len(descents) >= 2 and len(grids) >= len(descents)
 
+    @pytest.mark.parametrize("gauge,p,one_level", [
+        ("lq:2", 2.0, True), ("ellipse:4,0,1", 2.0, True),
+        ("lq:4", 2.0, False), ("lq:2", 1.5, False)])
+    def test_quadratic_torsion_runs_one_level(self, monkeypatch, gauge, p,
+                                              one_level):
+        # on the quadratic path (p = 2, quadratic gauge) the torsion solve
+        # builds and descends the finest grid alone; elsewhere the coarse
+        # levels pay, and it runs the hierarchy
+        norm = MinkowskiNorm.parse(gauge)
+        poly = geometry.parse_domain("regular:6,1", norm=norm)
+        h = poly.diameter / 64.0
+        assert len(pde._grid_hierarchy(poly, h)) >= 2
+        descents = _count_calls(monkeypatch, pde, "_descend")
+        grids = _count_calls(monkeypatch, pde, "build_grid")
+        pde.solve_torsion(poly, norm, p, h)
+        if one_level:
+            assert (len(descents), len(grids)) == (1, 1)
+        else:
+            assert len(descents) >= 2 and len(grids) >= len(descents)
+
     def test_run_case_builds_only_the_torsion_grids(self, monkeypatch):
         # the eigen solve and the distance field sample the torsion's
         # finest grid: a case builds the grids a bare torsion solve builds

@@ -1040,6 +1040,10 @@ WULFF_ERRORS = {
     ("lq:2", 1.5): (5.38e-3, -1.08e-2, -1.79e-2),
     ("lq:4", 1.5): (8.02e-3, -1.55e-2, -2.60e-2),
     ("ellipse:4,0,1", 1.5): (6.50e-3, -1.31e-2, -2.17e-2),
+    # p = 2: lq:2 and the ellipse run the quadratic path, lq:4 does not
+    ("lq:2", 2.0): (5.85e-3, -5.88e-3, -1.17e-2),
+    ("lq:4", 2.0): (7.71e-3, -7.28e-3, -1.53e-2),
+    ("ellipse:4,0,1", 2.0): (6.57e-3, -6.68e-3, -1.33e-2),
     ("lq:2", 3.0): (8.17e-3, -4.25e-3, -9.46e-3),
     ("lq:4", 3.0): (9.61e-3, -4.21e-3, -1.12e-2),
     ("ellipse:4,0,1", 3.0): (9.10e-3, -4.95e-3, -1.06e-2),
@@ -1078,6 +1082,28 @@ class TestStopRules:
         assert res.stop == "budget"
         assert res.iterations <= 5
         assert math.isfinite(res.residual)
+
+    def test_max_iter_bounds_the_one_quadratic_level(self):
+        # a quadratic torsion solve descends its finest grid alone, on the
+        # whole budget
+        hexa = parse_domain("regular:6,1")
+        with pytest.raises(ConvergenceError, match="did not converge") as err:
+            solve_torsion(hexa, LQ2, 2.0, hexa.diameter / 64.0, max_iter=3)
+        res = err.value.result
+        assert res.stop == "budget"
+        assert res.iterations <= 3
+
+    def test_one_level_quadratic_torsion_meets_its_reference(self):
+        # from zero on the finest grid, the dual stop leaves T and Mv 9.0e-11
+        # and 3.2e-11 from a tol = 1e-12 solve (measured).  That reference
+        # stops on dual too; the nonlinear path's tol = 1e-12 runs are no
+        # such reference, as they disagree with each other by up to ~3e-8
+        poly = parse_domain("wulff:1,512", norm=LQ2)
+        got = solve_torsion(poly, LQ2, 2.0, 1.0 / 64.0)
+        ref = solve_torsion(poly, LQ2, 2.0, 1.0 / 64.0, tol=1e-12)
+        assert ref.stop == "dual"
+        assert got.T == pytest.approx(ref.T, rel=3e-10)
+        assert got.Mv == pytest.approx(ref.Mv, rel=1e-10)
 
     @pytest.mark.parametrize("domain,gauge", [("regular:6,1", "lq:2"),
                                               ("rect:1,1", "ellipse:2,0.5,1")])

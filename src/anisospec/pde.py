@@ -21,7 +21,11 @@ nonnegativity clamping for eigenfields, and coarse-to-fine seeding
 across a grid hierarchy.  A torsion solve on the quadratic path (p = 2
 with a quadratic gauge) is linear, and the DST preconditioner is a fast
 Poisson one for it (Concus & Golub 1973), so it descends its finest grid
-alone, from zero: there coarse levels only delay it.  One restart rule
+alone, from zero: there coarse levels only delay it.  So does an eigen
+solve there with a12 = 0 whose free nodes fill the bounding box's
+interior: the eigen seed ``_bbox_seed`` is then the discrete eigenvector
+(Buzbee, Golub & Nielson 1970), which the dual rule accepts at
+iteration 0.  One restart rule
 keeps every direction a descent one: a CG direction whose slope is not
 negative is replaced by the preconditioned steepest descent -z before
 its search.  An eigen solve may instead start from a given field on the
@@ -475,11 +479,13 @@ def _prolong(values: np.ndarray, coarse: Grid, fine: Grid) -> np.ndarray:
 
 
 def _bbox_seed(grid: Grid) -> np.ndarray:
-    x, y = grid.x, grid.y
-    sx = (x - x[0]) * (x[-1] - x)
-    sy = (y - y[0]) * (y[-1] - y)
-    seed = np.maximum(sx[:, None] * sy[None, :], 0.0)
-    seed[~grid.mask] = 0.0
+    """The eigen descent's one seed: the bounding box's first sine mode
+    sin(pi i / (nx - 1)) sin(pi j / (ny - 1)) on the free nodes, the
+    discrete eigenvector where ``_make_precond`` inverts the Hessian."""
+    sx = np.sin(np.pi / (grid.nx - 1) * np.arange(grid.nx))
+    sy = np.sin(np.pi / (grid.ny - 1) * np.arange(grid.ny))
+    seed = sx[:, None] * sy
+    seed *= grid.mask
     return seed
 
 
@@ -825,9 +831,10 @@ def _window_residual(hist) -> float:
     return abs(hist[-1 - WINDOW] - hist[-1]) / max(abs(hist[-1]), 1e-300)
 
 
-def _grid_hierarchy(poly: ConvexPolygon, h: float, max_levels: int = 6):
-    grids = [build_grid(poly, h)]
-    while len(grids) < max_levels:
+def _grid_hierarchy(poly: ConvexPolygon, fine: Grid):
+    """``fine`` and up to five coarser grids, each of twice the spacing."""
+    grids = [fine]
+    while len(grids) < 6:
         try:
             grids.append(build_grid(poly, grids[-1].h * 2.0, min_axis=24))
         except CoarseGridError:
@@ -844,6 +851,7 @@ class EigenResult:
 
     ``stop`` names the rule that ended the finest-level descent ("dual",
     "window", "line_search" or "budget"); ``residual`` is what it measured.
+    ``iterations`` is 0 when that rule accepts the start as it is.
     """
 
     lambda_: float
@@ -903,7 +911,9 @@ def _coarse_to_fine(problem_cls, poly: ConvexPolygon, norm: MinkowskiNorm,
                     start: GridField | None = None):
     """Descend on each grid level from the coarsest, prolonging upwards.
 
-    A torsion solve on the quadratic path has one level, the finest grid;
+    On the quadratic path a torsion solve, and an eigen solve with
+    a12 = 0 whose finest grid's free nodes fill its box's interior, have
+    one level, that grid, decided before any coarser grid is built;
     elsewhere the levels are ``_grid_hierarchy``'s.  The coarsest level
     starts from zero, which ``prepare`` turns into a feasible start; every
     finer level receives the coarser level's result and prolongs it
@@ -918,9 +928,11 @@ def _coarse_to_fine(problem_cls, poly: ConvexPolygon, norm: MinkowskiNorm,
     check_p_tol(p, tol)
     eps = _eps_for(poly, norm, p)
     if start is None:
-        linear = (problem_cls is _TorsionProblem
-                  and _quadratic_form(norm, p) is not None)
-        grids = _grid_hierarchy(poly, h, max_levels=1 if linear else 6)
+        fine = build_grid(poly, h)
+        a = _quadratic_form(norm, p)
+        one_level = a is not None and (problem_cls is _TorsionProblem or (
+            a[1] == 0.0 and fine.mask[1:-1, 1:-1].all()))
+        grids = [fine] if one_level else _grid_hierarchy(poly, fine)
     else:
         grids = [_start_grid(start, poly, h)]
     total_it = 0
@@ -948,9 +960,11 @@ def solve_eigen(poly: ConvexPolygon, norm: MinkowskiNorm, p: float, h: float,
                 start: GridField | None = None) -> EigenResult:
     """Minimize the discrete Rayleigh quotient; returns max-normalized u.
 
-    Without ``start`` the descent runs coarse to fine.  A ``start`` on the
-    grid ``build_grid(poly, h)`` would build (in practice the torsion
-    field v of the same case) is descended on that grid alone; its values
+    Without ``start`` the descent runs coarse to fine from the bounding-box
+    seed, or only on the finest grid where that seed is the discrete
+    eigenvector (see the module docstring).  A ``start`` on the grid
+    ``build_grid(poly, h)`` would build (in practice the torsion field v
+    of the same case) is descended on that grid alone; its values
     are not changed, and a start with no positive free value falls back
     to the bounding-box seed.  ValueError when the start lives on another
     grid.  ``iterations`` counts the iterations of every level run, and

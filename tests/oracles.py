@@ -20,11 +20,16 @@
 * ``edge_energy_per_family``: the quadratic path's edge kernel with a
   fresh difference array and its square per edge family, against
   ``pde._edge_energy``, which writes them into two reused buffers.
+* ``rect_discrete``: the quadratic path's discrete eigenvalue, torsion
+  integral and torsion maximum on a grid whose free nodes fill its
+  bounding box's interior, by sine-transform diagonalization, against
+  ``pde.solve_eigen``, ``pde.solve_torsion`` and ``harness.run_case``.
 """
 
 import itertools
 
 import numpy as np
+from scipy.fft import dstn, idstn
 from scipy.integrate import quad, solve_ivp
 from scipy.ndimage import map_coordinates
 from scipy.optimize import brentq, linprog
@@ -228,3 +233,29 @@ def edge_energy_per_family(psi: np.ndarray, grid, a, g=None) -> float:
             g[head] += d
             g[tail] -= d
     return val
+
+
+def rect_discrete(grid, a) -> tuple[float, float, float]:
+    """(lambda_h, T_h, Mv_h) of the p = 2 discrete problems for the gauge
+    F^2 = g . A g, a = (a11, 0, a22), on a grid whose free nodes are the
+    interior of its bounding box.
+
+    There the energy's Hessian over 2 cell_area is the 5-point operator
+    -(a11 d_xx + a22 d_yy), which the DST-I diagonalizes with the symbol
+    a11 lam1[k] + a22 lam2[l], lam[k] = 4 sin^2(k pi / (2 (m + 1))) / h^2.
+    That form, unlike 2 - 2 cos(k pi / (m + 1)), does not cancel at small
+    k.  lambda_h is the least symbol, and the torsion field is one
+    ``idstn(dstn(1) / symbol)``.
+    """
+    a11, a12, a22 = a
+    m1, m2 = grid.nx - 2, grid.ny - 2
+    assert a12 == 0.0
+    assert grid.mask[1:-1, 1:-1].all() and grid.mask.sum() == m1 * m2
+
+    def lam(m, step):
+        k = np.arange(1, m + 1)
+        return 4.0 * np.sin(k * np.pi / (2.0 * (m + 1))) ** 2 / (step * step)
+
+    symbol = a11 * lam(m1, grid.hx)[:, None] + a22 * lam(m2, grid.hy)
+    v = idstn(dstn(np.ones((m1, m2)), type=1) / symbol, type=1)
+    return float(symbol[0, 0]), grid.cell_area * float(v.sum()), float(v.max())

@@ -357,7 +357,7 @@ def test_grid_mask_on_ties(monkeypatch, a, k, theta):
 @pytest.mark.parametrize("spec", ["rect:1,1", "wulff:1,512", "rect:1,16"])
 def test_grid_mask_on_every_hierarchy_level(spec):
     poly = parse_domain(spec, norm=MinkowskiNorm.lq(2))
-    grids = _grid_hierarchy(poly, 1.0 / 64.0)
+    grids = _grid_hierarchy(poly, build_grid(poly, 1.0 / 64.0))
     assert len(grids) >= 2
     for grid in grids:
         assert np.array_equal(grid.mask, _clearance_mask(poly, grid))

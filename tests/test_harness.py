@@ -220,7 +220,8 @@ class TestEachQuantityOnce:
         norm = MinkowskiNorm.parse(gauge)
         poly = geometry.parse_domain("regular:6,1", norm=norm)
         h = poly.diameter / 64.0
-        assert len(pde._grid_hierarchy(poly, h)) >= 2
+        fine = geometry.build_grid(poly, h)
+        assert len(pde._grid_hierarchy(poly, fine)) >= 2
         descents = _count_calls(monkeypatch, pde, "_descend")
         grids = _count_calls(monkeypatch, pde, "build_grid")
         pde.solve_torsion(poly, norm, p, h)
@@ -228,6 +229,51 @@ class TestEachQuantityOnce:
             assert (len(descents), len(grids)) == (1, 1)
         else:
             assert len(descents) >= 2 and len(grids) >= len(descents)
+
+    @pytest.mark.parametrize("domain,gauge", [("rect:1,4", "ellipse:4,0,1"),
+                                              ("rect:1,16", "lq:2")])
+    def test_box_interior_quadratic_eigen_runs_one_level(self, monkeypatch,
+                                                         domain, gauge):
+        # where the free nodes fill the box's interior and a12 = 0, the
+        # seed is the discrete eigenvector: the finest grid alone, built
+        # once, and the dual rule accepts the seed before any step
+        norm = MinkowskiNorm.parse(gauge)
+        poly = geometry.parse_domain(domain, norm=norm)
+        descents = _count_calls(monkeypatch, pde, "_descend")
+        grids = _count_calls(monkeypatch, pde, "build_grid")
+        prolongs = _count_calls(monkeypatch, pde, "_prolong")
+        res = pde.solve_eigen(poly, norm, 2.0, 1.0 / 32.0)
+        assert (len(descents), len(grids), len(prolongs)) == (1, 1, 0)
+        assert descents[0][0].grid is res.u.grid
+        assert (res.stop, res.iterations) == ("dual", 0)
+
+    @pytest.mark.parametrize("domain,gauge", [
+        ("rect:1,1", "ellipse:2,0.5,1"),  # a12 != 0
+        ("rect:1,1", "lq:4"),  # p = 2 off the quadratic path
+        ("regular:6,1", "lq:2")])  # free nodes short of the box's interior
+    def test_other_unseeded_eigen_solves_keep_the_hierarchy(
+            self, monkeypatch, domain, gauge):
+        norm = MinkowskiNorm.parse(gauge)
+        poly = geometry.parse_domain(domain, norm=norm)
+        h = 1.0 / 32.0
+        fine = geometry.build_grid(poly, h)
+        assert len(pde._grid_hierarchy(poly, fine)) >= 2
+        descents = _count_calls(monkeypatch, pde, "_descend")
+        grids = _count_calls(monkeypatch, pde, "build_grid")
+        prolongs = _count_calls(monkeypatch, pde, "_prolong")
+        pde.solve_eigen(poly, norm, 2.0, h)
+        assert len(descents) >= 2 and len(grids) >= len(descents)
+        assert len(prolongs) == len(descents) - 1
+
+    def test_seeded_rectangle_eigen_keeps_its_start(self, monkeypatch):
+        # a given start is descended as it is, not replaced by the seed
+        poly, norm = ConvexPolygon.rectangle(1, 4), MinkowskiNorm.lq(2)
+        h = 1.0 / 32.0
+        v = pde.solve_torsion(poly, norm, 2.0, h).v
+        descents = _count_calls(monkeypatch, pde, "_descend")
+        res = pde.solve_eigen(poly, norm, 2.0, h, start=v)
+        assert len(descents) == 1 and descents[0][1] is v
+        assert res.iterations > 0
 
     def test_run_case_builds_only_the_torsion_grids(self, monkeypatch):
         # the eigen solve and the distance field sample the torsion's

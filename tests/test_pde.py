@@ -7,6 +7,8 @@ from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.fft import dstn, idstn
 from scipy.special import jn_zeros
 
@@ -21,7 +23,7 @@ from anisospec.pde import (ConvergenceError, GridField, build_grid,
                            _grid_hierarchy, _prolong, _tri_gradients,
                            _TorsionProblem)
 from oracles import (edge_energy_per_family, prolong_map_coordinates,
-                     radial_eigenvalue, wulff_torsion)
+                     radial_eigenvalue, rect_discrete, wulff_torsion)
 
 LQ2 = MinkowskiNorm.lq(2)
 LQ4 = MinkowskiNorm.lq(4)
@@ -421,8 +423,9 @@ class TestDescentCost:
 
     def test_oracle_eigen_peak_memory(self):
         # a level holds psi, z, d, one trial point and its gradient (or,
-        # in the preconditioner, the new z), besides the coarser level's
-        # result, the grid masks and blocks of rows
+        # in the preconditioner, the new z), besides the grid masks and
+        # blocks of rows.  This solve stops at its seed on its finest level
+        # alone: psi, g, z and d, and no coarser level's result (4.15)
         poly = ConvexPolygon.rectangle(1, 16)
         field = build_grid(poly, 1.0 / 128.0).mask.size * 8
         tracemalloc.start()
@@ -431,7 +434,7 @@ class TestDescentCost:
             peak = tracemalloc.get_traced_memory()[1] / field
         finally:
             tracemalloc.stop()
-        assert peak <= 5.6, peak
+        assert peak <= 4.2, peak
 
     def test_oracle_eigen_peak_memory_without_gc(self):
         # the same peak when only reference counts free memory: a
@@ -446,7 +449,7 @@ class TestDescentCost:
         finally:
             tracemalloc.stop()
             gc.enable()
-        assert peak <= 5.6, peak
+        assert peak <= 4.2, peak
 
 
 class TestPreconditioner:
@@ -558,7 +561,7 @@ def _hierarchy_pairs(domain, gauge, h=None):
     """(coarse, fine) level pairs of a solve's grid hierarchy; h defaults
     to the catalog's diam/128."""
     poly, norm, default_h = harness.CaseSpec(domain, gauge, 2.0, h=h).build()
-    grids = _grid_hierarchy(poly, default_h)
+    grids = _grid_hierarchy(poly, build_grid(poly, default_h))
     return list(zip(grids[1:], grids[:-1]))
 
 
@@ -617,7 +620,7 @@ class TestEigenOracles:
         h = 1.0 / 32.0
         res = solve_eigen(SQUARE, LQ2, 2.0, h)
         lam_h = 8.0 / h**2 * math.sin(math.pi * h / 4.0) ** 2
-        assert res.lambda_ == pytest.approx(lam_h, rel=1e-8)
+        assert res.lambda_ == pytest.approx(lam_h, rel=1e-12)
         assert res.converged
         assert res.stop == "dual"
 
@@ -694,6 +697,44 @@ class TestEigenOracles:
         assert harness.run_case(spec).status == "inconclusive"
 
 
+class TestRectDiscrete:
+    """The quadratic path on grids whose free nodes fill the bounding box's
+    interior, against the DST closed forms of ``rect_discrete``."""
+
+    @pytest.mark.parametrize("domain", ["rect:1,1", "rect:1,4"])
+    @pytest.mark.parametrize("gauge", ["lq:2", "ellipse:4,0,1"])
+    def test_default_h_solve_and_report(self, domain, gauge):
+        spec = harness.CaseSpec(domain, gauge, 2.0)
+        poly, norm, h = spec.build()
+        lam, t, mv = rect_discrete(build_grid(poly, h), norm.quadratic_form())
+        assert solve_eigen(poly, norm, 2.0, h).lambda_ == pytest.approx(
+            lam, rel=1e-12)
+        solver = harness.run_case(spec).solver
+        assert solver["lambda"] == pytest.approx(lam, rel=1e-12)
+        assert solver["T"] == pytest.approx(t, rel=1e-12)
+        assert solver["Mv"] == pytest.approx(mv, rel=1e-12)
+
+    @pytest.mark.parametrize("poly", [SQUARE, ConvexPolygon.rectangle(1, 16)],
+                             ids=["square", "rect-1-16"])
+    def test_oracle_eigenvalue(self, poly):
+        res = solve_eigen(poly, LQ2, 2.0, 1.0 / 128.0)
+        lam = rect_discrete(res.u.grid, LQ2.quadratic_form())[0]
+        assert res.lambda_ == pytest.approx(lam, rel=1e-12)
+        assert (res.stop, res.iterations) == ("dual", 0)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.floats(0.25, 4.0), st.floats(0.25, 4.0), st.floats(0.2, 5.0),
+           st.floats(0.2, 5.0))
+    def test_seed_is_the_eigenvector(self, a, b, a11, a22):
+        # ten cells per short half-side: every interior node is free
+        poly = ConvexPolygon.rectangle(a, b)
+        norm = MinkowskiNorm.ellipse(a11, 0.0, a22)
+        res = solve_eigen(poly, norm, 2.0, min(a, b) / 10.0)
+        assert (res.stop, res.iterations) == ("dual", 0)
+        lam = rect_discrete(res.u.grid, norm.quadratic_form())[0]
+        assert res.lambda_ == pytest.approx(lam, rel=1e-12)
+
+
 class TestSeededEigen:
     """The eigen descent started from a field on the finest grid."""
 
@@ -717,7 +758,7 @@ class TestSeededEigen:
         # hierarchy: the same descent, bit for bit
         h = SQUARE.diameter / 32.0
         grid = build_grid(SQUARE, h)
-        assert len(_grid_hierarchy(SQUARE, h)) == 1
+        assert len(_grid_hierarchy(SQUARE, build_grid(SQUARE, h))) == 1
         null = GridField(grid, np.zeros((grid.nx, grid.ny)))
         seeded = solve_eigen(SQUARE, ELL, 1.5, h, start=null)
         unseeded = solve_eigen(SQUARE, ELL, 1.5, h)
@@ -916,13 +957,16 @@ class TestTorsionOracles:
         assert res.stop == "dual"
         assert len(calls) == res.iterations
 
-    @pytest.mark.parametrize("problem_cls", [pde._EigenProblem,
-                                             _TorsionProblem],
-                             ids=["eigen", "torsion"])
-    def test_overshooting_first_step_brackets(self, monkeypatch, problem_cls):
+    # the eigen problem starts from the seed, which on the square is the
+    # discrete eigenvector itself, where no step raises the quotient
+    @pytest.mark.parametrize("problem_cls,poly", [
+        (pde._EigenProblem, HEXAGON), (_TorsionProblem, SQUARE)],
+        ids=["eigen", "torsion"])
+    def test_overshooting_first_step_brackets(self, monkeypatch, problem_cls,
+                                              poly):
         # a first trial 1e6 times the exact ray minimizer raises the value;
         # the search brackets back to a decrease instead of giving up
-        problem = problem_cls(build_grid(SQUARE, 1.0 / 16.0), LQ2, 2.0, 0.0)
+        problem = problem_cls(build_grid(poly, 1.0 / 16.0), LQ2, 2.0, 0.0)
         psi = problem.prepare(np.zeros(problem.free.shape))
         f, g = problem.value_grad(psi)
         d = -problem.precond(g)

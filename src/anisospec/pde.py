@@ -22,10 +22,8 @@ across a grid hierarchy.  A torsion solve on the quadratic path (p = 2
 with a quadratic gauge) is linear, and the DST preconditioner is a fast
 Poisson one for it (Concus & Golub 1973), so it descends its finest grid
 alone, from zero: there coarse levels only delay it.  So does an eigen
-solve there with a12 = 0 whose free nodes fill the bounding box's
-interior: the eigen seed ``_bbox_seed`` is then the discrete eigenvector
-(Buzbee, Golub & Nielson 1970), which the dual rule accepts at
-iteration 0.  One restart rule
+solve where ``_precond_exact`` holds, whose seed ``_bbox_seed`` is the
+discrete eigenvector (Buzbee, Golub & Nielson 1970).  One restart rule
 keeps every direction a descent one: a CG direction whose slope is not
 negative is replaced by the preconditioned steepest descent -z before
 its search.  An eigen solve may instead start from a given field on the
@@ -399,13 +397,13 @@ def _make_precond(grid: Grid, norm: MinkowskiNorm):
     p, and (1, 1), the Laplacian, for a gauge without one.  Applied
     through DST-I diagonalization, dividing by the symbol a11 lam1[i] +
     a22 lam2[j] a block of ``rows`` rows at a time (no grid-sized table of
-    it); restricted to the mask on the way out by multiplying with it.  On
-    rectangle-aligned domains with a12 = 0 this inverts the p = 2 energy's
-    Hessian exactly, up to the factor 2 cell_area; elsewhere it is
-    spectrally equivalent to it.  The result's interior receives a copy of
-    g's, and both transforms run in place there (``overwrite_x`` on the
-    strided view), so no transform array lives beside it; only its border
-    is zeroed.  The transforms use one thread per CPU this process may run
+    it); restricted to the mask on the way out by multiplying with it.
+    Where ``_precond_exact`` holds this inverts the p = 2 energy's
+    Hessian, up to the factor 2 cell_area; elsewhere it is spectrally
+    equivalent to it.  The result's interior receives a copy of g's, and
+    both transforms run in place there (``overwrite_x`` on the strided
+    view), so no transform array lives beside it; only its border is
+    zeroed.  The transforms use one thread per CPU this process may run
     on, not per CPU of the machine (the results do not depend on the
     count).
     """
@@ -438,6 +436,11 @@ def _make_precond(grid: Grid, norm: MinkowskiNorm):
         return z
 
     return apply
+
+
+def _precond_exact(grid: Grid, a) -> bool:
+    """Whether ``_make_precond`` inverts the p = 2 Hessian on ``grid``."""
+    return a is not None and a[1] == 0.0 and bool(grid.mask[1:-1, 1:-1].all())
 
 
 def _linear_stencil(fine: np.ndarray, start: float, h: float):
@@ -479,9 +482,8 @@ def _prolong(values: np.ndarray, coarse: Grid, fine: Grid) -> np.ndarray:
 
 
 def _bbox_seed(grid: Grid) -> np.ndarray:
-    """The eigen descent's one seed: the bounding box's first sine mode
-    sin(pi i / (nx - 1)) sin(pi j / (ny - 1)) on the free nodes, the
-    discrete eigenvector where ``_make_precond`` inverts the Hessian."""
+    """The eigen descent's one seed: the box's first sine mode on the free
+    nodes, the discrete eigenvector where ``_precond_exact`` holds."""
     sx = np.sin(np.pi / (grid.nx - 1) * np.arange(grid.nx))
     sy = np.sin(np.pi / (grid.ny - 1) * np.arange(grid.ny))
     seed = sx[:, None] * sy
@@ -499,7 +501,7 @@ class _DescentProblem:
     level's first iterate, in place.
     """
 
-    clamp = False
+    clamp = linear = False
 
     def __init__(self, grid: Grid, norm: MinkowskiNorm, p: float, eps: float):
         self.grid = grid
@@ -603,6 +605,8 @@ class _EigenProblem(_DescentProblem):
 
 
 class _TorsionProblem(_DescentProblem):
+    linear = True  # on the quadratic path: one level, from zero
+
     def prepare(self, psi):
         return self.feasible(psi)
 
@@ -911,9 +915,8 @@ def _coarse_to_fine(problem_cls, poly: ConvexPolygon, norm: MinkowskiNorm,
                     start: GridField | None = None):
     """Descend on each grid level from the coarsest, prolonging upwards.
 
-    On the quadratic path a torsion solve, and an eigen solve with
-    a12 = 0 whose finest grid's free nodes fill its box's interior, have
-    one level, that grid, decided before any coarser grid is built;
+    A ``linear`` problem on the quadratic path, and a solve where
+    ``_precond_exact`` holds, have one level, the finest grid;
     elsewhere the levels are ``_grid_hierarchy``'s.  The coarsest level
     starts from zero, which ``prepare`` turns into a feasible start; every
     finer level receives the coarser level's result and prolongs it
@@ -928,10 +931,9 @@ def _coarse_to_fine(problem_cls, poly: ConvexPolygon, norm: MinkowskiNorm,
     check_p_tol(p, tol)
     eps = _eps_for(poly, norm, p)
     if start is None:
-        fine = build_grid(poly, h)
-        a = _quadratic_form(norm, p)
-        one_level = a is not None and (problem_cls is _TorsionProblem or (
-            a[1] == 0.0 and fine.mask[1:-1, 1:-1].all()))
+        fine, a = build_grid(poly, h), _quadratic_form(norm, p)
+        one_level = ((problem_cls.linear and a is not None)
+                     or _precond_exact(fine, a))
         grids = [fine] if one_level else _grid_hierarchy(poly, fine)
     else:
         grids = [_start_grid(start, poly, h)]
@@ -960,15 +962,14 @@ def solve_eigen(poly: ConvexPolygon, norm: MinkowskiNorm, p: float, h: float,
                 start: GridField | None = None) -> EigenResult:
     """Minimize the discrete Rayleigh quotient; returns max-normalized u.
 
-    Without ``start`` the descent runs coarse to fine from the bounding-box
-    seed, or only on the finest grid where that seed is the discrete
-    eigenvector (see the module docstring).  A ``start`` on the grid
-    ``build_grid(poly, h)`` would build (in practice the torsion field v
-    of the same case) is descended on that grid alone; its values
-    are not changed, and a start with no positive free value falls back
-    to the bounding-box seed.  ValueError when the start lives on another
-    grid.  ``iterations`` counts the iterations of every level run, and
-    ``max_iter`` bounds it.
+    Without ``start`` the descent runs coarse to fine from ``_bbox_seed``,
+    or on the finest grid alone where ``_precond_exact`` holds.  A
+    ``start`` on the grid ``build_grid(poly, h)`` would build (in practice
+    the torsion field v of the same case) is descended on that grid
+    alone; its values are not changed, and a start with no positive free
+    value falls back to the seed.  ValueError when the start lives on
+    another grid.  ``iterations`` counts the iterations of every level
+    run, and ``max_iter`` bounds it.
     The reported eigenvalue re-evaluates the quotient of the minimizer at
     eps = 0.  ``tol`` bounds the dual residual on the quadratic path and
     the 25-iteration relative quotient decrease on the nonlinear path (see

@@ -28,6 +28,9 @@ from oracles import (edge_energy_per_family, prolong_map_coordinates,
 LQ2 = MinkowskiNorm.lq(2)
 LQ4 = MinkowskiNorm.lq(4)
 ELL = MinkowskiNorm.ellipse(4, 0, 1)
+# lq:2 with a12 = 0.01: on a rectangle its unseeded eigen solve descends
+# the whole hierarchy, where lq:2's stops at its seed on the finest grid
+SKEW = MinkowskiNorm.ellipse(1, 0.01, 1)
 
 SQUARE = ConvexPolygon.rectangle(1, 1)
 J01SQ = float(jn_zeros(0, 1)[0] ** 2)  # 5.783185962946785
@@ -371,7 +374,9 @@ class TestDescentCost:
                             counted("energy", pde.grad_energy))
         monkeypatch.setattr(pde, "_grad_energy_with_grad",
                             counted("kernel", pde._grad_energy_with_grad))
-        solve(SQUARE, norm, 2.0, 1.0 / 32.0)
+        # the square's eigen seed is its answer; the hexagon's descends
+        poly = HEXAGON if solve is solve_eigen else SQUARE
+        assert solve(poly, norm, 2.0, 1.0 / 32.0).iterations > 0
         assert 0 < calls["energy"] <= calls["kernel"], calls
 
     @pytest.mark.parametrize("norm,p,quadratic", [(LQ2, 2.0, True),
@@ -396,7 +401,8 @@ class TestDescentCost:
 
         for name in calls:
             monkeypatch.setattr(MinkowskiNorm, name, counted(name))
-        solve(SQUARE, norm, p, 1.0 / 32.0)
+        poly = HEXAGON if solve is solve_eigen else SQUARE
+        assert solve(poly, norm, p, 1.0 / 32.0).iterations > 0
         if quadratic:
             assert calls == {"value2": 0, "value_wgrad2": 0}
         else:
@@ -412,29 +418,32 @@ class TestDescentCost:
         # the peak of one solve in units of one finest-grid field: the
         # descent holds no old gradient while a trial point is evaluated
         poly = ConvexPolygon.rectangle(1, 16)
+        if solve is solve_eigen and norm is LQ2:
+            norm = SKEW  # a quadratic eigen descent over the hierarchy
         field = build_grid(poly, 1.0 / 32.0).mask.size * 8
         tracemalloc.start()
         try:
-            solve(poly, norm, p, 1.0 / 32.0)
+            res = solve(poly, norm, p, 1.0 / 32.0)
             peak = tracemalloc.get_traced_memory()[1] / field
         finally:
             tracemalloc.stop()
+        assert res.iterations > 0
         assert peak <= bound, peak
 
     def test_oracle_eigen_peak_memory(self):
         # a level holds psi, z, d, one trial point and its gradient (or,
-        # in the preconditioner, the new z), besides the grid masks and
-        # blocks of rows.  This solve stops at its seed on its finest level
-        # alone: psi, g, z and d, and no coarser level's result (4.15)
+        # in the preconditioner, the new z), besides the coarser level's
+        # result, the grid masks and blocks of rows
         poly = ConvexPolygon.rectangle(1, 16)
         field = build_grid(poly, 1.0 / 128.0).mask.size * 8
         tracemalloc.start()
         try:
-            solve_eigen(poly, LQ2, 2.0, 1.0 / 128.0)
+            res = solve_eigen(poly, SKEW, 2.0, 1.0 / 128.0)
             peak = tracemalloc.get_traced_memory()[1] / field
         finally:
             tracemalloc.stop()
-        assert peak <= 4.2, peak
+        assert res.iterations > 0
+        assert peak <= 5.6, peak
 
     def test_oracle_eigen_peak_memory_without_gc(self):
         # the same peak when only reference counts free memory: a
@@ -444,11 +453,27 @@ class TestDescentCost:
         gc.disable()
         tracemalloc.start()
         try:
-            solve_eigen(poly, LQ2, 2.0, 1.0 / 128.0)
+            res = solve_eigen(poly, SKEW, 2.0, 1.0 / 128.0)
             peak = tracemalloc.get_traced_memory()[1] / field
         finally:
             tracemalloc.stop()
             gc.enable()
+        assert res.iterations > 0
+        assert peak <= 5.6, peak
+
+    def test_one_level_eigen_peak_memory(self):
+        # lq:2's unseeded solve stops at its seed on the finest grid
+        # alone: psi, g, z and d, with no coarser level's result and no
+        # trial point (4.15 measured)
+        poly = ConvexPolygon.rectangle(1, 16)
+        field = build_grid(poly, 1.0 / 128.0).mask.size * 8
+        tracemalloc.start()
+        try:
+            res = solve_eigen(poly, LQ2, 2.0, 1.0 / 128.0)
+            peak = tracemalloc.get_traced_memory()[1] / field
+        finally:
+            tracemalloc.stop()
+        assert res.iterations == 0
         assert peak <= 4.2, peak
 
 
@@ -721,6 +746,23 @@ class TestRectDiscrete:
         lam = rect_discrete(res.u.grid, LQ2.quadratic_form())[0]
         assert res.lambda_ == pytest.approx(lam, rel=1e-12)
         assert (res.stop, res.iterations) == ("dual", 0)
+
+    @pytest.mark.parametrize("poly,norm", [
+        (SQUARE, LQ2), (ConvexPolygon.rectangle(1, 4), ELL)],
+        ids=["square-lq2", "rect-1-4-ellipse-4-0-1"])
+    @pytest.mark.parametrize("start", ["torsion", "tilted-seed"])
+    def test_descent_reaches_it(self, poly, norm, start):
+        # from a start away from the eigenvector the descent itself, not
+        # the seed, has to reach the closed form
+        h = 1.0 / 32.0
+        v = solve_torsion(poly, norm, 2.0, h).v
+        if start == "tilted-seed":
+            tilt = 1.0 + 0.3 * np.cos(3.0 * v.grid.x)[:, None]
+            v = GridField(v.grid, pde._bbox_seed(v.grid) * tilt)
+        res = solve_eigen(poly, norm, 2.0, h, start=v)
+        assert res.stop == "dual" and res.iterations > 0
+        lam = rect_discrete(v.grid, norm.quadratic_form())[0]
+        assert res.lambda_ == pytest.approx(lam, rel=1e-12)
 
     @settings(max_examples=30, deadline=None)
     @given(st.floats(0.25, 4.0), st.floats(0.25, 4.0), st.floats(0.2, 5.0),

@@ -256,7 +256,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="print the canonical config text and exit")
 
     sw = subs.add_parser("sweep", allow_abbrev=False)
-    sw.add_argument("--family", default="slab", choices=["slab"])
     sw.add_argument("--a", type=float, default=1.0)
     sw.add_argument("--k", default="1,2,4,8,16",
                     help="comma-separated half-lengths")

@@ -24,14 +24,15 @@ Poisson one for it (Concus & Golub 1973), so it descends its finest grid
 alone, from zero: there coarse levels only delay it.  So does an eigen
 solve where ``_precond_exact`` holds, whose seed ``_bbox_seed`` is the
 discrete eigenvector (Buzbee, Golub & Nielson 1970).  One restart rule
-keeps every direction a descent one: a CG direction whose slope is not
-negative is replaced by the preconditioned steepest descent -z before
-its search.  An eigen solve may instead start from a given field on the
-finest grid (the harness passes the case's torsion field, the first
-inverse power step from a constant); it then runs that one level, and
-its iteration count is that level's.  One bracketing Wolfe line search picks every step: a
-trial is accepted once its value exceeds the current one by at most its
-rounding (``TIE``) and the slope along the ray has shrunk to
+forms each level's first direction and keeps every direction a descent
+one: no direction yet, or a CG direction whose slope is not negative,
+becomes the preconditioned steepest descent -z before its search.  An
+eigen solve may instead start from a given field on the finest grid
+(the harness passes the case's torsion field, the first inverse power
+step from a constant); it then runs that one level, and its iteration
+count is that level's.  One bracketing Wolfe line search picks every
+step: a trial is accepted once its value exceeds the current one by at
+most its rounding (``TIE``) and the slope along the ray has shrunk to
 ``WOLFE_C2`` times the initial one.  Its first trial is the exact
 minimizer along the ray on the quadratic path (p = 2 with a quadratic
 gauge), whose slope is ~0, so it is taken at once; elsewhere it is the
@@ -73,13 +74,14 @@ Memory: while a level descends it holds psi, z, d, one trial point and
 its gradient (while the preconditioner runs, the new z in place of the
 trial point), besides the grid masks and the coarser level's result,
 which the level prolongs itself: five grid-sized arrays on the
-quadratic path.  Anything else a level forms is either grid-sized only
-while no trial gradient exists (the edge kernel's value buffer, the
-masked copies of the ray curvatures, the eigen denominator and the
-torsion load) or formed a block of rows at a time (the edge kernel's
-gradient, the eigen denominator's gradient, the sine-transform
-divisor); on a grid that one block of rows covers, the edge kernel forms
-its gradient beside its buffer.  Inner products are ``_dot``, which
+quadratic path (psi, its gradient and z where it stops at iteration 0,
+having formed no direction).  Anything else a level forms is either
+grid-sized only while no trial gradient exists (the edge kernel's
+value buffer, the masked copies of the ray curvatures, the eigen
+denominator and the torsion load) or formed a block of rows at a time
+(the edge kernel's gradient, the eigen denominator's gradient, the
+sine-transform divisor); on a grid that one block of rows covers, the
+edge kernel forms its gradient beside its buffer.  Inner products are ``_dot``, which
 forms no full-size product; the sine transforms run in place in the new
 z; the CG update works in the old z's storage and in d; and the line
 search keeps only the step and value of its best trial.  Off the
@@ -680,15 +682,16 @@ def _descend(problem: _DescentProblem, start: GridField | None, tol: float,
     """Monotone preconditioned CG descent on one grid, from ``start``.
 
     ``prepare`` makes the level's fresh start array (``_start_values``)
-    feasible in place.  Each iteration steps along the CG direction,
-    restarted as the preconditioned steepest descent -z when its slope
-    is not negative; on both paths the step comes from one line search,
-    ``_wolfe_step``, and a failed search ends the level on "line_search".
-    The search receives the slope of its direction, so the old gradient
-    is freed before any trial point is evaluated; each trial point costs
-    one ``value_grad``, and the accepted one's value and gradient start
-    the next iteration.  No accepted step raises the value by more than
-    ``TIE`` |f|, the rounding of the value.
+    feasible in place.  The level starts with no direction; the restart
+    rule forms the first one, and replaces a CG direction whose slope is
+    not negative, as the preconditioned steepest descent -z.  On both
+    paths the step comes from one line search, ``_wolfe_step``, and a
+    failed search ends the level on "line_search".  The search receives
+    the slope of its direction, so the old gradient is freed before any
+    trial point is evaluated; each trial point costs one ``value_grad``,
+    and the accepted one's value and gradient start the next iteration.
+    No accepted step raises the value by more than ``TIE`` |f|, the
+    rounding of the value.
 
     The quadratic path converges on "dual" only, the nonlinear path on a
     full "window" only.  Returns (psi, iterations, residual, converged,
@@ -700,9 +703,8 @@ def _descend(problem: _DescentProblem, start: GridField | None, tol: float,
     f, g = problem.value_grad(psi)
     hist = [f]
     z = problem.precond(g)
-    d = -z
     gz = _dot(g, z)
-    alpha_prev = None
+    d = alpha_prev = None
     it = 0
     while True:
         dual = _dual_residual(f, gz, problem.grid.cell_area)
@@ -716,8 +718,8 @@ def _descend(problem: _DescentProblem, start: GridField | None, tol: float,
         if it >= max_iter:
             return psi, it, dual, False, "budget"
         it += 1
-        slope = _dot(g, d)
-        if not slope < 0.0:  # restart: -z descends wherever gz > 0
+        slope = math.nan if d is None else _dot(g, d)
+        if not slope < 0.0:  # first or restart: -z descends wherever gz > 0
             d, slope = -z, -gz
         del g  # beta needs only z and gz of the old point
         found = _wolfe_step(problem, psi, d, f, slope, alpha_prev)
@@ -1004,17 +1006,13 @@ def solve_torsion(poly: ConvexPolygon, norm: MinkowskiNorm, p: float, h: float,
     on the finest grid alone, from zero; elsewhere it runs coarse to fine.
     ``tol`` and ``max_iter`` act, and ConvergenceError is raised, as in
     ``solve_eigen``; when the descent ends with no positive value, the
-    partial result reports T, Mv and T_dual as nan.
+    partial result reports T, Mv and T_dual as nan.  ``v`` is the
+    iterate unclipped, so a sign defect stays visible.
     """
     grid, psi, total_it, residual, converged, stop = _coarse_to_fine(
         _TorsionProblem, poly, norm, p, h, tol, max_iter)
     mv = float(psi.max())
     null = not mv > 0.0
-    # clip pure float noise; genuine sign defects are left visible
-    noise = psi < 0.0
-    if noise.any() and float(psi.min()) > -1e-12 * max(mv, 1.0):
-        psi = psi.copy()
-        psi[noise] = 0.0
     if null:
         mv = t_int = t_dual = math.nan
     else:

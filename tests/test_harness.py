@@ -106,6 +106,16 @@ class TestRunCase:
         assert rep.status == "inconclusive"
         assert rep.solver["eigen_converged"]
 
+    def test_strongly_coupled_ellipse_stays_inconclusive(self):
+        # with a12 = 0.9 the discrete first eigenvector changes sign (30 of
+        # 484 nodes negative at diam/32), which the eigen clamp cannot
+        # reach: the solve ends on an unconverged line search, never a pass
+        diam = ConvexPolygon.rectangle(1, 1).diameter
+        rep = run_case(CaseSpec("rect:1,1", "ellipse:1,0.9,1", 2.0,
+                                h=diam / 32.0))
+        assert rep.status == "inconclusive"
+        assert rep.solver["eigen_converged"] is False
+
     def test_null_torsion_field_falls_back_to_the_bbox_seed(self,
                                                               monkeypatch):
         # a failed torsion solve whose partial v is null still seeds the

@@ -15,11 +15,11 @@ verify
     did not write are removed), and exit 0 only if every converged case
     passes every inequality.
 sweep
-    Slab-family optimality ratios; emits ``k,r1,r2,r3,r4`` CSV.
+    Ratios on the slabs ]-1,1[ x ]-k,k[; emits ``k,r1,r2,r3,r4`` CSV.
 
-Exit codes: 0 success, 1 inequality failure (verify), 2 argument/config
-error, 3 solver non-convergence (or inconclusive cases under
-``--strict``).
+Exit codes: 0 success, 1 inequality failure (verify), 2 argument, config
+or file-system error (an ``--out`` that names a file), 3 solver
+non-convergence (or inconclusive cases under ``--strict``).
 
 Config files are either JSON or a flat key-value text with ``[run]``,
 ``[tolerances]`` and ``[case]`` sections.  The text form is read into the
@@ -256,7 +256,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="print the canonical config text and exit")
 
     sw = subs.add_parser("sweep", allow_abbrev=False)
-    sw.add_argument("--a", type=float, default=1.0)
     sw.add_argument("--k", default="1,2,4,8,16",
                     help="comma-separated half-lengths")
     sw.add_argument("--norm", default="lq:2")
@@ -339,6 +338,9 @@ def _cmd_verify(args) -> int:
         sys.stdout.write(cfg.dump_text())
         return EXIT_OK
 
+    if cfg.out_dir:  # before any case runs, so a bad directory costs none
+        out = Path(cfg.out_dir)
+        out.mkdir(parents=True, exist_ok=True)
     payloads = [(spec, cfg.tolerances) for spec in cfg.cases]
     # the pool forks all its workers at the first submit: no more than cases
     workers = min(cfg.jobs, len(payloads))
@@ -350,8 +352,6 @@ def _cmd_verify(args) -> int:
     reports.sort(key=lambda rep: rep.case["id"])
 
     if cfg.out_dir:
-        out = Path(cfg.out_dir)
-        out.mkdir(parents=True, exist_ok=True)
         written = set()
         for rep in reports:
             safe = rep.case["id"].replace(":", "_").replace("|", "__") \
@@ -389,7 +389,7 @@ def _cmd_sweep(args) -> int:
     ks = [float(tok) for tok in args.k.split(",") if tok.strip()]
     if not ks:
         raise GaugeError("sweep needs at least one k")
-    rows = slab_sweep(args.a, gauge, args.p, ks, h=args.h)
+    rows = slab_sweep(gauge, args.p, ks, h=args.h)
     text = "\n".join(sweep_csv_rows(rows)) + "\n"
     if args.out:
         out = Path(args.out)
@@ -418,7 +418,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return _COMMANDS[args.command](args)
-    except (GaugeError, GeometryError, ValueError) as exc:
+    except (GaugeError, GeometryError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except ConvergenceError as exc:

@@ -13,9 +13,11 @@ the eigen descent from its field v on the finest grid: v is the first
 step of the inverse power method from a constant, so it is already close
 to the eigenfield, and the eigen solve needs no coarse levels.  On the
 quadratic path (p = 2 with a quadratic gauge) the torsion solve needs
-none either; elsewhere it runs coarse to fine.  A case has that one
-grid: the P-function, the Phi comparison and the distance field
-(``grid_inradius``, ``grid_argmax``) sample it too.
+none either; elsewhere it runs coarse to fine.  Where ``pde`` has the
+exact seed (p = 2, a12 = 0, free nodes filling the box's interior) it
+takes that instead of v.  A case has that one grid: the P-function, the
+Phi comparison and the distance field (``grid_inradius``,
+``grid_argmax``) sample it too.
 
 Reports are plain dict/JSON-serializable structures whose serialized
 form is byte-identical across reruns of the same spec (no timestamps,
@@ -204,12 +206,12 @@ def run_case(spec: CaseSpec, tols: dict | None = None) -> InequalityReport:
     """Solve one case and score every inequality record.
 
     The torsion is solved first; the eigen descent starts from its field v
-    on its finest grid, which the distance field samples too.  Solver
-    non-convergence is caught: the partial fields still produce a report
-    (the eigen solve then starts from the partial v), but with status
-    "inconclusive" so failures stay separated from numerics.  ``tols``
-    maps inequality ids to (rel, c) budgets that replace their
-    ``INEQUALITIES`` defaults.
+    (or ``pde``'s exact seed) on its finest grid, which the distance field
+    samples too.  Solver non-convergence is caught: the partial fields
+    still produce a report (the eigen solve then starts from the partial
+    v), but with status "inconclusive" so failures stay separated from
+    numerics.  ``tols`` maps inequality ids to (rel, c) budgets that
+    replace their ``INEQUALITIES`` defaults.
     """
     poly, gauge, h = spec.build()
     inconclusive = False
@@ -294,10 +296,9 @@ def aggregate_csv_rows(reports: list[InequalityReport]) -> list[str]:
 # -- slab-limit optimality sweep ------------------------------------------------
 
 
-def slab_sweep(a: float, gauge: MinkowskiNorm, p: float, ks: list[float],
-               h: float | None = None,
-               tol: float = DEFAULTS["tol"]) -> list[dict]:
-    """Optimality ratios of the rectangle family ]-a,a[ x ]-k,k[ per k.
+def slab_sweep(gauge: MinkowskiNorm, p: float, ks: list[float],
+               h: float | None = None) -> list[dict]:
+    """Optimality ratios of the rectangle family ]-1,1[ x ]-k,k[ per k.
 
     r1 = lambda R_F^p / (pi_p/2)^p            (inradius lower bound)
     r2 = h_est * R_F                          (Cheeger inradius lower bound)
@@ -305,28 +306,29 @@ def slab_sweep(a: float, gauge: MinkowskiNorm, p: float, ks: list[float],
     r4 = lambda Mv^(p-1) / slab_constant(p)   (torsion-max bound)
 
     All four tend to 1 from above as k grows; the grid is tied to the
-    short side (h = 2a * slab_h_fraction by default) so the accuracy is
-    k-independent.  The limits assume R_F = a F°(e1), and a k whose
-    inradius differs warns.  As R_F <= a / F(e1) <= a F°(e1), with
+    short side (h = 2 slab_h_fraction by default) so the accuracy is
+    k-independent.  They are scale-free: ]-a,a[ x ]-k,k[ at h gives the
+    ratios of k/a at h/a.  The limits assume R_F = F°(e1), and a k whose
+    inradius differs warns.  As R_F <= 1 / F(e1) <= F°(e1), with
     equality in the second step iff the gauge is axis-aligned
     (F(e1) F°(e1) = 1), an unaligned gauge warns at every k.
     """
-    check_p_tol(p, tol)
+    check_p_tol(p, DEFAULTS["tol"])  # before any solve
     half_pi = 0.5 * pi_p(p)
-    h_eff = h if h is not None else 2.0 * a * DEFAULTS["slab_h_fraction"]
+    h_eff = h if h is not None else 2.0 * DEFAULTS["slab_h_fraction"]
     rows = []
     for k in ks:
-        poly = ConvexPolygon.rectangle(a, k)
+        poly = ConvexPolygon.rectangle(1.0, k)
         ch = cheeger_estimate(poly, gauge)
         r_f = ch.inradius
-        expect_rf = a * float(gauge.polar_eval(np.array([1.0, 0.0])))
+        expect_rf = float(gauge.polar_eval(np.array([1.0, 0.0])))
         if abs(r_f - expect_rf) > 1e-9 * max(expect_rf, 1.0):
             warnings.warn(f"slab sweep at k={k:g}: inradius {r_f:g} is not "
-                          f"a*F°(e1)={expect_rf:g}; the limit formulas assume "
+                          f"F°(e1)={expect_rf:g}; the limit formulas assume "
                           "an axis-aligned gauge whose short direction "
                           "dominates", stacklevel=2)
-        torsion = solve_torsion(poly, gauge, p, h_eff, tol=tol)
-        eigen = solve_eigen(poly, gauge, p, h_eff, tol=tol, start=torsion.v)
+        torsion = solve_torsion(poly, gauge, p, h_eff)
+        eigen = solve_eigen(poly, gauge, p, h_eff, start=torsion.v)
         rows.append({
             "k": float(k),
             "r1": eigen.lambda_ * r_f**p / half_pi**p,

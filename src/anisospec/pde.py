@@ -22,24 +22,25 @@ across a grid hierarchy.  A torsion solve on the quadratic path (p = 2
 with a quadratic gauge) is linear, and the DST preconditioner is a fast
 Poisson one for it (Concus & Golub 1973), so it descends its finest grid
 alone, from zero: there coarse levels only delay it.  So does an eigen
-solve where ``_precond_exact`` holds, whose seed ``_bbox_seed`` is the
-discrete eigenvector (Buzbee, Golub & Nielson 1970).  One restart rule
-forms each level's first direction and keeps every direction a descent
-one: no direction yet, or a CG direction whose slope is not negative,
-becomes the preconditioned steepest descent -z before its search.  An
-eigen solve may instead start from a given field on the finest grid
-(the harness passes the case's torsion field, the first inverse power
-step from a constant); it then runs that one level, and its iteration
-count is that level's.  One bracketing Wolfe line search picks every
-step: a trial is accepted once its value exceeds the current one by at
-most its rounding (``TIE``) and the slope along the ray has shrunk to
-``WOLFE_C2`` times the initial one.  Its first trial is the exact
-minimizer along the ray on the quadratic path (p = 2 with a quadratic
-gauge), whose slope is ~0, so it is taken at once; elsewhere it is the
-last accepted step.  Every trial point costs one value-and-gradient
-evaluation, the search receives the slope of its direction rather than
-the old gradient, and the accepted trial's value and gradient start the
-next iteration.  Each solve reports which rule stopped it:
+solve where ``_precond_exact`` holds, from its seed ``_bbox_seed``, the
+discrete eigenvector (Buzbee, Golub & Nielson 1970), even when given a
+start.  One restart rule forms each level's first direction and keeps
+every direction a descent one: no direction yet, or a CG direction
+whose slope is not negative, becomes the preconditioned steepest
+descent -z before its search.  Elsewhere an eigen solve may start from
+a given field on the finest grid (the harness passes the case's torsion
+field, the first inverse power step from a constant); it then runs that
+one level, and its iteration count is that level's.  One bracketing
+Wolfe line search picks every step: a trial is accepted once its value
+exceeds the current one by at most its rounding (``TIE``) and the slope
+along the ray has shrunk to ``WOLFE_C2`` times the initial one.  Its
+first trial is the exact minimizer along the ray on the quadratic path
+(p = 2 with a quadratic gauge), whose slope is ~0, so it is taken at
+once; elsewhere it is the last accepted step.  Every trial point costs
+one value-and-gradient evaluation, the search receives the slope of its
+direction rather than the old gradient, and the accepted trial's value
+and gradient start the next iteration.  Each solve reports which rule
+stopped it:
 
 * ``"dual"`` - the quadratic path's rule: the preconditioned dual
   residual (the iterate's relative energy-norm error) is below ``tol``;
@@ -80,11 +81,10 @@ grid-sized only while no trial gradient exists (the edge kernel's
 value buffer, the masked copies of the ray curvatures, the eigen
 denominator and the torsion load) or formed a block of rows at a time
 (the edge kernel's gradient, the eigen denominator's gradient, the
-sine-transform divisor); on a grid that one block of rows covers, the
-edge kernel forms its gradient beside its buffer.  Inner products are ``_dot``, which
-forms no full-size product; the sine transforms run in place in the new
-z; the CG update works in the old z's storage and in d; and the line
-search keeps only the step and value of its best trial.  Off the
+sine-transform divisor).  Inner products are ``_dot``, which forms no
+full-size product; the sine transforms run in place in the new z; the
+CG update works in the old z's storage and in d; and the line search
+keeps only the step and value of its best trial.  Off the
 quadratic path the kernel also holds the two arrays of grid differences
 and one half's F_eps^p, and forms the rest in blocks of at most
 ``BLOCK`` triangles.
@@ -215,15 +215,14 @@ def _edge_energy(psi: np.ndarray, grid: Grid, a, grad: bool = False):
     the sum: no per-triangle gradient and no per-triangle scatter.
 
     With ``grad`` it returns (energy, gradient), adding 2 c D onto each
-    edge's head and -2 c D onto its tail (halved on the border).  Where
-    one block of ``BLOCK`` elements' rows covers the grid (every catalog
-    grid), each family's differences are formed again in the buffer right
-    after its value.  On a larger grid the gradient array only comes once
-    the value pass has freed its buffer, and is filled a block of rows at
-    a time; each block takes every family in turn, so each node receives
-    the same additions in the same order as family by family over the
-    whole grid.  The value does not depend on ``grad``, so the energy
-    with and without the gradient is the same bit for bit.
+    edge's head and -2 c D onto its tail (halved on the border).  The
+    gradient array only comes once the value pass has freed its buffer,
+    and is filled a block of at most ``BLOCK`` elements' rows at a time
+    (the whole grid where one block covers it); each block takes every
+    family in turn, so each node receives the same additions in the same
+    order as family by family over the whole grid.  The value does not
+    depend on ``grad``, so the energy with and without the gradient is the
+    same bit for bit.
     """
     a11, a12, a22 = a
     r = grid.hy / grid.hx
@@ -237,8 +236,6 @@ def _edge_energy(psi: np.ndarray, grid: Grid, a, grad: bool = False):
         (a22 / r + a12, 0, np.s_[1:], np.s_[:-1], 0),
         (-a12, 1, np.s_[:-1], np.s_[1:], None),
     ) if f[0] != 0.0]  # a12 = 0: no anti-diagonal term
-    rows = max(1, BLOCK // ny)
-    g = np.zeros_like(psi) if grad and rows >= nx else None
     buf = np.empty(max((nx - 1) * ny, nx * (ny - 1)))  # the largest family
     val = 0.0
     for c, dh, hc, tc, axis in families:
@@ -246,25 +243,21 @@ def _edge_energy(psi: np.ndarray, grid: Grid, a, grad: bool = False):
         d = buf[:head.size].reshape(head.shape)
         _edge_diff(head, tail, d, None, axis, True, True)
         val += c * float(d.sum())  # a BLAS dot may vary with its threads
-        if g is not None:  # one block: the gradient follows in the buffer
-            _edge_diff(head, tail, d, 2.0 * c, axis, True, True)
-            g[dh:, hc] += d
-            g[:nx - dh, tc] -= d
     if not grad:
         return val
-    if g is None:  # several blocks: g comes once the buffer is freed
-        del buf, d, head, tail
-        g = np.zeros_like(psi)
-        buf = np.empty((rows + 1) * ny)
-        for r0 in range(0, nx, rows):
-            r1 = min(r0 + rows, nx)
-            for c, dh, hc, tc, axis in families:
-                e0, e1 = max(r0 - dh, 0), min(r1, nx - dh)  # edges at r0:r1
-                head, tail = psi[e0 + dh:e1 + dh, hc], psi[e0:e1, tc]
-                d = buf[:head.size].reshape(head.shape)
-                _edge_diff(head, tail, d, 2.0 * c, axis, e0 == 0, e1 == nx)
-                g[e0 + dh:r1, hc] += d[:r1 - dh - e0]
-                g[r0:e1, tc] -= d[r0 - e0:]
+    del buf, d, head, tail
+    g = np.zeros_like(psi)
+    rows = min(nx, max(1, BLOCK // ny))
+    buf = np.empty((rows + 1) * ny)
+    for r0 in range(0, nx, rows):
+        r1 = min(r0 + rows, nx)
+        for c, dh, hc, tc, axis in families:
+            e0, e1 = max(r0 - dh, 0), min(r1, nx - dh)  # edges at r0:r1
+            head, tail = psi[e0 + dh:e1 + dh, hc], psi[e0:e1, tc]
+            d = buf[:head.size].reshape(head.shape)
+            _edge_diff(head, tail, d, 2.0 * c, axis, e0 == 0, e1 == nx)
+            g[e0 + dh:r1, hc] += d[:r1 - dh - e0]
+            g[r0:e1, tc] -= d[r0 - e0:]
     return val, g
 
 
@@ -917,28 +910,28 @@ def _coarse_to_fine(problem_cls, poly: ConvexPolygon, norm: MinkowskiNorm,
                     start: GridField | None = None):
     """Descend on each grid level from the coarsest, prolonging upwards.
 
-    A ``linear`` problem on the quadratic path, and a solve where
-    ``_precond_exact`` holds, have one level, the finest grid;
-    elsewhere the levels are ``_grid_hierarchy``'s.  The coarsest level
-    starts from zero, which ``prepare`` turns into a feasible start; every
-    finer level receives the coarser level's result and prolongs it
-    itself, so the driver holds no prolonged copy while the level
-    descends.  With a finest-level ``start`` (a field on the grid
-    ``build_grid(poly, h)`` would build) the descent runs on its grid
-    alone, from a copy of its values: no coarse grid is built, descended
-    or prolonged.  Each level's budget is what the levels before it left
-    of ``max_iter``.  Returns (finest grid, iterate, the iterations of the
-    levels run, and the finest level's residual, converged and stop).
+    The finest grid (``build_grid(poly, h)``, or a given ``start``'s)
+    decides the levels.  A ``linear`` problem on the quadratic path, and a
+    solve where ``_precond_exact`` holds, descend it alone from zero (the
+    eigen ``prepare`` makes that the seed), even when given a start; else
+    a start is descended on its grid alone, from a copy of its values, and
+    an unseeded solve runs ``_grid_hierarchy``'s levels.  The coarsest
+    level starts from zero; every finer level receives the coarser level's
+    result and prolongs it itself, so the driver holds no prolonged copy
+    while the level descends.  Each level's budget is what the levels
+    before it left of ``max_iter``.  Returns (finest grid, iterate, the
+    iterations of the levels run, and the finest level's residual,
+    converged and stop).
     """
     check_p_tol(p, tol)
     eps = _eps_for(poly, norm, p)
-    if start is None:
-        fine, a = build_grid(poly, h), _quadratic_form(norm, p)
-        one_level = ((problem_cls.linear and a is not None)
-                     or _precond_exact(fine, a))
-        grids = [fine] if one_level else _grid_hierarchy(poly, fine)
+    a = _quadratic_form(norm, p)
+    fine = (build_grid(poly, h) if start is None
+            else _start_grid(start, poly, h))
+    if (problem_cls.linear and a is not None) or _precond_exact(fine, a):
+        grids, start = [fine], None  # the level's own start is exact
     else:
-        grids = [_start_grid(start, poly, h)]
+        grids = [fine] if start is not None else _grid_hierarchy(poly, fine)
     total_it = 0
     for grid in reversed(grids):
         psi, it, residual, converged, stop = _descend(
@@ -964,14 +957,15 @@ def solve_eigen(poly: ConvexPolygon, norm: MinkowskiNorm, p: float, h: float,
                 start: GridField | None = None) -> EigenResult:
     """Minimize the discrete Rayleigh quotient; returns max-normalized u.
 
-    Without ``start`` the descent runs coarse to fine from ``_bbox_seed``,
-    or on the finest grid alone where ``_precond_exact`` holds.  A
-    ``start`` on the grid ``build_grid(poly, h)`` would build (in practice
-    the torsion field v of the same case) is descended on that grid
-    alone; its values are not changed, and a start with no positive free
-    value falls back to the seed.  ValueError when the start lives on
-    another grid.  ``iterations`` counts the iterations of every level
-    run, and ``max_iter`` bounds it.
+    Where ``_precond_exact`` holds the descent runs on the finest grid
+    alone from ``_bbox_seed``, the discrete eigenvector, even when given
+    a ``start``.  Elsewhere a start on the grid ``build_grid(poly, h)``
+    would build (in practice the torsion field v of the same case) is
+    descended on that grid alone, its values unchanged (one with no
+    positive free value falls back to the seed), and without one the
+    descent runs coarse to fine from the seed.  ValueError when a start
+    lives on another grid.  ``iterations`` counts the iterations of every
+    level run, and ``max_iter`` bounds it.
     The reported eigenvalue re-evaluates the quotient of the minimizer at
     eps = 0.  ``tol`` bounds the dual residual on the quadratic path and
     the 25-iteration relative quotient decrease on the nonlinear path (see

@@ -70,7 +70,7 @@ def catalog_reports():
 
 @pytest.fixture(scope="session")
 def slab_rows():
-    return slab_sweep(1.0, LQ2, 2.0, [1, 2, 4, 8, 16])
+    return slab_sweep(LQ2, 2.0, [1, 2, 4, 8, 16])
 
 
 def test_criterion_1_pi_p():

@@ -102,7 +102,30 @@ class TestSolverCommands:
     def test_unknown_flag_exit_2(self, capsys):
         assert main(["eigen", "--nope"]) == EXIT_USAGE
         assert main(["verify", "--h", "1"]) == EXIT_USAGE  # not "--help"
+        assert main(["sweep", "--a", "1"]) == EXIT_USAGE  # the short side is 1
         capsys.readouterr()
+
+    @pytest.mark.parametrize("command", ["eigen", "torsion", "sweep", "verify"])
+    def test_out_naming_a_file_exit_2(self, capsys, monkeypatch, tmp_path,
+                                      command):
+        # one error line, no traceback; verify fails before any case runs
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        argv = {"eigen": ["--domain", "rect:1,1", "--norm", "lq:2"],
+                "torsion": ["--domain", "rect:1,1", "--norm", "lq:2"],
+                "sweep": ["--k", "1"], "verify": []}[command]
+        if command != "verify":
+            argv += ["--h", "0.0625"]
+        cases = []
+        run_case = cli.run_case
+        monkeypatch.setattr(cli, "run_case",
+                            lambda *args: cases.append(args) or run_case(*args))
+        assert main([command, *argv, "--out", str(taken)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+        assert cases == []
+        assert taken.read_text() == ""
 
     def test_nonconvergence_exit_3(self, capsys, monkeypatch):
         def fail(*a, **k):
@@ -402,8 +425,8 @@ class TestConfig:
 
 class TestSweepCommand:
     def test_header_and_values(self, capsys):
-        code = main(["sweep", "--a", "1", "--k", "1,2", "--norm", "lq:2",
-                     "--p", "2", "--h", "0.0625"])
+        code = main(["sweep", "--k", "1,2", "--norm", "lq:2", "--p", "2",
+                     "--h", "0.0625"])
         out = capsys.readouterr().out
         assert code == EXIT_OK
         lines = out.splitlines()
@@ -413,8 +436,8 @@ class TestSweepCommand:
         assert row1[3] == pytest.approx(2.0, rel=1e-9)  # r3 = 1 + 1/k
 
     def test_out_file(self, capsys, tmp_path):
-        code = main(["sweep", "--a", "1", "--k", "1", "--h", "0.0625",
-                     "--out", str(tmp_path)])
+        code = main(["sweep", "--k", "1", "--h", "0.0625", "--out",
+                     str(tmp_path)])
         capsys.readouterr()
         assert code == EXIT_OK
         assert (tmp_path / "slab_sweep.csv").read_text().startswith("k,r1")

@@ -199,13 +199,13 @@ class TestRectRatioLimit:
             assert ratio == pytest.approx(target, rel=4 / k)
 
     def test_warns_when_unaligned(self):
-        # an unaligned gauge has R_F < a F°(e1), so the limit assumption
+        # an unaligned gauge has R_F < F°(e1), so the limit assumption
         # of the rectangle sweep fails and it warns
         rotated = MinkowskiNorm.ellipse(2, 0.5, 1)
         r_f, _ = ConvexPolygon.rectangle(1.0, 4.0).inradius_F(rotated)
         assert r_f < float(rotated.polar_eval(np.array([1.0, 0.0]))) - 1e-3
         with pytest.warns(UserWarning):
-            slab_sweep(1.0, rotated, 2.0, [4], h=1.0 / 16.0)
+            slab_sweep(rotated, 2.0, [4], h=1.0 / 16.0)
 
 
 class TestErode:

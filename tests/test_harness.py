@@ -275,15 +275,30 @@ class TestEachQuantityOnce:
         assert len(descents) >= 2 and len(grids) >= len(descents)
         assert len(prolongs) == len(descents) - 1
 
-    def test_seeded_rectangle_eigen_keeps_its_start(self, monkeypatch):
-        # a given start is descended as it is, not replaced by the seed
+    def test_seeded_box_interior_eigen_takes_the_seed(self, monkeypatch):
+        # where the seed is the discrete eigenvector, a given start is
+        # replaced by it: one level from no start, on the start's grid
         poly, norm = ConvexPolygon.rectangle(1, 4), MinkowskiNorm.lq(2)
         h = 1.0 / 32.0
         v = pde.solve_torsion(poly, norm, 2.0, h).v
+        assert pde._precond_exact(v.grid, norm.quadratic_form())
+        descents = _count_calls(monkeypatch, pde, "_descend")
+        res = pde.solve_eigen(poly, norm, 2.0, h, start=v)
+        assert len(descents) == 1 and descents[0][1] is None
+        assert res.iterations == 0 and res.u.grid is v.grid
+
+    def test_seeded_eigen_keeps_its_start_elsewhere(self, monkeypatch):
+        # where the DST does not invert the Hessian, a given start is
+        # descended as it is, on its grid alone
+        norm = MinkowskiNorm.lq(2)
+        poly = geometry.parse_domain("regular:6,1", norm=norm)
+        h = 1.0 / 32.0
+        v = pde.solve_torsion(poly, norm, 2.0, h).v
+        assert not pde._precond_exact(v.grid, norm.quadratic_form())
         descents = _count_calls(monkeypatch, pde, "_descend")
         res = pde.solve_eigen(poly, norm, 2.0, h, start=v)
         assert len(descents) == 1 and descents[0][1] is v
-        assert res.iterations > 0
+        assert res.iterations > 0 and res.u.grid is v.grid
 
     def test_run_case_builds_only_the_torsion_grids(self, monkeypatch):
         # the eigen solve and the distance field sample the torsion's
@@ -316,7 +331,7 @@ class TestEachQuantityOnce:
 
     def test_slab_sweep_one_skeleton_per_k(self, monkeypatch):
         skeletons = _count_calls(monkeypatch, geometry, "_erosion_skeleton")
-        slab_sweep(1.0, MinkowskiNorm.lq(2), 2.0, [1, 2], h=1.0 / 16.0)
+        slab_sweep(MinkowskiNorm.lq(2), 2.0, [1, 2], h=1.0 / 16.0)
         assert len(skeletons) == 2
 
     def test_cached_incenter_is_read_only(self):
@@ -327,7 +342,7 @@ class TestEachQuantityOnce:
 
 @pytest.fixture(scope="module")
 def rows():
-    return slab_sweep(1.0, MinkowskiNorm.lq(2), 2.0, [1, 2, 4], h=1.0 / 24.0)
+    return slab_sweep(MinkowskiNorm.lq(2), 2.0, [1, 2, 4], h=1.0 / 24.0)
 
 
 @pytest.fixture(scope="module")
@@ -338,7 +353,7 @@ def catalog_sweeps():
         warnings.simplefilter("error")
         for spec in ("lq:2", "lq:4", "ellipse:4,0,1"):
             gauge = MinkowskiNorm.parse(spec)
-            sweeps[spec] = gauge, slab_sweep(1.0, gauge, 2.0, [1, 4],
+            sweeps[spec] = gauge, slab_sweep(gauge, 2.0, [1, 4],
                                              h=1.0 / 16.0)
     return sweeps
 
@@ -383,7 +398,7 @@ class TestSlabSweep:
 
     def test_unaligned_norm_warns(self):
         with pytest.warns(UserWarning):
-            slab_sweep(1.0, MinkowskiNorm.ellipse(2, 0.5, 1), 2.0, [1],
+            slab_sweep(MinkowskiNorm.ellipse(2, 0.5, 1), 2.0, [1],
                        h=1.0 / 16.0)
 
 

@@ -412,4 +412,4 @@ class TestAlignment:
         e1 = np.array([1.0, 0.0])
         assert float(rotated(e1)) * float(rotated.polar_eval(e1)) > 1 + 1e-3
         with pytest.warns(UserWarning):
-            slab_sweep(1.0, rotated, 2.0, [1], h=1.0 / 16.0)
+            slab_sweep(rotated, 2.0, [1], h=1.0 / 16.0)

@@ -46,7 +46,7 @@ from .geometry import GeometryError, parse_domain
 from .harness import (CaseSpec, default_catalog, aggregate_csv_rows, run_case,
                       slab_sweep, sweep_csv_rows)
 from .norms import GaugeError, MinkowskiNorm
-from .pde import ConvergenceError, solve_eigen, solve_torsion
+from .pde import ConvergenceError, check_p_tol, solve_eigen, solve_torsion
 
 EXIT_OK = 0
 EXIT_INEQUALITY = 1
@@ -269,6 +269,9 @@ def _cmd_solve(args) -> int:
     """The eigen or torsion subcommand, by ``args.command``."""
     spec = CaseSpec(args.domain, args.norm, args.p, args.h, args.tol)
     poly, gauge, h = spec.build()
+    if args.out:  # before the solve, so a bad directory costs none
+        out = Path(args.out)
+        out.mkdir(parents=True, exist_ok=True)
     if args.command == "eigen":
         res = solve_eigen(poly, gauge, args.p, h, tol=args.tol)
         print(f"lambda = {res.lambda_:.10g}")
@@ -281,8 +284,6 @@ def _cmd_solve(args) -> int:
     print(f"iterations = {res.iterations}  residual = {res.residual:.3e}  "
           f"stop = {res.stop}")
     if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
         path = out / f"{args.command}_field.csv"
         field.to_csv(path)
         print(f"field written to {path}")
@@ -389,11 +390,13 @@ def _cmd_sweep(args) -> int:
     ks = [float(tok) for tok in args.k.split(",") if tok.strip()]
     if not ks:
         raise GaugeError("sweep needs at least one k")
+    check_p_tol(args.p, DEFAULTS["tol"])  # as slab_sweep does, before --out
+    if args.out:  # before the sweep, so a bad directory costs none
+        out = Path(args.out)
+        out.mkdir(parents=True, exist_ok=True)
     rows = slab_sweep(gauge, args.p, ks, h=args.h)
     text = "\n".join(sweep_csv_rows(rows)) + "\n"
     if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
         (out / "slab_sweep.csv").write_text(text)
         print(f"sweep written to {out / 'slab_sweep.csv'}")
     else:

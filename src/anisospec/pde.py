@@ -43,7 +43,13 @@ and gradient start the next iteration.  Each solve reports which rule
 stopped it:
 
 * ``"dual"`` - the quadratic path's rule: the preconditioned dual
-  residual (the iterate's relative energy-norm error) is below ``tol``;
+  residual (the iterate's relative energy-norm error) is below ``tol``.
+  Where ``_precond_exact`` holds, the level first reads it from the bound
+  g . z <= |g|^2 / sigma_min (sigma_min the least DST symbol): when that
+  bound's residual is below ``tol`` the level stops and reports it,
+  without forming z; else it forms z as everywhere.  The bound never
+  stops a level the dual residual would not stop, so only the reported
+  residual of such a stop differs from z's, and it bounds it from above;
 * ``"window"`` - the nonlinear path's rule, checked once 25 iterations
   have run (the DST preconditioner does not match the p != 2 Hessian):
   the relative value decrease over the last 25 is below ``tol``;
@@ -75,16 +81,17 @@ Memory: while a level descends it holds psi, z, d, one trial point and
 its gradient (while the preconditioner runs, the new z in place of the
 trial point), besides the grid masks and the coarser level's result,
 which the level prolongs itself: five grid-sized arrays on the
-quadratic path (psi, its gradient and z where it stops at iteration 0,
-having formed no direction).  Anything else a level forms is either
-grid-sized only while no trial gradient exists (the edge kernel's
-value buffer, the masked copies of the ray curvatures, the eigen
-denominator and the torsion load) or formed a block of rows at a time
-(the edge kernel's gradient, the eigen denominator's gradient, the
-sine-transform divisor).  Inner products are ``_dot``, which forms no
-full-size product; the sine transforms run in place in the new z; the
-CG update works in the old z's storage and in d; and the line search
-keeps only the step and value of its best trial.  Off the
+quadratic path (psi and its gradient where the bound above stops it at
+iteration 0, having formed no z and no direction).  Anything else a
+level forms is either grid-sized only while no trial gradient exists
+(the edge kernel's value buffer, the masked copies of the ray
+curvatures, the eigen denominator and the torsion load) or formed a
+block of rows at a time (the edge kernel's gradient, the eigen
+denominator's gradient, the sine-transform divisor).  Inner products
+are ``_dot``, which forms no full-size product; the sine transforms run
+in place in the new z; the CG update works in the old z's storage and
+in d; and the line search keeps only the step and value of its best
+trial.  Off the
 quadratic path the kernel also holds the two arrays of grid differences
 and one half's F_eps^p, and forms the rest in blocks of at most
 ``BLOCK`` triangles.
@@ -395,12 +402,15 @@ def _make_precond(grid: Grid, norm: MinkowskiNorm):
     it); restricted to the mask on the way out by multiplying with it.
     Where ``_precond_exact`` holds this inverts the p = 2 energy's
     Hessian, up to the factor 2 cell_area; elsewhere it is spectrally
-    equivalent to it.  The result's interior receives a copy of g's, and
-    both transforms run in place there (``overwrite_x`` on the strided
-    view), so no transform array lives beside it; only its border is
-    zeroed.  The transforms use one thread per CPU this process may run
-    on, not per CPU of the machine (the results do not depend on the
-    count).
+    equivalent to it.  Returns (apply, sigma_min), sigma_min = a11 lam1[0]
+    + a22 lam2[0] the symbol's least value: the operator is symmetric with
+    largest eigenvalue 1 / sigma_min, and the mask cannot raise it, so
+    g . apply(g) <= |g|^2 / sigma_min for every g.  The result's interior
+    receives a copy of g's, and both transforms run in place there
+    (``overwrite_x`` on the strided view), so no transform array lives
+    beside it; only its border is zeroed.  The transforms use one thread
+    per CPU this process may run on, not per CPU of the machine (the
+    results do not depend on the count).
     """
     a11, _, a22 = norm.quadratic_form() or (1.0, 0.0, 1.0)
     m1, m2 = grid.nx - 2, grid.ny - 2
@@ -408,6 +418,7 @@ def _make_precond(grid: Grid, norm: MinkowskiNorm):
                                      / (m1 + 1))) / (grid.hx * grid.hx)
     lam2 = a22 * (2.0 - 2.0 * np.cos(np.pi * np.arange(1, m2 + 1)
                                      / (m2 + 1))) / (grid.hy * grid.hy)
+    sigma_min = float(lam1[0] + lam2[0])  # both rise with their index
     rows = max(1, BLOCK // m2)
     try:
         workers = len(os.sched_getaffinity(0))
@@ -430,7 +441,7 @@ def _make_precond(grid: Grid, norm: MinkowskiNorm):
         z *= grid.mask
         return z
 
-    return apply
+    return apply, sigma_min
 
 
 def _precond_exact(grid: Grid, a) -> bool:
@@ -493,7 +504,10 @@ class _DescentProblem:
     """Shared state for the monotone preconditioned descent.
 
     A subclass's ``prepare(psi)`` turns a fresh start array into the
-    level's first iterate, in place.
+    level's first iterate, in place; ``own_start()`` is the fresh array of
+    a level given no start.  ``sigma_min`` is the preconditioner's least
+    symbol where ``_precond_exact`` holds, so that ``_descend`` can bound
+    the dual residual without applying it, and None elsewhere.
     """
 
     clamp = linear = False
@@ -505,8 +519,13 @@ class _DescentProblem:
         self.eps = eps
         # multiplying by the bool mask zeroes the fixed nodes, as by 0.0
         self.free = grid.mask
-        self.precond = _make_precond(grid, norm)
-        self.quadratic = _quadratic_form(norm, p) is not None
+        a = _quadratic_form(norm, p)
+        self.quadratic = a is not None
+        self.precond, sigma_min = _make_precond(grid, norm)
+        self.sigma_min = sigma_min if _precond_exact(grid, a) else None
+
+    def own_start(self) -> np.ndarray:
+        return np.zeros((self.grid.nx, self.grid.ny))
 
     def feasible(self, out: np.ndarray) -> np.ndarray:
         """Clamp (eigen problem) and zero the fixed nodes of ``out`` in place."""
@@ -543,6 +562,9 @@ class _DescentProblem:
 
 class _EigenProblem(_DescentProblem):
     clamp = True
+
+    def own_start(self) -> np.ndarray:
+        return _bbox_seed(self.grid)
 
     def prepare(self, psi):
         psi = self.feasible(psi)
@@ -659,15 +681,15 @@ def _ray_minimizer(a, c, dd, e, a0) -> float | None:
                key=ratio, default=None)
 
 
-def _start_values(start: GridField | None, grid: Grid) -> np.ndarray:
-    """A fresh array of a level's start on ``grid``: zeros without
-    ``start``, else a copy of its values, or their prolongation when they
-    live on the coarser grid."""
+def _start_values(start: GridField | None, problem) -> np.ndarray:
+    """A fresh array of a level's start on ``problem.grid``: the problem's
+    ``own_start()`` without ``start``, else a copy of its values, or their
+    prolongation when they live on the coarser grid."""
     if start is None:
-        return np.zeros((grid.nx, grid.ny))
-    if start.grid is grid:
+        return problem.own_start()
+    if start.grid is problem.grid:
         return start.values.copy()  # the caller's field stays unchanged
-    return _prolong(start.values, start.grid, grid)
+    return _prolong(start.values, start.grid, problem.grid)
 
 
 def _descend(problem: _DescentProblem, start: GridField | None, tol: float,
@@ -675,7 +697,12 @@ def _descend(problem: _DescentProblem, start: GridField | None, tol: float,
     """Monotone preconditioned CG descent on one grid, from ``start``.
 
     ``prepare`` makes the level's fresh start array (``_start_values``)
-    feasible in place.  The level starts with no direction; the restart
+    feasible in place.  Each iterate, the start and every accepted step,
+    forms its z before its stop checks, except where ``problem.sigma_min``
+    is set (``_precond_exact``): there the residual of the bound g . z <=
+    |g|^2 / sigma_min is read first, and below ``tol`` (and 1, where it
+    rises with g . z for either sign of f) it stops the level on "dual"
+    with no z.  The level starts with no direction; the restart
     rule forms the first one, and replaces a CG direction whose slope is
     not negative, as the preconditioned steepest descent -z.  On both
     paths the step comes from one line search, ``_wolfe_step``, and a
@@ -690,17 +717,35 @@ def _descend(problem: _DescentProblem, start: GridField | None, tol: float,
     full "window" only.  Returns (psi, iterations, residual, converged,
     stop), where ``stop`` names the rule that ended the descent (see the
     module docstring) and ``residual`` is the window decrease for "window"
-    and the dual residual for every other stop.
+    and the dual residual (or, where the bound stopped the level, the
+    bound's) for every other stop.
     """
-    psi = problem.prepare(_start_values(start, problem.grid))
+    psi = problem.prepare(_start_values(start, problem))
     f, g = problem.value_grad(psi)
     hist = [f]
-    z = problem.precond(g)
-    gz = _dot(g, z)
-    d = alpha_prev = None
+    w = problem.grid.cell_area
+    z = d = alpha_prev = None
     it = 0
     while True:
-        dual = _dual_residual(f, gz, problem.grid.cell_area)
+        if problem.sigma_min is not None:
+            # g . z <= |g|^2 / sigma_min: below 1 the bound's dual bounds
+            # the dual for either sign of f, so the stop needs no z
+            dual = _dual_residual(f, _dot(g, g) / problem.sigma_min, w)
+            if dual < min(tol, 1.0):
+                return psi, it, dual, True, "dual"
+        zn = problem.precond(g)
+        if d is not None:
+            # PR+ beta from (z - zn) g in the old z's storage, and d in place
+            z -= zn
+            z *= g
+            beta = max(-float(z.sum()) / gz, 0.0)
+            if not math.isfinite(beta):
+                beta = 0.0
+            d *= beta
+            d -= zn
+        z = zn
+        gz = _dot(g, z)
+        dual = _dual_residual(f, gz, w)
         if problem.quadratic:
             if dual < tol:
                 return psi, it, dual, True, "dual"
@@ -722,17 +767,6 @@ def _descend(problem: _DescentProblem, start: GridField | None, tol: float,
         alpha_prev, psi, f, g = found
         del found  # else it keeps this g alive through the next step
         hist.append(f)
-        zn = problem.precond(g)
-        # PR+ beta from (z - zn) g in the old z's storage, and d in place
-        z -= zn
-        z *= g
-        beta = max(-float(z.sum()) / gz, 0.0)
-        if not math.isfinite(beta):
-            beta = 0.0
-        d *= beta
-        d -= zn
-        z = zn
-        gz = _dot(g, z)
 
 
 def _wolfe_step(problem, psi, d, f, slope0, alpha_prev):
@@ -849,8 +883,10 @@ class EigenResult:
     """First Dirichlet eigenvalue and eigenfield, normalized to max u = 1.
 
     ``stop`` names the rule that ended the finest-level descent ("dual",
-    "window", "line_search" or "budget"); ``residual`` is what it measured.
-    ``iterations`` is 0 when that rule accepts the start as it is.
+    "window", "line_search" or "budget"); ``residual`` is what it measured,
+    on a "dual" stop where ``_precond_exact`` holds the residual of the
+    preconditioner's norm bound, which bounds the dual residual from
+    above.  ``iterations`` is 0 when that rule accepts the start as it is.
     """
 
     lambda_: float
@@ -865,7 +901,9 @@ class EigenResult:
 class TorsionResult:
     """Torsion field v, its integral T, maximum Mv, and the dual energy.
 
-    ``stop`` and ``residual`` are as for ``EigenResult``.
+    ``stop`` and ``residual`` are as for ``EigenResult``: where
+    ``_precond_exact`` holds, a "dual" stop reports the norm bound's
+    residual.
     """
 
     v: GridField
@@ -912,11 +950,12 @@ def _coarse_to_fine(problem_cls, poly: ConvexPolygon, norm: MinkowskiNorm,
 
     The finest grid (``build_grid(poly, h)``, or a given ``start``'s)
     decides the levels.  A ``linear`` problem on the quadratic path, and a
-    solve where ``_precond_exact`` holds, descend it alone from zero (the
-    eigen ``prepare`` makes that the seed), even when given a start; else
-    a start is descended on its grid alone, from a copy of its values, and
-    an unseeded solve runs ``_grid_hierarchy``'s levels.  The coarsest
-    level starts from zero; every finer level receives the coarser level's
+    solve where ``_precond_exact`` holds, descend it alone from the
+    problem's ``own_start()`` (zero, or the eigen seed ``_bbox_seed``),
+    even when given a start; else a start is descended on its grid alone,
+    from a copy of its values, and an unseeded solve runs
+    ``_grid_hierarchy``'s levels.  The coarsest level starts from its
+    ``own_start()``; every finer level receives the coarser level's
     result and prolongs it itself, so the driver holds no prolonged copy
     while the level descends.  Each level's budget is what the levels
     before it left of ``max_iter``.  Returns (finest grid, iterate, the
@@ -959,7 +998,8 @@ def solve_eigen(poly: ConvexPolygon, norm: MinkowskiNorm, p: float, h: float,
 
     Where ``_precond_exact`` holds the descent runs on the finest grid
     alone from ``_bbox_seed``, the discrete eigenvector, even when given
-    a ``start``.  Elsewhere a start on the grid ``build_grid(poly, h)``
+    a ``start``, and stops there on the preconditioner's norm bound
+    without applying it.  Elsewhere a start on the grid ``build_grid(poly, h)``
     would build (in practice the torsion field v of the same case) is
     descended on that grid alone, its values unchanged (one with no
     positive free value falls back to the seed), and without one the
@@ -973,7 +1013,8 @@ def solve_eigen(poly: ConvexPolygon, norm: MinkowskiNorm, p: float, h: float,
     result) when its path's rule is not met within ``max_iter``
     iterations or the line search fails short of sqrt(tol), and when the
     descent ends on a null field (the partial result then holds the zero
-    field and lambda = nan).
+    field and lambda = nan).  u is the iterate itself, normalized in
+    place, so the quotient's re-evaluation holds no second field.
     """
     grid, psi, total_it, residual, converged, stop = _coarse_to_fine(
         _EigenProblem, poly, norm, p, h, tol, max_iter, start)
@@ -982,7 +1023,8 @@ def solve_eigen(poly: ConvexPolygon, norm: MinkowskiNorm, p: float, h: float,
     if null:
         u, lam = np.zeros_like(psi), math.nan
     else:
-        u = psi / umax
+        u = psi
+        u /= umax  # in place: the bits of psi / umax, and no second field
         lam = grad_energy(u, grid, norm, p) / _mass(u, grid, p)
     result = EigenResult(lambda_=lam, u=GridField(grid, u), iterations=total_it,
                          residual=residual,

@@ -108,7 +108,8 @@ class TestSolverCommands:
     @pytest.mark.parametrize("command", ["eigen", "torsion", "sweep", "verify"])
     def test_out_naming_a_file_exit_2(self, capsys, monkeypatch, tmp_path,
                                       command):
-        # one error line, no traceback; verify fails before any case runs
+        # one error line, no traceback; every command fails before it
+        # solves, so stdout holds no solved line
         taken = tmp_path / "taken"
         taken.write_text("")
         argv = {"eigen": ["--domain", "rect:1,1", "--norm", "lq:2"],
@@ -116,15 +117,16 @@ class TestSolverCommands:
                 "sweep": ["--k", "1"], "verify": []}[command]
         if command != "verify":
             argv += ["--h", "0.0625"]
-        cases = []
-        run_case = cli.run_case
-        monkeypatch.setattr(cli, "run_case",
-                            lambda *args: cases.append(args) or run_case(*args))
+        calls = []
+        for name in ("run_case", "solve_eigen", "solve_torsion", "slab_sweep"):
+            monkeypatch.setattr(cli, name, lambda *args, fn=getattr(cli, name),
+                                **kw: calls.append(fn) or fn(*args, **kw))
         assert main([command, *argv, "--out", str(taken)]) == EXIT_USAGE
-        err = capsys.readouterr().err
+        out, err = capsys.readouterr()
+        assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err
-        assert cases == []
+        assert calls == []
         assert taken.read_text() == ""
 
     def test_nonconvergence_exit_3(self, capsys, monkeypatch):
@@ -447,6 +449,13 @@ class TestSweepCommand:
         assert main(["sweep", "--k", "1", "--h", "0.0625", flag, value]) \
             == EXIT_USAGE
         assert "p must be finite" in capsys.readouterr().err
+
+    def test_bad_p_creates_no_out_directory(self, capsys, tmp_path):
+        out = tmp_path / "out"
+        assert main(["sweep", "--k", "1", "--p", "0.5", "--out", str(out)]) \
+            == EXIT_USAGE
+        assert "p must be finite" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_empty_k_exit_2(self, capsys):
         assert main(["sweep", "--k", ","]) == EXIT_USAGE

@@ -463,8 +463,9 @@ class TestDescentCost:
 
     def test_one_level_eigen_peak_memory(self):
         # lq:2's unseeded solve stops at its seed on the finest grid
-        # alone: psi, g and z, with no direction, no coarser level's
-        # result and no trial point (3.17 measured)
+        # alone, certified from the preconditioner's norm: psi and g, with
+        # no z, no direction, no coarser level's result and no trial
+        # point (2.19 measured)
         poly = ConvexPolygon.rectangle(1, 16)
         field = build_grid(poly, 1.0 / 128.0).mask.size * 8
         tracemalloc.start()
@@ -474,7 +475,7 @@ class TestDescentCost:
         finally:
             tracemalloc.stop()
         assert res.iterations == 0
-        assert peak <= 3.3, peak
+        assert peak <= 2.3, peak
 
 
 class TestPreconditioner:
@@ -487,7 +488,7 @@ class TestPreconditioner:
         rng = np.random.default_rng(23)
         v = np.where(grid.mask, rng.standard_normal(grid.mask.shape), 0.0)
         _, g = _edge_energy(v, grid, ELL.quadratic_form(), grad=True)
-        z = pde._make_precond(grid, ELL)(g)
+        z = pde._make_precond(grid, ELL)[0](g)
         err = np.abs(z / (2.0 * grid.cell_area) - v).max()
         assert err <= 1e-12 * np.abs(v).max(), err
 
@@ -516,7 +517,7 @@ class TestPreconditioner:
                                 / (lam1[:, None] + lam2), type=1)
         ref[1:-1, 1:-1] *= grid.mask[1:-1, 1:-1]
         assert np.signbit(ref[ref == 0.0]).any()  # -0.0 off the mask
-        z = pde._make_precond(grid, norm)(g)
+        z = pde._make_precond(grid, norm)[0](g)
         assert z.tobytes() == ref.tobytes()
 
     def test_scaled_symbol_solves_the_rectangle_at_once(self):
@@ -524,6 +525,114 @@ class TestPreconditioner:
         # of the two levels (28 with the Laplacian's symbol)
         res = solve_torsion(SQUARE, ELL, 2.0, 1.0 / 32.0)
         assert res.iterations <= 2, res.iterations
+
+
+def _count_precond(monkeypatch):
+    """The grids of every preconditioner application, in order."""
+    calls = []
+    make = pde._make_precond
+
+    def counted(grid, norm):
+        apply, sigma_min = make(grid, norm)
+
+        def apply_counted(g):
+            calls.append(grid)
+            return apply(g)
+        return apply_counted, sigma_min
+
+    monkeypatch.setattr(pde, "_make_precond", counted)
+    return calls
+
+
+class TestNormBound:
+    """g . P g <= |g|^2 / sigma_min, and the stops it certifies."""
+
+    @pytest.mark.parametrize("norm", [LQ2, ELL], ids=["lq2", "ellipse-4-0-1"])
+    def test_first_sine_mode_is_the_top_eigenvector(self, norm):
+        grid = build_grid(ConvexPolygon.rectangle(1, 4), 1.0 / 32.0)
+        assert pde._precond_exact(grid, norm.quadratic_form())
+        mode = pde._bbox_seed(grid)
+        apply, sigma_min = pde._make_precond(grid, norm)
+        err = np.abs(apply(mode) - mode / sigma_min).max()
+        assert err <= 1e-12 * mode.max() / sigma_min, err
+
+    @pytest.mark.parametrize("domain", ["regular:6,1", "wulff:1,256"])
+    @pytest.mark.parametrize("norm", [LQ2, ELL, LQ4],
+                             ids=["lq2", "ellipse-4-0-1", "lq4"])
+    def test_masked_fields_obey_the_bound(self, domain, norm):
+        poly = parse_domain(domain, norm=norm)
+        grid = build_grid(poly, poly.diameter / 64.0)
+        apply, sigma_min = pde._make_precond(grid, norm)
+        rng = np.random.default_rng(31)
+        for _ in range(5):
+            g = rng.standard_normal(grid.mask.shape) * grid.mask
+            assert pde._dot(g, apply(g)) <= pde._dot(g, g) / sigma_min
+
+    @pytest.mark.parametrize("f", [3.0, -3.0])
+    def test_dual_residual_rises_with_gz(self, f):
+        # for f > 0 while gz < 2 w f, which holds every value below 1 (1
+        # at gz = w f); for f < 0 everywhere, always below 1
+        w = 1e-3
+        gz = np.linspace(0.0, w * abs(f) * (1.5 if f > 0 else 1e3), 2001)
+        dual = [pde._dual_residual(f, x, w) for x in gz]
+        assert np.all(np.diff(dual) >= 0.0)
+        assert dual[-1] > 1.0 if f > 0 else dual[-1] < 1.0
+
+    @pytest.mark.parametrize("domain", ["rect:1,1", "rect:1,4"])
+    @pytest.mark.parametrize("norm", [LQ2, ELL], ids=["lq2", "ellipse-4-0-1"])
+    def test_box_interior_eigen_applies_no_preconditioner(self, monkeypatch,
+                                                          domain, norm):
+        calls = _count_precond(monkeypatch)
+        res = solve_eigen(parse_domain(domain, norm=norm), norm, 2.0,
+                          1.0 / 32.0)
+        assert (res.stop, res.iterations, len(calls)) == ("dual", 0, 0)
+
+    def test_square_torsion_applies_it_once(self, monkeypatch):
+        calls = _count_precond(monkeypatch)
+        res = solve_torsion(SQUARE, LQ2, 2.0, 1.0 / 32.0)
+        assert (res.stop, res.iterations, len(calls)) == ("dual", 1, 1)
+
+    @pytest.mark.parametrize("solve", [solve_eigen, solve_torsion],
+                             ids=["eigen", "torsion"])
+    def test_hexagon_applies_it_once_per_iterate(self, monkeypatch, solve):
+        # off exact grids every iterate's z is formed: iterations + 1 on
+        # each level that stops on "dual"
+        levels = []
+        descend = pde._descend
+
+        def recorded(*args):
+            out = descend(*args)
+            levels.append(out)
+            return out
+
+        monkeypatch.setattr(pde, "_descend", recorded)
+        calls = _count_precond(monkeypatch)
+        res = solve(HEXAGON, LQ2, 2.0, 1.0 / 32.0)
+        assert res.iterations > 0
+        assert all(level[4] == "dual" for level in levels)
+        assert len(calls) == sum(level[1] + 1 for level in levels)
+
+    @pytest.mark.parametrize("problem_cls", [pde._EigenProblem,
+                                             _TorsionProblem],
+                             ids=["eigen", "torsion"])
+    @pytest.mark.parametrize("start", ["own", "tilted-seed"])
+    def test_certified_stop_bounds_the_true_dual(self, problem_cls, start):
+        poly = ConvexPolygon.rectangle(1, 4)
+        grid = build_grid(poly, 1.0 / 32.0)
+        field = None
+        if start == "tilted-seed":
+            tilt = 1.0 + 0.3 * np.cos(3.0 * grid.x)[:, None]
+            field = GridField(grid, pde._bbox_seed(grid) * tilt)
+        problem = problem_cls(grid, ELL, 2.0, 0.0)
+        assert problem.sigma_min is not None
+        tol = 1e-8
+        psi, _, residual, converged, stop = pde._descend(problem, field,
+                                                         tol, 50000)
+        assert (stop, converged) == ("dual", True)
+        f, g = problem.value_grad(psi)
+        true = pde._dual_residual(f, pde._dot(g, problem.precond(g)),
+                                  grid.cell_area)
+        assert true <= residual < tol
 
 
 class TestGrid:

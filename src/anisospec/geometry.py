@@ -497,7 +497,10 @@ def build_grid(poly: ConvexPolygon, h: float, min_axis: int = 16) -> Grid:
     boundary centered on the exact one.  The mask is exactly
     ``poly.clearance(node) > 0.25 (hx + hy)`` at every node, built column
     by column from the edge half-planes (``_free_nodes``) rather than by
-    evaluating every node of the bounding box against every edge.
+    evaluating every node of the bounding box against every edge.  Cost:
+    O(columns x edges + band nodes) arithmetic, the band being the few
+    nodes per column within rounding of a run's end, plus writing the
+    mask, the one grid-sized array it forms.
     """
     hx, hy, x, y = grid_axes(poly, h)
     mask = _free_nodes(poly, x, y, 0.25 * (hx + hy))
@@ -519,9 +522,13 @@ def _free_nodes(poly: ConvexPolygon, x: np.ndarray, y: np.ndarray,
     nodes of a column lie strictly inside one interval.  Each bound
     carries a band of 64 eps times the size of the margin's terms (over
     |n_y|), which covers the rounding of both this formula and the
-    per-node one; the few nodes inside a band are decided by
-    ``poly.clearance`` itself, so the mask equals clearance(nodes) > thr.
-    Cost: O(columns x edges + nodes) comparisons, with no point array.
+    per-node one.  ``np.searchsorted`` on the ascending y turns the
+    bounds into index runs: the nodes of the run [a, b) are free for
+    certain and written as one slice, and only the few undecided nodes of
+    [j0, a) and [b, j1) are decided by ``poly.clearance`` itself, so the
+    mask equals clearance(nodes) > thr.  Cost: O(columns x edges + band
+    nodes) arithmetic and one slice per column, with no grid-sized array
+    besides the mask and no whole-grid ``nonzero``.
     """
     normals, offsets, _ = poly._edges
     n_x, n_y = normals[:, 0], normals[:, 1]
@@ -544,8 +551,22 @@ def _free_nodes(poly: ConvexPolygon, x: np.ndarray, y: np.ndarray,
     margin = (offsets[flat] - thr) - x[:, None] * n_x[flat]
     lo_in[(margin <= band[flat]).any(axis=1)] = np.inf
     lo_out[(margin < -band[flat]).any(axis=1)] = np.inf
-    mask = (y > lo_in[:, None]) & (y < hi_in[:, None])
-    i, j = np.nonzero((y >= lo_out[:, None]) & (y <= hi_out[:, None]) & ~mask)
+    # as index runs on the ascending y: free for certain on [a, b),
+    # undecided on [j0, a) and [b, j1)
+    a = np.searchsorted(y, lo_in, side="right")
+    b = np.searchsorted(y, hi_in, side="left")
+    j0 = np.searchsorted(y, lo_out, side="left")
+    j1 = np.maximum(np.searchsorted(y, hi_out, side="right"), j0)
+    sure = a < b
+    a[~sure] = b[~sure] = j1[~sure]  # no sure run: [j0, j1) is undecided
+    mask = np.zeros((len(x), len(y)), dtype=bool)
+    cols = np.flatnonzero(sure)
+    for i, lo, hi in zip(cols.tolist(), a[cols].tolist(), b[cols].tolist()):
+        mask[i, lo:hi] = True
+    # the undecided nodes, run by run: column i and rows start, start + 1, ...
+    starts, runs = np.concatenate([j0, b]), np.concatenate([a - j0, j1 - b])
+    i = np.repeat(np.tile(np.arange(len(x)), 2), runs)
+    j = np.repeat(starts - np.cumsum(runs) + runs, runs) + np.arange(len(i))
     if len(i):
         mask[i, j] = poly.clearance(np.column_stack([x[i], y[j]])) > thr
     return mask

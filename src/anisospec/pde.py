@@ -30,7 +30,11 @@ whose slope is not negative, becomes the preconditioned steepest
 descent -z before its search.  Elsewhere an eigen solve may start from
 a given field on the finest grid (the harness passes the case's torsion
 field, the first inverse power step from a constant); it then runs that
-one level, and its iteration count is that level's.  One bracketing
+one level, and its iteration count is that level's.  A level's own
+start (zero, or the seed) is feasible as formed and enters the descent
+as it is; only a caller's field, a given start or the coarser level's
+result prolonged, is projected (clamped nonnegative for an eigen solve,
+zeroed off the free nodes), once, by ``_start_values``.  One bracketing
 Wolfe line search picks every step: a trial is accepted once its value
 exceeds the current one by at most its rounding (``TIE``) and the slope
 along the ray has shrunk to ``WOLFE_C2`` times the initial one.  Its
@@ -489,9 +493,13 @@ def _prolong(values: np.ndarray, coarse: Grid, fine: Grid) -> np.ndarray:
 
 def _bbox_seed(grid: Grid) -> np.ndarray:
     """The eigen descent's one seed: the box's first sine mode on the free
-    nodes, the discrete eigenvector where ``_precond_exact`` holds."""
+    nodes, the discrete eigenvector where ``_precond_exact`` holds.  It is
+    feasible as formed: positive on the free nodes and +0.0 elsewhere."""
     sx = np.sin(np.pi / (grid.nx - 1) * np.arange(grid.nx))
     sy = np.sin(np.pi / (grid.ny - 1) * np.arange(grid.ny))
+    # sin(pi) rounds to +-1e-16 on the box's last nodes, never free: a
+    # negative one would leave -0.0 on the fixed nodes
+    sx[-1] = sy[-1] = 0.0
     seed = sx[:, None] * sy
     seed *= grid.mask
     return seed
@@ -503,11 +511,14 @@ def _bbox_seed(grid: Grid) -> np.ndarray:
 class _DescentProblem:
     """Shared state for the monotone preconditioned descent.
 
-    A subclass's ``prepare(psi)`` turns a fresh start array into the
-    level's first iterate, in place; ``own_start()`` is the fresh array of
-    a level given no start.  ``sigma_min`` is the preconditioner's least
-    symbol where ``_precond_exact`` holds, so that ``_descend`` can bound
-    the dual residual without applying it, and None elsewhere.
+    ``own_start()`` is the first array of a level given no start,
+    feasible as formed; ``_start_values`` projects (``feasible``) only a
+    caller's field.  ``prepare(psi)`` turns that feasible array into the
+    level's first iterate, in place: as it is here, and normalized (or,
+    if massless, replaced by the own start) for the eigen problem.
+    ``sigma_min`` is the preconditioner's least symbol where
+    ``_precond_exact`` holds, so that ``_descend`` can bound the dual
+    residual without applying it, and None elsewhere.
     """
 
     clamp = linear = False
@@ -526,6 +537,9 @@ class _DescentProblem:
 
     def own_start(self) -> np.ndarray:
         return np.zeros((self.grid.nx, self.grid.ny))
+
+    def prepare(self, psi):
+        return psi
 
     def feasible(self, out: np.ndarray) -> np.ndarray:
         """Clamp (eigen problem) and zero the fixed nodes of ``out`` in place."""
@@ -567,10 +581,9 @@ class _EigenProblem(_DescentProblem):
         return _bbox_seed(self.grid)
 
     def prepare(self, psi):
-        psi = self.feasible(psi)
         d = _mass(psi, self.grid, self.p)
         if d <= 0.0:
-            psi = self.feasible(_bbox_seed(self.grid))
+            psi = self.own_start()
             d = _mass(psi, self.grid, self.p)
         psi /= d ** (1.0 / self.p)
         return psi
@@ -623,9 +636,6 @@ class _EigenProblem(_DescentProblem):
 
 class _TorsionProblem(_DescentProblem):
     linear = True  # on the quadratic path: one level, from zero
-
-    def prepare(self, psi):
-        return self.feasible(psi)
 
     def value_grad(self, psi):
         load = _mass(psi, self.grid)  # its copy of psi goes before gn comes
@@ -682,34 +692,40 @@ def _ray_minimizer(a, c, dd, e, a0) -> float | None:
 
 
 def _start_values(start: GridField | None, problem) -> np.ndarray:
-    """A fresh array of a level's start on ``problem.grid``: the problem's
-    ``own_start()`` without ``start``, else a copy of its values, or their
-    prolongation when they live on the coarser grid."""
+    """A fresh feasible array of a level's start on ``problem.grid``: the
+    problem's ``own_start()``, feasible as formed, without ``start``; else
+    a copy of its values, or their prolongation when they live on the
+    coarser grid, which ``feasible`` clamps (eigen) and zeroes off the
+    free nodes: the one place a start is projected."""
     if start is None:
         return problem.own_start()
     if start.grid is problem.grid:
-        return start.values.copy()  # the caller's field stays unchanged
-    return _prolong(start.values, start.grid, problem.grid)
+        values = start.values.copy()  # the caller's field stays unchanged
+    else:
+        values = _prolong(start.values, start.grid, problem.grid)
+    return problem.feasible(values)
 
 
 def _descend(problem: _DescentProblem, start: GridField | None, tol: float,
              max_iter: int):
     """Monotone preconditioned CG descent on one grid, from ``start``.
 
-    ``prepare`` makes the level's fresh start array (``_start_values``)
-    feasible in place.  Each iterate, the start and every accepted step,
-    forms its z before its stop checks, except where ``problem.sigma_min``
-    is set (``_precond_exact``): there the residual of the bound g . z <=
-    |g|^2 / sigma_min is read first, and below ``tol`` (and 1, where it
-    rises with g . z for either sign of f) it stops the level on "dual"
-    with no z.  The level starts with no direction; the restart
-    rule forms the first one, and replaces a CG direction whose slope is
-    not negative, as the preconditioned steepest descent -z.  On both
-    paths the step comes from one line search, ``_wolfe_step``, and a
-    failed search ends the level on "line_search".  The search receives
-    the slope of its direction, so the old gradient is freed before any
-    trial point is evaluated; each trial point costs one ``value_grad``,
-    and the accepted one's value and gradient start the next iteration.
+    ``_start_values`` forms the level's start, projecting a caller's field
+    but not the problem's own start, and ``prepare`` turns it into the
+    first iterate in place.  Each iterate, the start and every accepted
+    step, forms its z before its stop checks, except where
+    ``problem.sigma_min`` is set (``_precond_exact``): there the residual
+    of the bound g . z <= |g|^2 / sigma_min is read first, and below
+    ``tol`` (and 1, where it rises with g . z for either sign of f) it
+    stops the level on "dual" with no z.  The level starts with no
+    direction; the restart rule forms the first one, and replaces a CG
+    direction whose slope is not negative, as the preconditioned steepest
+    descent -z.  On both paths the step comes from one line search,
+    ``_wolfe_step``, and a failed search ends the level on "line_search".
+    The search receives the slope of its direction, so the old gradient
+    is freed before any trial point is evaluated; each trial point costs
+    one ``value_grad``, and the accepted one's value and gradient start
+    the next iteration.
     No accepted step raises the value by more than ``TIE`` |f|, the
     rounding of the value.
 

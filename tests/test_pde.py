@@ -941,6 +941,74 @@ class TestSeededEigen:
             solve_eigen(SQUARE, LQ2, 2.0, h, start=start)
 
 
+# rect:1,4 at h = 0.08 is a 26 x 101 grid whose free nodes fill the box's
+# interior, and where sin(pi) rounds below zero on both axes; the hexagon's
+# grid is the finest of a two-level hierarchy
+LEVEL_GRIDS = {"exact": (ConvexPolygon.rectangle(1, 4), 0.08),
+               "hierarchy": (HEXAGON, 1.0 / 32.0)}
+
+
+class TestLevelStart:
+    """Only a caller's field is projected; a level's own start is feasible
+    as formed and enters the descent as it is."""
+
+    @pytest.mark.parametrize("problem_cls", [pde._EigenProblem,
+                                             _TorsionProblem],
+                             ids=["eigen", "torsion"])
+    @pytest.mark.parametrize("kind", LEVEL_GRIDS)
+    def test_own_start_descends_as_its_copy(self, problem_cls, kind):
+        poly, h = LEVEL_GRIDS[kind]
+        grid = build_grid(poly, h)
+        problem = problem_cls(grid, LQ2, 2.0, 0.0)
+        assert (problem.sigma_min is not None) == (kind == "exact")
+        assert len(_grid_hierarchy(poly, grid)) == (1 if kind == "exact"
+                                                    else 2)
+        own = problem.own_start()
+        assert not np.signbit(own).any()  # no -0.0 for feasible to clear
+        assert not own[~grid.mask].any()
+        copy = GridField(grid, own)
+        runs = [pde._descend(problem, start, 1e-8, 50000)
+                for start in (None, copy)]
+        _assert_bitwise(runs[0][0], runs[1][0])
+        assert runs[0][1:] == runs[1][1:]  # iterations, residual, stop
+        _assert_bitwise(copy.values, own)  # the caller's field unchanged
+
+    @pytest.mark.parametrize("problem_cls", [pde._EigenProblem,
+                                             _TorsionProblem],
+                             ids=["eigen", "torsion"])
+    @pytest.mark.parametrize("kind", LEVEL_GRIDS)
+    def test_caller_start_is_projected(self, problem_cls, kind):
+        poly, h = LEVEL_GRIDS[kind]
+        grid = build_grid(poly, h)
+        problem = problem_cls(grid, LQ2, 2.0, 0.0)
+        messy = _signed_field(grid.mask.shape, 30) + 0.5
+        kept = messy.copy()
+        assert (messy < 0.0).any() and messy[~grid.mask].any()
+        values = pde._start_values(GridField(grid, messy), problem)
+        want = np.maximum(messy, 0.0) if problem.clamp else messy
+        assert np.array_equal(values, np.where(grid.mask, want, 0.0))
+        _assert_bitwise(messy, kept)
+        # the descent runs from that projection, bit for bit
+        runs = [pde._descend(problem, GridField(grid, start), 1e-8, 50000)
+                for start in (messy, values)]
+        _assert_bitwise(runs[0][0], runs[1][0])
+        assert runs[0][1:] == runs[1][1:]
+
+    @pytest.mark.parametrize("problem_cls", [pde._EigenProblem,
+                                             _TorsionProblem],
+                             ids=["eigen", "torsion"])
+    def test_prolonged_start_is_projected(self, problem_cls):
+        fine = build_grid(*LEVEL_GRIDS["hierarchy"])
+        coarse = _grid_hierarchy(HEXAGON, fine)[1]
+        messy = GridField(coarse, _signed_field(coarse.mask.shape, 31))
+        problem = problem_cls(fine, LQ2, 2.0, 0.0)
+        values = pde._start_values(messy, problem)
+        prolonged = _prolong(messy.values, coarse, fine)
+        want = np.maximum(prolonged, 0.0) if problem.clamp else prolonged
+        assert (prolonged < 0.0).any()
+        assert np.array_equal(values, np.where(fine.mask, want, 0.0))
+
+
 def _scaling_gaps(norm, p, t, n):
     """Relative gaps of lambda t^p, T t^-(N+p') and Mv t^-p' on t x Omega
     against Omega = the unit square, each on its own grid of n cells per
